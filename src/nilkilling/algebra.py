@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlgebraAbelian
+from .errors import AlgebraAbelian, NotSkew
 from .linalg import (
     DEFAULT_TOL,
     column_space,
@@ -81,10 +81,18 @@ class MetricLieAlgebra:
 
     @classmethod
     def from_json(cls, data):
+        """Parse the JSON layout of `to_json`; malformed input raises ValueError."""
         n = int(data["dim"])
         basis = list(data.get("basis", [f"b{i}" for i in range(n)]))
         c = np.zeros((n, n, n))
-        for i, j, k, coeff in data.get("brackets", []):
+        for entry in data.get("brackets", []):
+            i, j, k, coeff = entry
+            if not all(0 <= idx < n for idx in (i, j, k)):
+                raise ValueError(f"bracket index outside 0..{n - 1}: {entry}")
+            if i == j:
+                raise ValueError(f"bracket of a basis vector with itself: {entry}")
+            if not np.isfinite(coeff):
+                raise ValueError(f"non-finite bracket coefficient: {entry}")
             c[i, j, k] += coeff
             c[j, i, k] -= coeff
         metric = data.get("metric", {"identity": True})
@@ -92,6 +100,8 @@ class MetricLieAlgebra:
             gram = np.eye(n)
         else:
             gram = np.asarray(metric["gram"], dtype=float)
+            if not np.all(np.isfinite(gram)):
+                raise ValueError("non-finite gram entry")
         return cls(n, basis, c, gram, name=data.get("name", ""))
 
     def save(self, path):
@@ -154,13 +164,6 @@ class AdaptedFrame:
     def nz(self):
         return len(self.z_indices)
 
-    def j_of(self, zcoords):
-        """Skew map on v for a center element given in z-frame coordinates."""
-        out = np.zeros((self.nv, self.nv))
-        for t, jt in enumerate(self.j_matrices):
-            out += zcoords[t] * jt
-        return out
-
 
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check antisymmetry, 2-step nilpotency and positive-definiteness."""
@@ -183,14 +186,19 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(violations)
 
 
+def _center_columns(L: MetricLieAlgebra, tol):
+    """Orthonormal columns spanning the center: the nullspace of all ad maps."""
+    n = L.dim
+    return nullspace(np.concatenate([L.ad_matrix(i) for i in range(n)]), tol)
+
+
 def center_commutator(L: MetricLieAlgebra, tol: float = DEFAULT_TOL):
     """Subspaces spanning the center z and the commutator n' (user coords).
 
     Raises AlgebraAbelian when n' = 0.
     """
     n = L.dim
-    stacked = np.concatenate([L.ad_matrix(i) for i in range(n)], axis=0)
-    z_cols = nullspace(stacked, tol)
+    z_cols = _center_columns(L, tol)
     brackets = np.array(
         [L.structure_constants[i, j] for i in range(n) for j in range(i + 1, n)]
     ).T
@@ -253,22 +261,18 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     trailing frame vectors.  Works for abelian input too (v empty).
     """
     n = L.dim
-    stacked = np.concatenate([L.ad_matrix(i) for i in range(n)], axis=0)
-    z_raw = nullspace(stacked, tol)
+    z_raw = _center_columns(L, tol)
     v_raw = nullspace(z_raw.T @ L.gram, tol) if z_raw.shape[1] < n else np.zeros((n, 0))
     v_cols = _canonical_span_basis(v_raw, L.gram)
     z_cols = _canonical_span_basis(z_raw, L.gram)
     nv, nz = v_cols.shape[1], z_cols.shape[1]
 
-    def j_list(zc):
-        mats = []
-        for t in range(zc.shape[1]):
-            br = np.einsum("ia,jb,ijk->abk", v_cols, v_cols, L.structure_constants)
-            jt = np.einsum("abk,k->ba", br, L.gram @ zc[:, t])
-            mats.append(jt)
-        return mats
+    def constants_and_j(zc):
+        # j(z_t) on v is the z_t-component of the v x v frame constants
+        const = _frame_constants(L, np.concatenate([v_cols, zc], axis=1))
+        return const, [const[:nv, :nv, nv + t].T for t in range(nz)]
 
-    mats = j_list(z_cols)
+    const, mats = constants_and_j(z_cols)
     if nz:
         # rotate the z-frame so the kernel of z -> j(z) is axis-aligned
         jstack = np.array([m.ravel() for m in mats]).T if nv else np.zeros((1, nz))
@@ -282,46 +286,38 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
                 ],
                 axis=1,
             )
-            mats = j_list(z_cols)
+            const, mats = constants_and_j(z_cols)
     frame = np.concatenate([v_cols, z_cols], axis=1)
     a_idx = tuple(
         nv + t for t, m in enumerate(mats) if (m.size == 0 or np.abs(m).max() <= tol)
     )
     for m in mats:
         if m.size and np.abs(m + m.T).max() > 100 * tol * max(1.0, np.abs(m).max()):
-            raise AssertionError("j matrix not skew; inconsistent input")
+            raise NotSkew("j matrix not skew; inconsistent input")
     return AdaptedFrame(
         frame=frame,
         v_indices=tuple(range(nv)),
         z_indices=tuple(range(nv, nv + nz)),
         a_indices=a_idx,
-        j_matrices=tuple(m for m in mats),
-        constants=_frame_constants(L, frame),
+        j_matrices=tuple(mats),
+        constants=const,
     )
 
 
-def levi_civita(L: MetricLieAlgebra, F: AdaptedFrame, x, y):
-    """Covariant derivative of y in the direction x, frame coordinates.
-
-    Three-case table: half the bracket on v x v, minus half of j(z) applied
-    to the v-argument in the mixed cases, zero on z x z.
-    """
-    nv, nz = F.nv, F.nz
-    xv, xz = x[:nv], x[nv:]
-    yv, yz = y[:nv], y[nv:]
-    out_v = np.zeros(nv)
-    out_z = np.zeros(nz)
-    for t, jt in enumerate(F.j_matrices):
-        out_z[t] += 0.5 * float(yv @ jt @ xv)
-        out_v += -0.5 * (yz[t] * (jt @ xv) + xz[t] * (jt @ yv))
-    return np.concatenate([out_v, out_z])
-
-
 def nabla_matrix(L: MetricLieAlgebra, F: AdaptedFrame, y):
-    """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates."""
-    n = F.n
-    cols = [levi_civita(L, F, y, np.eye(n)[:, i]) for i in range(n)]
-    return np.array(cols).T
+    """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates.
+
+    Koszul formula in the orthonormal frame: with c the frame constants,
+    g(nabla_a e_b, e_c) = 1/2 (c_abc - c_bca + c_cab).
+    """
+    c = F.constants
+    koszul = 0.5 * (c - np.einsum("bca->abc", c) + np.einsum("cab->abc", c))
+    return np.einsum("a,abc->cb", y, koszul)
+
+
+def levi_civita(L: MetricLieAlgebra, F: AdaptedFrame, x, y):
+    """Covariant derivative of y in the direction x, frame coordinates."""
+    return nabla_matrix(L, F, x) @ y
 
 
 def j_trace_form(L: MetricLieAlgebra, F: AdaptedFrame):

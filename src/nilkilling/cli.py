@@ -3,8 +3,9 @@
 Commands: analyze, killing, decompose, catalog list|show, tables.
 Inputs are either algebra JSON files or the pseudo-path catalog:<name>.
 
-Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 numerical rank or
-decomposition ambiguity, 5 oracle/table mismatch.
+Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 numerical failure
+(NumericalRankFailure, DecompositionAmbiguous, InternalInvariantViolation,
+NotSkew), 5 oracle/table mismatch.
 """
 from __future__ import annotations
 
@@ -16,7 +17,12 @@ import numpy as np
 
 from . import catalog as cat
 from .algebra import MetricLieAlgebra, adapted_frame, j_trace_form, validate
-from .errors import DecompositionAmbiguous, NumericalRankFailure
+from .errors import (
+    DecompositionAmbiguous,
+    InternalInvariantViolation,
+    NotSkew,
+    NumericalRankFailure,
+)
 from .killing import killing_nullspace_brute, solve_killing2, solve_killing3
 from .linalg import span_distance
 from .structure import decompose, killing_dimensions
@@ -57,17 +63,9 @@ def _validated(alg, tol):
     return alg
 
 
-def analyze_record(alg, tol):
-    F = adapted_frame(alg, tol)
-    dec = decompose(alg, tol)
-    dim_k2, dim_k3, d, r2, r3 = killing_dimensions(alg, tol)
-    jt = j_trace_form(alg, F)
+def _decomposition_record(dec):
+    dim_k2, dim_k3, d, _, _ = dec.killing_dimensions()
     return {
-        "schema": SCHEMA,
-        "name": alg.name,
-        "n": alg.dim,
-        "dim_v": F.nv,
-        "dim_z": F.nz,
         "d": d,
         "factors": [
             {
@@ -80,7 +78,22 @@ def analyze_record(alg, tol):
         ],
         "dimK2": dim_k2,
         "dimK3": dim_k3,
-        "j_trace_eigenvalues": sorted(np.linalg.eigvalsh(jt).tolist()),
+    }
+
+
+def analyze_record(alg, tol):
+    dec = decompose(alg, tol)
+    F = dec.frame
+    return {
+        "schema": SCHEMA,
+        "name": alg.name,
+        "n": alg.dim,
+        "dim_v": F.nv,
+        "dim_z": F.nz,
+        **_decomposition_record(dec),
+        "j_trace_eigenvalues": sorted(
+            np.linalg.eigvalsh(j_trace_form(alg, F)).tolist()
+        ),
     }
 
 
@@ -175,23 +188,10 @@ def _space_mismatch(a, b):
 
 def cmd_decompose(args):
     alg = _validated(load_algebra(args.input, args.lam, args.l, args.d), args.tol)
-    dec = decompose(alg, args.tol)
-    dim_k2, dim_k3, d, _, _ = killing_dimensions(alg, args.tol)
     rec = {
         "schema": SCHEMA,
         "name": alg.name,
-        "d": d,
-        "factors": [
-            {
-                "dim": f.dim,
-                "dims_vz": [f.frame.nv, f.frame.nz],
-                "complex": f.has_complex_structure,
-                "nat_reductive": f.naturally_reductive,
-            }
-            for f in dec.factors
-        ],
-        "dimK2": dim_k2,
-        "dimK3": dim_k3,
+        **_decomposition_record(decompose(alg, args.tol)),
     }
 
     def lines(r):
@@ -276,7 +276,6 @@ def _add_common(parser, with_input=True):
         parser.add_argument("input", help="algebra JSON path or catalog:<name>")
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
     parser.add_argument("--l", type=int, default=1)
     parser.add_argument("--d", type=int, default=1)
@@ -330,7 +329,8 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (NumericalRankFailure, DecompositionAmbiguous) as exc:
+    except (NumericalRankFailure, DecompositionAmbiguous,
+            InternalInvariantViolation, NotSkew) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AdaptedFrame, MetricLieAlgebra, adapted_frame, nabla_matrix
+from .algebra import AdaptedFrame, MetricLieAlgebra, nabla_matrix
 from .errors import InternalInvariantViolation
 from .forms import (
     Form,
@@ -43,7 +43,6 @@ class KillingSpace:
     def matrix(self):
         """Coefficient vectors as columns, for span comparisons."""
         if not self.basis:
-            n, k = 0, self.degree
             return np.zeros((0, 0))
         return np.array([f.vec for f in self.basis]).T
 
@@ -57,7 +56,6 @@ class Killing2Data:
 
 @dataclass(frozen=True)
 class Killing3Data:
-    B: np.ndarray                # symmetric matrix on the factor's z
     gamma: Form                  # degree-3 form supported on the z legs
     abelian_part: Optional[Form] = None
 
@@ -219,7 +217,7 @@ def is_parallel(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
     return worst <= tol * max(1.0, omega.norm())
 
 
-def _wedge_chain(vectors, n):
+def _wedge_chain(vectors):
     form = oneform(vectors[0])
     for v in vectors[1:]:
         form = wedge(form, oneform(v))
@@ -241,15 +239,13 @@ def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):
     """
     from .structure import decompose
 
-    F = adapted_frame(L, tol)
     dec = decompose(L, tol)
-    n = F.n
     basis = []
     data = []
     acols = dec.abelian.columns
     for i in range(acols.shape[1]):
         for j in range(i + 1, acols.shape[1]):
-            basis.append(_normalize(_wedge_chain([acols[:, i], acols[:, j]], n)))
+            basis.append(_normalize(_wedge_chain([acols[:, i], acols[:, j]])))
     for factor in dec.factors:
         if not factor.has_complex_structure:
             continue
@@ -281,15 +277,13 @@ def solve_killing3(L: MetricLieAlgebra, tol=DEFAULT_TOL):
     """
     from .structure import decompose
 
-    F = adapted_frame(L, tol)
     dec = decompose(L, tol)
-    n = F.n
     basis = []
     data = []
     acols = dec.abelian.columns
     d = acols.shape[1]
     for t in basis_tuples(d, 3):
-        basis.append(_normalize(_wedge_chain([acols[:, i] for i in t], n)))
+        basis.append(_normalize(_wedge_chain([acols[:, i] for i in t])))
     for factor in dec.factors:
         if not factor.naturally_reductive:
             continue
@@ -316,7 +310,7 @@ def solve_killing3(L: MetricLieAlgebra, tol=DEFAULT_TOL):
                         )
         form_f = form_f + gamma
         basis.append(_normalize(_factor_to_ambient(form_f, factor)))
-        data.append(Killing3Data(B=np.eye(m), gamma=gamma))
+        data.append(Killing3Data(gamma=gamma))
     space = KillingSpace(degree=3, basis=basis, method="structured",
                         algebra_ref=L.name)
     return space, data

@@ -14,15 +14,26 @@ DEFAULT_TOL = 1e-9
 GAP_FACTOR = 10.0
 
 
-def _check_gap(s, thresh, tol, scale):
-    kept = s[s > thresh]
-    dropped = s[s <= thresh]
-    if kept.size and dropped.size:
-        if kept.min() - dropped.max() < GAP_FACTOR * tol * scale:
-            raise NumericalRankFailure(
-                "ambiguous singular value gap: retained %.3e vs discarded %.3e"
-                % (kept.min(), dropped.max())
-            )
+def _svd_rank(a, tol, full_v):
+    """SVD factors of a non-zero `a` and its numerical rank.
+
+    Singular values above tol * max(s_max, 1) count towards the rank; the
+    decision is refused with NumericalRankFailure unless the retained and
+    discarded values are separated by GAP_FACTOR times that scale.  The SVD
+    is thin unless the caller needs all rows of V (`full_v`).
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=full_v)
+    scale = max(s[0], 1.0)
+    thresh = tol * scale
+    kept, dropped = s[s > thresh], s[s <= thresh]
+    if kept.size and dropped.size and (
+        kept.min() - dropped.max() < GAP_FACTOR * tol * scale
+    ):
+        raise NumericalRankFailure(
+            "ambiguous singular value gap: retained %.3e vs discarded %.3e"
+            % (kept.min(), dropped.max())
+        )
+    return u, kept.size, vt
 
 
 def nullspace(a, tol=DEFAULT_TOL):
@@ -34,11 +45,8 @@ def nullspace(a, tol=DEFAULT_TOL):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
         return np.eye(a.shape[1])
-    _, s, vt = np.linalg.svd(a)
-    scale = s[0] if s.size else 1.0
-    thresh = tol * max(scale, 1.0)
-    _check_gap(s, thresh, tol, max(scale, 1.0))
-    rank = int(np.sum(s > thresh))
+    # a wide matrix has more null directions than singular values
+    _, rank, vt = _svd_rank(a, tol, full_v=a.shape[0] < a.shape[1])
     return vt[rank:].T
 
 
@@ -47,11 +55,7 @@ def column_space(a, tol=DEFAULT_TOL):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a)
-    scale = s[0]
-    thresh = tol * max(scale, 1.0)
-    _check_gap(s, thresh, tol, max(scale, 1.0))
-    rank = int(np.sum(s > thresh))
+    u, rank, _ = _svd_rank(a, tol, full_v=False)
     return u[:, :rank]
 
 

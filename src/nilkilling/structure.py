@@ -50,10 +50,18 @@ class Decomposition:
     abelian: Subspace
     factors: list
     transform: np.ndarray        # columns: abelian block then factor blocks
+    frame: AdaptedFrame          # adapted frame of the whole algebra
 
     @property
     def d(self):
         return self.abelian.dim
+
+    def killing_dimensions(self):
+        """(dimK2, dimK3, d, r2, r3) from the dimension formulas."""
+        d = self.d
+        r2 = sum(1 for f in self.factors if f.has_complex_structure)
+        r3 = sum(1 for f in self.factors if f.naturally_reductive)
+        return comb(d, 2) + r2, comb(d, 3) + r3, d, r2, r3
 
 
 def _restrict_constants(constants, cols):
@@ -302,18 +310,13 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                         raise DecompositionAmbiguous(
                             "cross-block bracket residual %.2e" % c_rot[i, j, k]
                         )
-    return Decomposition(abelian=abelian, factors=factors, transform=transform)
+    return Decomposition(abelian=abelian, factors=factors, transform=transform,
+                         frame=F)
 
 
 def killing_dimensions(L: MetricLieAlgebra, tol=DEFAULT_TOL):
     """(dimK2, dimK3, d, r2, r3) from the decomposition and the formulas."""
-    dec = decompose(L, tol)
-    d = dec.d
-    r2 = sum(1 for f in dec.factors if f.has_complex_structure)
-    r3 = sum(1 for f in dec.factors if f.naturally_reductive)
-    dim_k2 = comb(d, 2) + r2
-    dim_k3 = comb(d, 3) + r3
-    return dim_k2, dim_k3, d, r2, r3
+    return decompose(L, tol).killing_dimensions()
 
 
 def compatible_metric(H: MetricLieAlgebra, J, h) -> MetricLieAlgebra:

@@ -16,7 +16,7 @@ from nilkilling import (
     nabla_matrix,
     validate,
 )
-from nilkilling.errors import AlgebraAbelian
+from nilkilling.errors import AlgebraAbelian, NotSkew
 
 from helpers import koszul_nabla
 
@@ -42,6 +42,8 @@ def test_validate_antisymmetry_violation():
     report = validate(L)
     assert not report.ok
     assert any("antisymmetry" in v for v in report.violations)
+    with pytest.raises(NotSkew):
+        adapted_frame(L)
 
 
 def test_validate_three_step_violation():

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from nilkilling import MetricLieAlgebra
+from nilkilling import MetricLieAlgebra, cli, structure
+from nilkilling.errors import InternalInvariantViolation, NotSkew
 
 
 def run_cli(*args):
@@ -59,6 +60,20 @@ def test_parse_errors_exit_2(tmp_path):
     bad.write_text("{not json")
     assert run_cli("analyze", str(bad)).returncode == 2
     assert run_cli("analyze", "catalog:no_such_algebra").returncode == 2
+    h3 = {"dim": 3, "brackets": [[0, 1, 2, 1.0]]}
+    malformed = [
+        {"dim": 3, "brackets": [[-1, 0, 1, 1.0]]},
+        {"dim": 3, "brackets": [[0, 1, 3, 1.0]]},
+        {"dim": 3, "brackets": [[0, 0, 2, 1.0], [0, 1, 2, 1.0]]},
+        {"dim": 3, "brackets": [[0, 1, 2, float("nan")]]},
+        {**h3, "metric": {"gram": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]}},
+    ]
+    for i, data in enumerate(malformed):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(data))
+        out = run_cli("analyze", str(path))
+        assert out.returncode == 2, (data, out.stderr)
+        assert "Traceback" not in out.stderr
 
 
 def test_analyze_file_input(tmp_path):
@@ -150,6 +165,16 @@ def test_numerical_ambiguity_exits_4(tmp_path):
     }))
     out = run_cli("analyze", str(path))
     assert out.returncode == 4
+
+
+@pytest.mark.parametrize("error", [InternalInvariantViolation, NotSkew])
+def test_library_invariant_failure_exits_4(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(structure, "find_complex_structure", broken)
+    assert cli.main(["analyze", "catalog:heisenberg"]) == 4
+    assert capsys.readouterr().err == "invariant broken\n"
 
 
 def test_bad_flags_exit_2():
