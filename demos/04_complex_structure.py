@@ -14,7 +14,7 @@ from nilkilling import (
 L = complex_heisenberg(1.0)
 F = adapted_frame(L)
 
-J = find_complex_structure(L, F)
+J = find_complex_structure(F)
 print("recovered J (frame coordinates):\n", np.round(J, 6))
 print("|J^2 + Id| =", np.abs(J @ J + np.eye(6)).max())
 

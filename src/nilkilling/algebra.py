@@ -9,6 +9,7 @@ to the splitting n = v + z.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,14 @@ from .linalg import (
     nullspace,
     projection_residual,
 )
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite_number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and np.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -82,26 +91,45 @@ class MetricLieAlgebra:
     @classmethod
     def from_json(cls, data):
         """Parse the JSON layout of `to_json`; malformed input raises ValueError."""
-        n = int(data["dim"])
-        basis = list(data.get("basis", [f"b{i}" for i in range(n)]))
+        if not isinstance(data, dict):
+            raise ValueError("algebra JSON must be an object")
+        n = data["dim"]
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"dim must be a positive integer: {n!r}")
+        basis = data.get("basis", [f"b{i}" for i in range(n)])
+        brackets = data.get("brackets", [])
+        if not isinstance(basis, list) or not isinstance(brackets, list):
+            raise ValueError("basis and brackets must be lists")
         c = np.zeros((n, n, n))
-        for entry in data.get("brackets", []):
+        seen = set()
+        for entry in brackets:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+                raise ValueError(f"bracket entry is not [i, j, k, coeff]: {entry}")
             i, j, k, coeff = entry
-            if not all(0 <= idx < n for idx in (i, j, k)):
-                raise ValueError(f"bracket index outside 0..{n - 1}: {entry}")
+            if not all(_is_int(idx) and 0 <= idx < n for idx in (i, j, k)):
+                raise ValueError(f"bracket index not an integer in 0..{n - 1}: {entry}")
             if i == j:
                 raise ValueError(f"bracket of a basis vector with itself: {entry}")
-            if not np.isfinite(coeff):
-                raise ValueError(f"non-finite bracket coefficient: {entry}")
-            c[i, j, k] += coeff
-            c[j, i, k] -= coeff
+            if not _is_finite_number(coeff):
+                raise ValueError(f"bracket coefficient is not a finite number: {entry}")
+            if (min(i, j), max(i, j), k) in seen:
+                raise ValueError(f"duplicate bracket entry: {entry}")
+            seen.add((min(i, j), max(i, j), k))
+            c[i, j, k] = coeff
+            c[j, i, k] = -coeff
         metric = data.get("metric", {"identity": True})
+        if not isinstance(metric, dict):
+            raise ValueError("metric must be an object")
         if metric.get("identity"):
             gram = np.eye(n)
         else:
-            gram = np.asarray(metric["gram"], dtype=float)
-            if not np.all(np.isfinite(gram)):
-                raise ValueError("non-finite gram entry")
+            rows = metric["gram"]
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(map(_is_finite_number, row))
+                for row in rows
+            ):
+                raise ValueError("gram entries must be finite numbers")
+            gram = np.asarray(rows, dtype=float)
         return cls(n, basis, c, gram, name=data.get("name", ""))
 
     def save(self, path):
@@ -221,25 +249,21 @@ def _canonical_span_basis(cols, gram, tol=1e-12):
     the span is axis-aligned and the metric is diagonal there.
     """
     cols = np.asarray(cols, dtype=float)
-    n, p = cols.shape
+    p = cols.shape[1]
     if p == 0:
         return cols
     c_on = gram_orthonormalize(cols, gram)
-    proj = c_on @ (c_on.T @ gram)           # g-orthogonal projector onto the span
-    cands = [proj @ e for e in np.eye(n)]
+    cands = c_on @ (c_on.T @ gram)      # projections of the user axes, as columns
     chosen = []
     for _ in range(p):
-        best, best_norm = None, -1.0
-        for v in cands:
-            w = v.copy()
-            for u in chosen:
-                w -= (u @ gram @ w) * u
-            nrm = np.sqrt(max(w @ gram @ w, 0.0))
-            if nrm > best_norm:
-                best, best_norm = w, nrm
-        if best_norm <= np.sqrt(tol):
+        g_cands = gram @ cands
+        norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", cands, g_cands), 0.0))
+        best = int(np.argmax(norms))
+        if norms[best] <= np.sqrt(tol):
             break
-        chosen.append(best / best_norm)
+        u = cands[:, best] / norms[best]
+        chosen.append(u)
+        cands = cands - np.outer(u, u @ g_cands)
     if len(chosen) != p:
         return c_on
     return np.array(chosen).T
@@ -247,9 +271,31 @@ def _canonical_span_basis(cols, gram, tol=1e-12):
 
 def _frame_constants(L, frame):
     """Structure constants rewritten in the (orthonormal) frame columns."""
-    # bracket of frame vectors in user coordinates, then frame coordinates
-    br_user = np.einsum("ia,jb,ijk->abk", frame, frame, L.structure_constants)
-    return np.einsum("abk,kc->abc", br_user, L.gram @ frame)
+    return np.einsum("ia,jb,ijk,kc->abc", frame, frame, L.structure_constants,
+                     L.gram @ frame, optimize=True)
+
+
+def frame_from_constants(frame, constants, nv, tol=DEFAULT_TOL) -> AdaptedFrame:
+    """Adapted frame whose first `nv` columns span v and the rest span z.
+
+    `constants` are the structure constants in the orthonormal frame; the
+    j-map of the t-th z-vector is the z_t-component of the v x v block, and
+    the z-vectors with vanishing j-map form the abelian kernel.
+    """
+    nz = constants.shape[0] - nv
+    mats = [constants[:nv, :nv, nv + t].T for t in range(nz)]
+    for m in mats:
+        if m.size and np.abs(m + m.T).max() > 100 * tol * max(1.0, np.abs(m).max()):
+            raise NotSkew("j matrix not skew; inconsistent input")
+    return AdaptedFrame(
+        frame=frame,
+        v_indices=tuple(range(nv)),
+        z_indices=tuple(range(nv, nv + nz)),
+        a_indices=tuple(nv + t for t, m in enumerate(mats)
+                        if m.size == 0 or np.abs(m).max() <= tol),
+        j_matrices=tuple(mats),
+        constants=constants,
+    )
 
 
 def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame:
@@ -266,16 +312,11 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     v_cols = _canonical_span_basis(v_raw, L.gram)
     z_cols = _canonical_span_basis(z_raw, L.gram)
     nv, nz = v_cols.shape[1], z_cols.shape[1]
-
-    def constants_and_j(zc):
-        # j(z_t) on v is the z_t-component of the v x v frame constants
-        const = _frame_constants(L, np.concatenate([v_cols, zc], axis=1))
-        return const, [const[:nv, :nv, nv + t].T for t in range(nz)]
-
-    const, mats = constants_and_j(z_cols)
+    frame = np.concatenate([v_cols, z_cols], axis=1)
+    const = _frame_constants(L, frame)
     if nz:
         # rotate the z-frame so the kernel of z -> j(z) is axis-aligned
-        jstack = np.array([m.ravel() for m in mats]).T if nv else np.zeros((1, nz))
+        jstack = const[:nv, :nv, nv:].reshape(-1, nz)
         ker = nullspace(jstack, tol)
         img = column_space(jstack.T, tol) if np.any(jstack) else np.zeros((nz, 0))
         if img.shape[1] + ker.shape[1] == nz and ker.shape[1] not in (0, nz):
@@ -286,22 +327,9 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
                 ],
                 axis=1,
             )
-            const, mats = constants_and_j(z_cols)
-    frame = np.concatenate([v_cols, z_cols], axis=1)
-    a_idx = tuple(
-        nv + t for t, m in enumerate(mats) if (m.size == 0 or np.abs(m).max() <= tol)
-    )
-    for m in mats:
-        if m.size and np.abs(m + m.T).max() > 100 * tol * max(1.0, np.abs(m).max()):
-            raise NotSkew("j matrix not skew; inconsistent input")
-    return AdaptedFrame(
-        frame=frame,
-        v_indices=tuple(range(nv)),
-        z_indices=tuple(range(nv, nv + nz)),
-        a_indices=a_idx,
-        j_matrices=tuple(mats),
-        constants=const,
-    )
+            frame = np.concatenate([v_cols, z_cols], axis=1)
+            const = _frame_constants(L, frame)
+    return frame_from_constants(frame, const, nv, tol)
 
 
 def nabla_matrix(L: MetricLieAlgebra, F: AdaptedFrame, y):
@@ -322,9 +350,5 @@ def levi_civita(L: MetricLieAlgebra, F: AdaptedFrame, x, y):
 
 def j_trace_form(L: MetricLieAlgebra, F: AdaptedFrame):
     """Symmetric matrix [tr(J_s J_t)] on the z-frame; an isometry invariant."""
-    nz = F.nz
-    out = np.zeros((nz, nz))
-    for s in range(nz):
-        for t in range(nz):
-            out[s, t] = float(np.trace(F.j_matrices[s] @ F.j_matrices[t]))
-    return out
+    mats = np.array(F.j_matrices).reshape(F.nz, F.nv, F.nv)
+    return np.einsum("sab,tba->st", mats, mats)

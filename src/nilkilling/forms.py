@@ -266,11 +266,12 @@ def transform(omega: Form, matrix, n_out=None) -> Form:
         raise ValueError("matrix rows must match form dimension")
     n_out = n_cols if n_out is None else n_out
     k = omega.degree
-    out = Form(n_out, k)
-    src = [(t, c) for t, c in omega.terms()]
-    for i, s in enumerate(basis_tuples(n_out, k)):
-        total = 0.0
-        for t, c in src:
-            total += c * np.linalg.det(matrix[np.ix_(t, s)])
-        out.vec[i] = total
-    return out
+
+    def tuples(n):
+        return np.array(basis_tuples(n, k), dtype=int).reshape(comb(n, k), k)
+
+    # k-th compound of the map, restricted to the rows of the non-zero terms
+    nonzero = np.flatnonzero(omega.vec)
+    rows, cols = tuples(n_in)[nonzero], tuples(n_out)
+    minors = np.linalg.det(matrix[rows[:, None, :, None], cols[None, :, None, :]])
+    return Form(n_out, k, omega.vec[nonzero] @ minors)

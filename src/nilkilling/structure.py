@@ -18,6 +18,7 @@ from .algebra import (
     MetricLieAlgebra,
     Subspace,
     adapted_frame,
+    frame_from_constants,
     validate,
 )
 from .errors import (
@@ -66,52 +67,33 @@ class Decomposition:
 
 def _restrict_constants(constants, cols):
     """Structure constants of the span of orthonormal columns `cols`."""
-    return np.einsum("ai,bj,abk,kc->ijc", cols, cols, constants, cols)
+    return np.einsum("ai,bj,abk,kc->ijc", cols, cols, constants, cols,
+                     optimize=True)
 
 
 def _solve_intertwiners(constants, tol, symmetric):
     """Basis of {S : S[x,y] = [Sx,y]} among symmetric or skew matrices.
 
-    Returns matrices orthonormal in the Frobenius inner product.
+    Solves over a Frobenius-orthonormal basis of the symmetric (or skew)
+    matrices, so the returned matrices are Frobenius-orthonormal.
     """
     p = constants.shape[0]
-    params = []
-    if symmetric:
-        for i in range(p):
-            for j in range(i, p):
-                e = np.zeros((p, p))
-                e[i, j] = 1.0
-                e[j, i] = 1.0
-                params.append(e)
-    else:
-        for i in range(p):
-            for j in range(i + 1, p):
-                e = np.zeros((p, p))
-                e[i, j] = 1.0
-                e[j, i] = -1.0
-                params.append(e)
-    if not params:
+    rows, cols = np.triu_indices(p, 0 if symmetric else 1)
+    if not rows.size:
         return []
-    cols = []
-    for s in params:
-        lhs = np.einsum("pk,abk->abp", s, constants)
-        rhs = np.einsum("ca,cbp->abp", s, constants)
-        cols.append((lhs - rhs).ravel())
-    system = np.array(cols).T
-    null = nullspace(system, tol)
-    mats = []
-    for v in null.T:
-        m = sum(c * e for c, e in zip(v, params))
-        mats.append(m)
-    # re-orthonormalize in the Frobenius inner product
-    if mats:
-        stack = np.array([m.ravel() for m in mats]).T
-        q, _ = np.linalg.qr(stack)
-        mats = [q[:, i].reshape(p, p) for i in range(q.shape[1])]
-    return mats
+    basis = np.zeros((rows.size, p, p))
+    params = np.arange(rows.size)
+    basis[params, rows, cols] = 1.0
+    basis[params, cols, rows] = 1.0 if symmetric else -1.0
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    # S[x,y] - [Sx,y] for every basis matrix S, one column each
+    system = np.einsum("qpk,abk->qabp", basis, constants)
+    system -= np.einsum("qca,cbp->qabp", basis, constants)
+    null = nullspace(system.reshape(rows.size, -1).T, tol)
+    return list(np.einsum("qr,qij->rij", null, basis))
 
 
-def bracket_commutant(L: MetricLieAlgebra, F: AdaptedFrame, tol=DEFAULT_TOL):
+def bracket_commutant(F: AdaptedFrame, tol=DEFAULT_TOL):
     """Symmetric matrices commuting with the bracket: S[x,y] = [Sx,y].
 
     Computed in frame coordinates on the whole algebra; a 1-dimensional
@@ -122,13 +104,8 @@ def bracket_commutant(L: MetricLieAlgebra, F: AdaptedFrame, tol=DEFAULT_TOL):
 
 def _pick_splitting_element(mats, p):
     """The commutant basis element farthest from the line through Id."""
-    best, best_norm = None, -1.0
-    eye = np.eye(p)
-    for m in mats:
-        m0 = m - (np.trace(m) / p) * eye
-        nrm = np.linalg.norm(m0)
-        if nrm > best_norm:
-            best, best_norm = m0, nrm
+    best = max((m - (np.trace(m) / p) * np.eye(p) for m in mats),
+               key=np.linalg.norm)
     return 0.5 * (best + best.T)
 
 
@@ -146,7 +123,7 @@ def _cluster(eigvals, tol):
     return clusters
 
 
-def find_complex_structure(L_irr, F: AdaptedFrame, tol=DEFAULT_TOL):
+def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):
     """Bi-invariant orthogonal complex structure of an irreducible factor.
 
     Solves the linear space of skew D with D[x,y] = [Dx,y]; a non-zero
@@ -180,30 +157,27 @@ def find_complex_structure(L_irr, F: AdaptedFrame, tol=DEFAULT_TOL):
     return j
 
 
-def naturally_reductive_type(L_irr, F: AdaptedFrame, tol=DEFAULT_TOL):
+def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
     """Compact bracket on z when the factor is of naturally reductive type.
 
     Checks that the skew maps attached to z close under commutators and
     that the induced bracket on z has skew adjoint maps; returns the m^3
     bracket table or None.
     """
-    mats = F.j_matrices
-    m = len(mats)
+    m = F.nz
     if m == 0:
         return None
-    a = np.array([jt.ravel() for jt in mats]).T
+    mats = np.array(F.j_matrices).reshape(m, F.nv, F.nv)
+    a = mats.reshape(m, -1).T
     scale = max(1.0, float(np.abs(a).max()))
-    cb = np.zeros((m, m, m))
-    for s in range(m):
-        for t in range(s + 1, m):
-            target = (mats[s] @ mats[t] - mats[t] @ mats[s]).ravel()
-            coef, *_ = np.linalg.lstsq(a, target, rcond=None)
-            if np.linalg.norm(a @ coef - target) > 100 * tol * scale:
-                return None
-            cb[s, t] = coef
-            cb[t, s] = -coef
-    for s in range(m):
-        k = cb[s]
+    # every commutator [J_s, J_t], solved for in the span of the J_u at once
+    prod = np.einsum("sab,tbc->stac", mats, mats)
+    targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
+    coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
+    if np.linalg.norm(a @ coef - targets, axis=0).max() > 100 * tol * scale:
+        return None
+    cb = coef.T.reshape(m, m, m)
+    for k in cb:
         if np.abs(k + k.T).max() > 100 * tol * max(1.0, np.abs(k).max()):
             return None
     return cb
@@ -220,9 +194,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     if not report.ok:
         raise ValueError("invalid algebra: %s" % "; ".join(report.violations))
     F = adapted_frame(L, tol)
-    n = F.n
-    nv = F.nv
-    eye = np.eye(n)
+    eye = np.eye(F.n)
     a_idx = list(F.a_indices)
     abelian = Subspace(eye[:, a_idx], "abelian")
     v0 = eye[:, list(F.v_indices)]
@@ -237,7 +209,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
         sub = _restrict_constants(const, cols)
         comm = _solve_intertwiners(sub, tol, symmetric=True)
         if len(comm) <= 1:
-            final.append((vc, zc))
+            final.append((vc, zc, sub))
             continue
         p = cols.shape[1]
         pv = vc.shape[1]
@@ -267,18 +239,19 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                               tuple(np.round(b[0][:, 0], 6))))
     factors = []
     parts = [abelian.columns]
-    for vc, zc in final:
+    for vc, zc, sub_const in final:
         cols = np.concatenate([vc, zc], axis=1)
         parts.append(cols)
-        sub_const = _restrict_constants(const, cols)
         p = cols.shape[1]
         sub = MetricLieAlgebra(
             p, [f"f{i}" for i in range(p)], sub_const, np.eye(p),
             name=f"{L.name}:factor" if L.name else "factor",
         )
-        ff = adapted_frame(sub, tol)
-        j_struct = find_complex_structure(sub, ff, tol)
-        cbr = naturally_reductive_type(sub, ff, tol)
+        # an irreducible factor's centre is its z-block and its ker j is 0,
+        # so the identity is already its adapted frame
+        ff = frame_from_constants(np.eye(p), sub_const, vc.shape[1], tol)
+        j_struct = find_complex_structure(ff, tol)
+        cbr = naturally_reductive_type(ff, tol)
         if j_struct is not None and cbr is not None:
             raise InternalInvariantViolation(
                 "factor flagged both complex and naturally reductive"
@@ -294,22 +267,17 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                 compact_bracket=cbr,
             )
         )
-    transform = np.concatenate(parts, axis=1) if parts else np.zeros((n, 0))
+    transform = np.concatenate(parts, axis=1)
     # the blocks must reassemble the algebra: no cross-block brackets
     c_rot = _restrict_constants(const, transform)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-    block_of = np.zeros(n, dtype=int)
-    for b in range(len(parts)):
-        block_of[offsets[b]:offsets[b + 1]] = b
+    block_of = np.repeat(np.arange(len(parts)), [p.shape[1] for p in parts])
+    i, j, k = np.ix_(block_of, block_of, block_of)
+    cross = np.abs(np.where((i != j) | (j != k), c_rot, 0.0))
     scale = max(1.0, float(np.abs(c_rot).max()))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({block_of[i], block_of[j], block_of[k]}) > 1:
-                    if abs(c_rot[i, j, k]) > 100 * tol * scale:
-                        raise DecompositionAmbiguous(
-                            "cross-block bracket residual %.2e" % c_rot[i, j, k]
-                        )
+    if cross.max() > 100 * tol * scale:
+        raise DecompositionAmbiguous(
+            "cross-block bracket residual %.2e" % cross.max()
+        )
     return Decomposition(abelian=abelian, factors=factors, transform=transform,
                          frame=F)
 

@@ -131,7 +131,7 @@ def test_criterion_4_complex_structure_pipeline():
     def body():
         L = complex_heisenberg(1.0)
         F = adapted_frame(L)
-        J = find_complex_structure(L, F)
+        J = find_complex_structure(F)
         assert J is not None
         assert np.abs(J @ J + np.eye(6)).max() <= 1e-9
         a2 = J[:4, :4]
@@ -154,7 +154,7 @@ def test_criterion_5_naturally_reductive_pipeline():
     def body():
         L = free_two_step_3()
         F = adapted_frame(L)
-        cb = naturally_reductive_type(L, F)
+        cb = naturally_reductive_type(F)
         assert cb is not None
         ads = [cb[s].T for s in range(3)]
         kf = np.array([[np.trace(ads[s] @ ads[t]) for t in range(3)]

@@ -67,6 +67,11 @@ def test_parse_errors_exit_2(tmp_path):
         {"dim": 3, "brackets": [[0, 0, 2, 1.0], [0, 1, 2, 1.0]]},
         {"dim": 3, "brackets": [[0, 1, 2, float("nan")]]},
         {**h3, "metric": {"gram": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]}},
+        {"dim": 0},
+        {"dim": 2.5},
+        {"dim": 3, "brackets": [[0, 1, 2, 1.0], [1, 0, 2, 1.0]]},
+        {"dim": 3, "brackets": [[0, 1, 2, "x"]]},
+        [1, 2],
     ]
     for i, data in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"

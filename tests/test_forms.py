@@ -20,6 +20,7 @@ from nilkilling import (
     wedge,
 )
 from nilkilling.errors import DegreeOverflow, NotSkew
+from nilkilling.forms import basis_tuples
 
 from helpers import random_form, random_skew
 
@@ -221,6 +222,19 @@ def test_transform_identity_and_wedge_compat():
     assert (lhs - rhs).norm() < 1e-10
     # pullback along an orthogonal map preserves the norm
     assert abs(transform(w, q).norm() - w.norm()) < 1e-10
+
+
+def test_transform_rectangular_matches_minors():
+    # a factor-to-ambient shaped map: forms on R^4 pulled back to R^7
+    rng = np.random.default_rng(18)
+    m = rng.normal(size=(4, 7))
+    for k in range(4):
+        w = random_form(4, k, rng)
+        out = transform(w, m)
+        assert (out.n, out.degree) == (7, k)
+        ref = [sum(c * np.linalg.det(m[np.ix_(t, s)]) for t, c in w.terms())
+               for s in basis_tuples(7, k)]
+        assert np.abs(out.vec - ref).max() < 1e-12
 
 
 def test_form_json_round_trip():

@@ -26,9 +26,33 @@ ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 J_REF = np.kron(np.eye(3), ROT)
 
 
+def assert_intertwiners(mats, F):
+    """Frobenius-orthonormal symmetric maps with S[x,y] = [Sx,y]."""
+    flat = np.array([m.ravel() for m in mats])
+    assert np.abs(flat @ flat.T - np.eye(len(mats))).max() < 1e-10
+    c = F.constants
+    for m in mats:
+        assert np.abs(m - m.T).max() < 1e-10
+        s_bracket = np.einsum("pk,abk->abp", m, c)
+        bracket_s = np.einsum("ca,cbp->abp", m, c)
+        assert np.abs(s_bracket - bracket_s).max() < 1e-10
+
+
+def assert_factor_frames_match(dec):
+    """Each factor frame equals the adapted frame built from scratch."""
+    for factor in dec.factors:
+        ff, ref = factor.frame, adapted_frame(factor.sub_algebra)
+        assert np.abs(ff.frame - ref.frame).max() < 1e-10
+        assert (ff.nv, ff.nz) == (ref.nv, ref.nz)
+        assert ff.a_indices == ref.a_indices == ()
+        assert len(ff.j_matrices) == len(ref.j_matrices)
+        for a, b in zip(ff.j_matrices, ref.j_matrices):
+            assert np.abs(a - b).max() < 1e-10
+
+
 def test_commutant_h3_is_identity_line():
     L = heisenberg(1)
-    mats = bracket_commutant(L, adapted_frame(L))
+    mats = bracket_commutant(adapted_frame(L))
     assert len(mats) == 1
     m = mats[0]
     assert np.abs(m - (np.trace(m) / 3) * np.eye(3)).max() < 1e-10
@@ -36,12 +60,18 @@ def test_commutant_h3_is_identity_line():
 
 def test_commutant_h3_h3_two_dimensional():
     L = direct_sum([heisenberg(1), heisenberg(1)])
-    assert len(bracket_commutant(L, adapted_frame(L))) == 2
+    F = adapted_frame(L)
+    mats = bracket_commutant(F)
+    assert len(mats) == 2
+    assert_intertwiners(mats, F)
 
 
 def test_commutant_complex_heisenberg_irreducible():
     L = complex_heisenberg(1.0)
-    assert len(bracket_commutant(L, adapted_frame(L))) == 1
+    F = adapted_frame(L)
+    mats = bracket_commutant(F)
+    assert len(mats) == 1
+    assert_intertwiners(mats, F)
 
 
 def test_decompose_r2_h3():
@@ -63,12 +93,15 @@ def test_decompose_scrambled_h3_h5():
     dec = decompose(change_user_basis(L, q))
     assert dec.d == 0
     assert sorted(f.dim for f in dec.factors) == [3, 5]
+    assert_factor_frames_match(dec)
 
 
 def test_decompose_idempotent():
     for L in [direct_sum([heisenberg(1), heisenberg(1)]),
               direct_sum([euclidean(2), complex_heisenberg(1.0)])]:
-        for factor in decompose(L).factors:
+        dec = decompose(L)
+        assert_factor_frames_match(dec)
+        for factor in dec.factors:
             again = decompose(factor.sub_algebra)
             assert again.d == 0 and len(again.factors) == 1
 
@@ -91,7 +124,7 @@ def test_isometry_invariance():
 
 def test_complex_structure_complex_heisenberg():
     L = complex_heisenberg(1.0)
-    j = find_complex_structure(L, adapted_frame(L))
+    j = find_complex_structure(adapted_frame(L))
     assert j is not None
     assert np.allclose(j @ j, -np.eye(6), atol=1e-9)
     assert min(np.abs(j - J_REF).max(), np.abs(j + J_REF).max()) < 1e-9
@@ -99,18 +132,18 @@ def test_complex_structure_complex_heisenberg():
 
 def test_complex_structure_absent():
     for L in [heisenberg(1), free_two_step_3()]:
-        assert find_complex_structure(L, adapted_frame(L)) is None
+        assert find_complex_structure(adapted_frame(L)) is None
 
 
 def test_naturally_reductive_h3():
-    cb = naturally_reductive_type(heisenberg(1), adapted_frame(heisenberg(1)))
+    cb = naturally_reductive_type(adapted_frame(heisenberg(1)))
     assert cb is not None
     assert np.abs(cb).max() < 1e-12
 
 
 def test_naturally_reductive_free_two_step_is_so3():
     L = free_two_step_3()
-    cb = naturally_reductive_type(L, adapted_frame(L))
+    cb = naturally_reductive_type(adapted_frame(L))
     assert cb is not None
     # Killing form of the compact bracket must be negative definite (so(3))
     ads = [cb[s].T for s in range(3)]
@@ -121,7 +154,7 @@ def test_naturally_reductive_free_two_step_is_so3():
 
 def test_naturally_reductive_complex_heisenberg_fails():
     L = complex_heisenberg(1.0)
-    assert naturally_reductive_type(L, adapted_frame(L)) is None
+    assert naturally_reductive_type(adapted_frame(L)) is None
 
 
 def test_killing_dimensions_examples():
