@@ -269,10 +269,20 @@ def _canonical_span_basis(cols, gram, tol=1e-12):
     return np.array(chosen).T
 
 
+def rotate_constants(constants, cols, dual):
+    """Constants c'[a,b,c] = cols[i,a] cols[j,b] constants[i,j,k] dual[k,c].
+
+    Contracted one index at a time in a fixed order, so no contraction
+    path is searched per call.
+    """
+    out = np.tensordot(constants, dual, axes=(2, 0))        # i j c
+    out = np.tensordot(cols, out, axes=(0, 0))              # a j c
+    return np.tensordot(out, cols, axes=(1, 0)).transpose(0, 2, 1)
+
+
 def _frame_constants(L, frame):
     """Structure constants rewritten in the (orthonormal) frame columns."""
-    return np.einsum("ia,jb,ijk,kc->abc", frame, frame, L.structure_constants,
-                     L.gram @ frame, optimize=True)
+    return rotate_constants(L.structure_constants, frame, L.gram @ frame)
 
 
 def frame_from_constants(frame, constants, nv, tol=DEFAULT_TOL) -> AdaptedFrame:

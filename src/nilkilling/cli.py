@@ -321,8 +321,8 @@ def main(argv=None):
     if getattr(args, "degree", 1) < 1:
         print("degree must be >= 1", file=sys.stderr)
         return EXIT_PARSE
-    if args.tol <= 0:
-        print("tol must be positive", file=sys.stderr)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print("tol must be a finite positive number", file=sys.stderr)
         return EXIT_PARSE
     try:
         return args.func(args)

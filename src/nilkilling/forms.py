@@ -254,17 +254,16 @@ def bigrade(F: AdaptedFrame, omega: Form, l: int) -> Form:
     return out
 
 
-def transform(omega: Form, matrix, n_out=None) -> Form:
+def transform(omega: Form, matrix) -> Form:
     """Pull a form back along a linear map.
 
     `matrix` maps R^{n_out} to R^{n_in} coordinates (n_in = omega.n); the
     result is the form x -> omega(Mx, ...), a form on R^{n_out}.
     """
     matrix = np.asarray(matrix, dtype=float)
-    n_in, n_cols = matrix.shape
+    n_in, n_out = matrix.shape
     if n_in != omega.n:
         raise ValueError("matrix rows must match form dimension")
-    n_out = n_cols if n_out is None else n_out
     k = omega.degree
 
     def tuples(n):

@@ -227,7 +227,7 @@ def _wedge_chain(vectors):
 def _factor_to_ambient(form_f, factor):
     """Push a form on a factor out to ambient frame coordinates."""
     cols = factor.columns @ factor.frame.frame
-    return transform(form_f, cols.T, n_out=cols.shape[0])
+    return transform(form_f, cols.T)
 
 
 def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):

@@ -19,6 +19,7 @@ from .algebra import (
     Subspace,
     adapted_frame,
     frame_from_constants,
+    rotate_constants,
     validate,
 )
 from .errors import (
@@ -65,20 +66,24 @@ class Decomposition:
         return comb(d, 2) + r2, comb(d, 3) + r3, d, r2, r3
 
 
-def _restrict_constants(constants, cols):
-    """Structure constants of the span of orthonormal columns `cols`."""
-    return np.einsum("ai,bj,abk,kc->ijc", cols, cols, constants, cols,
-                     optimize=True)
-
-
-def _solve_intertwiners(constants, tol, symmetric):
+def _solve_intertwiners(constants, pv, tol, symmetric):
     """Basis of {S : S[x,y] = [Sx,y]} among symmetric or skew matrices.
 
-    Solves over a Frobenius-orthonormal basis of the symmetric (or skew)
-    matrices, so the returned matrices are Frobenius-orthonormal.
+    `constants` are those of an orthonormal frame whose first `pv` vectors
+    span v and whose remaining vectors span the centre z.  S preserves the
+    centre: for central x, [Sx,y] = S[x,y] = 0.  A symmetric or skew S
+    therefore also preserves v = z^perp, so S is block-diagonal on v + z.
+    The equations with a central argument then hold trivially, and only
+    the z-components of the (v,v) brackets remain: pv^2 * pz equations in
+    pv(pv±1)/2 + pz(pz±1)/2 unknowns.  Solves over a Frobenius-orthonormal
+    basis of the block-diagonal matrices, so the returned matrices are
+    Frobenius-orthonormal.
     """
     p = constants.shape[0]
-    rows, cols = np.triu_indices(p, 0 if symmetric else 1)
+    diag = 0 if symmetric else 1
+    rv, cv = np.triu_indices(pv, diag)
+    rz, cz = np.triu_indices(p - pv, diag)
+    rows, cols = np.concatenate([rv, pv + rz]), np.concatenate([cv, pv + cz])
     if not rows.size:
         return []
     basis = np.zeros((rows.size, p, p))
@@ -86,9 +91,10 @@ def _solve_intertwiners(constants, tol, symmetric):
     basis[params, rows, cols] = 1.0
     basis[params, cols, rows] = 1.0 if symmetric else -1.0
     basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
-    # S[x,y] - [Sx,y] for every basis matrix S, one column each
-    system = np.einsum("qpk,abk->qabp", basis, constants)
-    system -= np.einsum("qca,cbp->qabp", basis, constants)
+    c = constants[:pv, :pv, pv:]
+    # z-part of S[x,y] - [Sx,y] for x, y in v, one column per basis matrix
+    system = np.einsum("qsk,abk->qabs", basis[:, pv:, pv:], c)
+    system -= np.einsum("qca,cbs->qabs", basis[:, :pv, :pv], c)
     null = nullspace(system.reshape(rows.size, -1).T, tol)
     return list(np.einsum("qr,qij->rij", null, basis))
 
@@ -97,9 +103,11 @@ def bracket_commutant(F: AdaptedFrame, tol=DEFAULT_TOL):
     """Symmetric matrices commuting with the bracket: S[x,y] = [Sx,y].
 
     Computed in frame coordinates on the whole algebra; a 1-dimensional
-    result (the identity line) certifies irreducibility.
+    result (the identity line) certifies irreducibility.  Such an S maps
+    the centre z into itself, so it is block-diagonal on v + z and only
+    the (v,v) -> z equations are solved.
     """
-    return _solve_intertwiners(F.constants, tol, symmetric=True)
+    return _solve_intertwiners(F.constants, F.nv, tol, symmetric=True)
 
 
 def _pick_splitting_element(mats, p):
@@ -129,8 +137,10 @@ def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):
     Solves the linear space of skew D with D[x,y] = [Dx,y]; a non-zero
     solution must square to a negative multiple of the identity, which is
     rescaled to the complex structure.  Returns None when the space is 0.
+    D preserves the centre z, so it is block-diagonal on v + z and only
+    the (v,v) -> z equations are solved.
     """
-    sols = _solve_intertwiners(F.constants, tol, symmetric=False)
+    sols = _solve_intertwiners(F.constants, F.nv, tol, symmetric=False)
     if not sols:
         return None
     if len(sols) > 1:
@@ -206,16 +216,15 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     while blocks:
         vc, zc = blocks.pop()
         cols = np.concatenate([vc, zc], axis=1)
-        sub = _restrict_constants(const, cols)
-        comm = _solve_intertwiners(sub, tol, symmetric=True)
+        sub = rotate_constants(const, cols, cols)
+        pv = vc.shape[1]
+        comm = _solve_intertwiners(sub, pv, tol, symmetric=True)
         if len(comm) <= 1:
             final.append((vc, zc, sub))
             continue
         p = cols.shape[1]
-        pv = vc.shape[1]
+        # block-diagonal on v + z by construction of the commutant basis
         s_mat = _pick_splitting_element(comm, p)
-        if np.abs(s_mat[:pv, pv:]).max() > 100 * tol * max(1.0, np.abs(s_mat).max()):
-            raise DecompositionAmbiguous("splitting element mixes v and z parts")
         ev_v, u_v = np.linalg.eigh(s_mat[:pv, :pv])
         ev_z, u_z = np.linalg.eigh(s_mat[pv:, pv:])
         allvals = np.concatenate([ev_v, ev_z])
@@ -269,7 +278,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
         )
     transform = np.concatenate(parts, axis=1)
     # the blocks must reassemble the algebra: no cross-block brackets
-    c_rot = _restrict_constants(const, transform)
+    c_rot = rotate_constants(const, transform, transform)
     block_of = np.repeat(np.arange(len(parts)), [p.shape[1] for p in parts])
     i, j, k = np.ix_(block_of, block_of, block_of)
     cross = np.abs(np.where((i != j) | (j != k), c_rot, 0.0))

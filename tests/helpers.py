@@ -2,13 +2,16 @@
 
 Everything here is deliberately independent of the library's own code
 paths: the Koszul-formula connection is evaluated from its raw definition,
-and the component-equation checks for Killing 2- and 3-forms extract the
-matrices straight out of the coefficient tables.
+the component-equation checks for Killing 2- and 3-forms extract the
+matrices straight out of the coefficient tables, and the intertwiner
+reference solves the full bracket system (sharing only the rank policy of
+`nullspace`).
 """
 import numpy as np
 
 from nilkilling import Form, MetricLieAlgebra
 from nilkilling.forms import basis_tuples
+from nilkilling.linalg import nullspace
 
 
 def koszul_nabla(F, x, y):
@@ -44,6 +47,39 @@ def change_user_basis(L, P, name=None):
         L.dim, list(L.basis_names), c_new, g_new,
         name=name or (L.name + "-scrambled"),
     )
+
+
+def random_two_step(nv, nz, rng, scale=1.0):
+    """Orthonormal-basis algebra on v + z from Gaussian skew matrices j_t:
+    the z_t-component of [e_a, e_b] is j_t[a, b] for e_a, e_b in v."""
+    n = nv + nz
+    c = np.zeros((n, n, n))
+    for t in range(nz):
+        c[:nv, :nv, nv + t] = scale * random_skew(nv, rng)
+    return MetricLieAlgebra(n, [f"e{i}" for i in range(n)], c, np.eye(n),
+                            name=f"random({nv},{nz})")
+
+
+def full_intertwiners(constants, tol, symmetric):
+    """Reference for {S : S[x,y] = [Sx,y]}: the full p^3 x p(p+-1)/2 system.
+
+    Ignores the v + z grading: every symmetric (or skew) matrix is an
+    unknown and every bracket component an equation.  Returns a
+    Frobenius-orthonormal basis of the solutions.
+    """
+    p = constants.shape[0]
+    rows, cols = np.triu_indices(p, 0 if symmetric else 1)
+    if not rows.size:
+        return []
+    basis = np.zeros((rows.size, p, p))
+    params = np.arange(rows.size)
+    basis[params, rows, cols] = 1.0
+    basis[params, cols, rows] = 1.0 if symmetric else -1.0
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    system = np.einsum("qpk,abk->qabp", basis, constants)
+    system -= np.einsum("qca,cbp->qabp", basis, constants)
+    null = nullspace(system.reshape(rows.size, -1).T, tol)
+    return list(np.einsum("qr,qij->rij", null, basis))
 
 
 def random_form(n, k, rng):

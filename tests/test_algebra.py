@@ -16,6 +16,7 @@ from nilkilling import (
     nabla_matrix,
     validate,
 )
+from nilkilling.algebra import rotate_constants
 from nilkilling.errors import AlgebraAbelian, NotSkew
 
 from helpers import koszul_nabla
@@ -134,6 +135,14 @@ def test_j_matrices_skew_and_no_common_kernel():
             stacked = np.concatenate(active, axis=0)
             s = np.linalg.svd(stacked, compute_uv=False)
             assert s.min() > 1e-9
+
+
+def test_rotate_constants_matches_einsum():
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(5, 5, 5))
+    cols, dual = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+    ref = np.einsum("ia,jb,ijk,kc->abc", cols, cols, c, dual)
+    assert np.abs(rotate_constants(c, cols, dual) - ref).max() < 1e-12
 
 
 def test_levi_civita_h3_table():

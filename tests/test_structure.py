@@ -1,6 +1,7 @@
 """Decomposition, complex structures, natural reductivity, dimension formulas."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilkilling import (
     adapted_frame,
@@ -17,9 +18,17 @@ from nilkilling import (
     killing_dimensions,
     naturally_reductive_type,
 )
+from nilkilling import structure
 from nilkilling.errors import NotComplexStructure
+from nilkilling.linalg import span_distance
 
-from helpers import change_user_basis, random_spd_metric, with_metric
+from helpers import (
+    change_user_basis,
+    full_intertwiners,
+    random_spd_metric,
+    random_two_step,
+    with_metric,
+)
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 # the reference complex structure: e1->e2, e3->e4, z1->z2
@@ -72,6 +81,62 @@ def test_commutant_complex_heisenberg_irreducible():
     mats = bracket_commutant(F)
     assert len(mats) == 1
     assert_intertwiners(mats, F)
+
+
+def assert_same_intertwiners(F):
+    """The graded solve spans the same space as the full reference."""
+    for symmetric in (True, False):
+        graded = structure._solve_intertwiners(F.constants, F.nv, 1e-9,
+                                               symmetric)
+        full = full_intertwiners(F.constants, 1e-9, symmetric)
+        assert len(graded) == len(full)
+        if graded:
+            flat_g = np.array([m.ravel() for m in graded]).T
+            flat_f = np.array([m.ravel() for m in full]).T
+            assert span_distance(flat_g, flat_f) < 1e-8
+
+
+# (nv, nz) of one summand: nz at most dim so(nv)
+SUMMAND = st.integers(2, 5).flatmap(
+    lambda nv: st.tuples(st.just(nv), st.integers(1, min(3, nv * (nv - 1) // 2))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(summands=st.lists(SUMMAND, min_size=1, max_size=3),
+       flat=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_graded_intertwiners_match_full_solve(summands, flat, seed):
+    rng = np.random.default_rng(seed)
+    # at most 16 dimensions: the full reference system stays <= 4096 x 136
+    dims = np.cumsum([nv + nz for nv, nz in summands])
+    parts = [random_two_step(nv, nz, rng, scale=rng.uniform(0.5, 2.0))
+             for (nv, nz), n in zip(summands, dims) if n + flat <= 16]
+    if flat:
+        parts.append(euclidean(flat))
+    L = direct_sum(parts)
+    q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+    Ls = change_user_basis(L, q)
+    assert_same_intertwiners(adapted_frame(Ls))
+    for factor in decompose(Ls).factors:
+        assert_same_intertwiners(factor.frame)
+
+
+def test_decompose_solves_graded_systems(monkeypatch):
+    # R^2 + h3C(1) + h3C(2): the 12-dim block has pv = 8, pz = 4, so
+    # 8^2 * 4 equations in 8*9/2 + 4*5/2 unknowns (1728 x 78 ungraded)
+    shapes = []
+    solve = structure.nullspace
+
+    def recording(a, tol):
+        shapes.append(np.shape(a))
+        return solve(a, tol)
+
+    monkeypatch.setattr(structure, "nullspace", recording)
+    L = direct_sum([euclidean(2), complex_heisenberg(1.0),
+                    complex_heisenberg(2.0)])
+    dec = decompose(L)
+    assert dec.killing_dimensions()[:2] == (3, 0)
+    assert (256, 46) in shapes
+    assert max(r * c for r, c in shapes) == 256 * 46
 
 
 def test_decompose_r2_h3():
