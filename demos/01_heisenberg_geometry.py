@@ -15,9 +15,9 @@ print("structure constants: [e1, e2] =",
 F = adapted_frame(L)
 print(f"\nadapted frame: dim v = {F.nv}, dim z = {F.nz}")
 print("j(z) on v (skew):\n", F.j_matrices[0])
-print("trace form [tr(J_s J_t)]:", j_trace_form(L, F))
+print("trace form [tr(J_s J_t)]:", j_trace_form(F))
 
 e = np.eye(3)
 print("\nLevi-Civita connection (three-case table):")
 for a, b in [(0, 1), (0, 2), (2, 0), (2, 2)]:
-    print(f"  nabla_e{a + 1} e{b + 1} =", levi_civita(L, F, e[:, a], e[:, b]))
+    print(f"  nabla_e{a + 1} e{b + 1} =", levi_civita(F, e[:, a], e[:, b]))

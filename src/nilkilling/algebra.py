@@ -342,7 +342,7 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     return frame_from_constants(frame, const, nv, tol)
 
 
-def nabla_matrix(L: MetricLieAlgebra, F: AdaptedFrame, y):
+def nabla_matrix(F: AdaptedFrame, y):
     """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates.
 
     Koszul formula in the orthonormal frame: with c the frame constants,
@@ -353,12 +353,12 @@ def nabla_matrix(L: MetricLieAlgebra, F: AdaptedFrame, y):
     return np.einsum("a,abc->cb", y, koszul)
 
 
-def levi_civita(L: MetricLieAlgebra, F: AdaptedFrame, x, y):
+def levi_civita(F: AdaptedFrame, x, y):
     """Covariant derivative of y in the direction x, frame coordinates."""
-    return nabla_matrix(L, F, x) @ y
+    return nabla_matrix(F, x) @ y
 
 
-def j_trace_form(L: MetricLieAlgebra, F: AdaptedFrame):
+def j_trace_form(F: AdaptedFrame):
     """Symmetric matrix [tr(J_s J_t)] on the z-frame; an isometry invariant."""
     mats = np.array(F.j_matrices).reshape(F.nz, F.nv, F.nv)
     return np.einsum("sab,tba->st", mats, mats)

@@ -45,9 +45,12 @@ def load_algebra(spec, lam=1.0, l=1, d=1):
     if spec.startswith("catalog:"):
         name = spec.split(":", 1)[1]
         try:
-            return cat.build(name, lam=lam, l=l, d=d)
+            alg = cat.build(name, lam=lam, l=l, d=d)
         except (KeyError, ValueError) as exc:
             raise CliError(EXIT_PARSE, str(exc))
+        if alg.dim == 0:
+            raise CliError(EXIT_PARSE, "algebra dimension must be positive")
+        return alg
     try:
         return MetricLieAlgebra.load(spec)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, IndexError) as exc:
@@ -92,7 +95,7 @@ def analyze_record(alg, tol):
         "dim_z": F.nz,
         **_decomposition_record(dec),
         "j_trace_eigenvalues": sorted(
-            np.linalg.eigvalsh(j_trace_form(alg, F)).tolist()
+            np.linalg.eigvalsh(j_trace_form(F)).tolist()
         ),
     }
 
@@ -271,14 +274,17 @@ def cmd_tables(args):
     return 0
 
 
-def _add_common(parser, with_input=True):
+def _add_common(parser, with_input=True, tol=True, catalog_params=True):
+    """Register only the flags the command reads."""
     if with_input:
         parser.add_argument("input", help="algebra JSON path or catalog:<name>")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    if tol:
+        parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    parser.add_argument("--l", type=int, default=1)
-    parser.add_argument("--d", type=int, default=1)
+    if catalog_params:
+        parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        parser.add_argument("--l", type=int, default=1)
+        parser.add_argument("--d", type=int, default=1)
 
 
 def build_parser():
@@ -306,11 +312,11 @@ def build_parser():
     p = sub.add_parser("catalog", help="list or show built-in algebras")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?", default="")
-    _add_common(p, with_input=False)
+    _add_common(p, with_input=False, tol=False)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("tables", help="regenerate the classification tables")
-    _add_common(p, with_input=False)
+    _add_common(p, with_input=False, catalog_params=False)
     p.set_defaults(func=cmd_tables)
     return parser
 
@@ -321,7 +327,7 @@ def main(argv=None):
     if getattr(args, "degree", 1) < 1:
         print("degree must be >= 1", file=sys.stderr)
         return EXIT_PARSE
-    if not (np.isfinite(args.tol) and args.tol > 0):
+    if hasattr(args, "tol") and not (np.isfinite(args.tol) and args.tol > 0):
         print("tol must be a finite positive number", file=sys.stderr)
         return EXIT_PARSE
     try:

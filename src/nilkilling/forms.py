@@ -239,7 +239,7 @@ def nabla_form(L: MetricLieAlgebra, F: AdaptedFrame, y, omega: Form) -> Form:
     """Covariant derivative of an invariant form in the direction y."""
     if omega.degree == 0:
         return Form(omega.n, 0)
-    return skew_extend(nabla_matrix(L, F, y), omega)
+    return skew_extend(nabla_matrix(F, y), omega)
 
 
 def bigrade(F: AdaptedFrame, omega: Form, l: int) -> Form:

@@ -8,8 +8,6 @@ decomposition and the classification of the irreducible factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -51,13 +49,11 @@ class KillingSpace:
 class Killing2Data:
     alpha2: np.ndarray           # skew matrix on the factor's v
     alpha0: np.ndarray           # skew matrix on the factor's z
-    abelian_part: Optional[Form] = None
 
 
 @dataclass(frozen=True)
 class Killing3Data:
     gamma: Form                  # degree-3 form supported on the z legs
-    abelian_part: Optional[Form] = None
 
 
 def _normalize(form: Form) -> Form:
@@ -71,11 +67,26 @@ def _normalize(form: Form) -> Form:
     return out
 
 
-def _d_contract(L, F, y, omega):
-    """y contracted into d(omega); zero in top degree."""
-    if omega.degree >= F.n:
-        return Form(omega.n, omega.degree)
-    return contract(y, lie_diff(L, F, omega))
+def _connections(F: AdaptedFrame):
+    """The n connection matrices nabla_{e_a}, one per frame direction."""
+    eye = np.eye(F.n)
+    return [nabla_matrix(F, eye[:, a]) for a in range(F.n)]
+
+
+def _killing_terms(L, F: AdaptedFrame, nmats, omega: Form):
+    """The two sides of the Killing equation over the frame.
+
+    Returns the n forms nabla_{e_a} omega and the n forms e_a -| d omega,
+    for the connection matrices `nmats` of the frame.  d omega is computed
+    once; it is zero in top degree.
+    """
+    n = F.n
+    nablas = [skew_extend(m, omega) for m in nmats]
+    if omega.degree >= n:
+        return nablas, [Form(n, omega.degree)] * n
+    d_omega = lie_diff(L, F, omega)
+    eye = np.eye(n)
+    return nablas, [contract(eye[:, a], d_omega) for a in range(n)]
 
 
 def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
@@ -85,19 +96,14 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     contraction of the differential) and the polarized self-contraction
     residual, and checks that the two verdicts agree.
     """
-    n = F.n
-    k = omega.degree
+    n, k = F.n, omega.degree
     eye = np.eye(n)
-    nablas = [skew_extend(nabla_matrix(L, F, eye[:, a]), omega) for a in range(n)]
-    res1 = 0.0
-    for a in range(n):
-        diff = nablas[a] - (1.0 / (k + 1)) * _d_contract(L, F, eye[:, a], omega)
-        res1 = max(res1, diff.norm())
-    res2 = 0.0
-    for a in range(n):
-        for b in range(a, n):
-            pol = contract(eye[:, a], nablas[b]) + contract(eye[:, b], nablas[a])
-            res2 = max(res2, pol.norm())
+    nablas, d_parts = _killing_terms(L, F, _connections(F), omega)
+    res1 = max((nab - (1.0 / (k + 1)) * dp).norm()
+               for nab, dp in zip(nablas, d_parts))
+    res2 = max((contract(eye[:, a], nablas[b])
+                + contract(eye[:, b], nablas[a])).norm()
+               for a in range(n) for b in range(a, n))
     thresh = tol * max(1.0, omega.norm())
     if (res1 <= thresh) != (res2 <= 10 * thresh):
         raise InternalInvariantViolation(
@@ -109,19 +115,12 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
 def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSpace:
     """Nullspace of the stacked Killing operator; oracle for any degree."""
     n = F.n
-    dim = comb(n, k)
-    eye = np.eye(n)
-    nmats = [nabla_matrix(L, F, eye[:, a]) for a in range(n)]
+    nmats = _connections(F)
     cols = []
     for t in basis_tuples(n, k):
-        base = Form.basis(n, k, t)
-        stack = []
-        for a in range(n):
-            r = skew_extend(nmats[a], base) - (1.0 / (k + 1)) * _d_contract(
-                L, F, eye[:, a], base
-            )
-            stack.append(r.vec)
-        cols.append(np.concatenate(stack))
+        nablas, d_parts = _killing_terms(L, F, nmats, Form.basis(n, k, t))
+        cols.append(np.concatenate([(nab - (1.0 / (k + 1)) * dp).vec
+                                    for nab, dp in zip(nablas, d_parts)]))
     op = np.array(cols).T
     null = nullspace(op, tol)
     basis = [_normalize(Form(n, k, null[:, i])) for i in range(null.shape[1])]
@@ -210,24 +209,62 @@ def killgen_residuals(L, F: AdaptedFrame, omega: Form):
 
 def is_parallel(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
-    eye = np.eye(F.n)
-    worst = 0.0
-    for a in range(F.n):
-        worst = max(worst, skew_extend(nabla_matrix(L, F, eye[:, a]), omega).norm())
-    return worst <= tol * max(1.0, omega.norm())
+    nablas, _ = _killing_terms(L, F, _connections(F), omega)
+    return max(nab.norm() for nab in nablas) <= tol * max(1.0, omega.norm())
 
 
-def _wedge_chain(vectors):
-    form = oneform(vectors[0])
-    for v in vectors[1:]:
-        form = wedge(form, oneform(v))
-    return form
+def _form_from_tensor(tensor) -> Form:
+    """The form whose coefficients are the tensor's increasing-index entries."""
+    p, k = tensor.shape[0], tensor.ndim
+    return Form(p, k, tensor[tuple(np.array(basis_tuples(p, k)).T)])
 
 
-def _factor_to_ambient(form_f, factor):
-    """Push a form on a factor out to ambient frame coordinates."""
-    cols = factor.columns @ factor.frame.frame
-    return transform(form_f, cols.T)
+def _solve_structured(L, tol, k, factor_part):
+    """Shared skeleton of the structured solvers.
+
+    Every k-wedge of the abelian block, then one form per factor for which
+    `factor_part` returns a (form, data) pair; each form is pulled back to
+    the ambient frame and normalized.
+    """
+    from .structure import decompose
+
+    dec = decompose(L, tol)
+    acols = dec.abelian.columns
+    d = acols.shape[1]
+    basis = [_normalize(transform(Form.basis(d, k, t), acols.T))
+             for t in basis_tuples(d, k)]
+    data = []
+    for factor in dec.factors:
+        part = factor_part(factor)
+        if part is not None:
+            cols = factor.columns @ factor.frame.frame
+            basis.append(_normalize(transform(part[0], cols.T)))
+            data.append(part[1])
+    return KillingSpace(degree=k, basis=basis, method="structured",
+                        algebra_ref=L.name), data
+
+
+def _killing2_part(factor):
+    if not factor.has_complex_structure:
+        return None
+    J, pv = factor.J, factor.frame.nv
+    data = Killing2Data(alpha2=J[:pv, :pv], alpha0=3.0 * J[pv:, pv:])
+    tensor = np.zeros((factor.dim, factor.dim))
+    tensor[:pv, :pv], tensor[pv:, pv:] = data.alpha2.T, data.alpha0.T
+    return _form_from_tensor(tensor), data
+
+
+def _killing3_part(factor):
+    if not factor.naturally_reductive:
+        return None
+    ff = factor.frame
+    pv, m, p = ff.nv, ff.nz, factor.dim
+    jmats = np.array(ff.j_matrices).reshape(m, pv, pv)
+    tensor = np.zeros((p, p, p))
+    tensor[:pv, :pv, pv:] = jmats.transpose(2, 1, 0)
+    tensor[pv:, pv:, pv:] = 2.0 * factor.compact_bracket
+    form_f = _form_from_tensor(tensor)
+    return form_f, Killing3Data(gamma=bigrade(ff, form_f, 0))
 
 
 def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):
@@ -235,38 +272,9 @@ def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):
 
     Wedges on the abelian block are added wholesale; each irreducible
     factor contributes a one-dimensional piece exactly when it carries a
-    bi-invariant orthogonal complex structure.
+    bi-invariant orthogonal complex structure J: alpha2 = J|_v, alpha0 = 3 J|_z.
     """
-    from .structure import decompose
-
-    dec = decompose(L, tol)
-    basis = []
-    data = []
-    acols = dec.abelian.columns
-    for i in range(acols.shape[1]):
-        for j in range(i + 1, acols.shape[1]):
-            basis.append(_normalize(_wedge_chain([acols[:, i], acols[:, j]])))
-    for factor in dec.factors:
-        if not factor.has_complex_structure:
-            continue
-        ff = factor.frame
-        p = factor.dim
-        pv = ff.nv
-        jmat = factor.J
-        alpha2 = jmat[:pv, :pv]
-        alpha0 = 3.0 * jmat[pv:, pv:]
-        form_f = Form(p, 2)
-        for a in range(pv):
-            for b in range(a + 1, pv):
-                form_f = form_f + alpha2[b, a] * Form.basis(p, 2, (a, b))
-        for s in range(p - pv):
-            for t in range(s + 1, p - pv):
-                form_f = form_f + alpha0[t, s] * Form.basis(p, 2, (pv + s, pv + t))
-        basis.append(_normalize(_factor_to_ambient(form_f, factor)))
-        data.append(Killing2Data(alpha2=alpha2, alpha0=alpha0))
-    space = KillingSpace(degree=2, basis=basis, method="structured",
-                         algebra_ref=L.name)
-    return space, data
+    return _solve_structured(L, tol, 2, _killing2_part)
 
 
 def solve_killing3(L: MetricLieAlgebra, tol=DEFAULT_TOL):
@@ -275,42 +283,4 @@ def solve_killing3(L: MetricLieAlgebra, tol=DEFAULT_TOL):
     Each naturally reductive factor contributes the form whose mixed part
     is the j-map itself and whose z-part doubles the compact bracket.
     """
-    from .structure import decompose
-
-    dec = decompose(L, tol)
-    basis = []
-    data = []
-    acols = dec.abelian.columns
-    d = acols.shape[1]
-    for t in basis_tuples(d, 3):
-        basis.append(_normalize(_wedge_chain([acols[:, i] for i in t])))
-    for factor in dec.factors:
-        if not factor.naturally_reductive:
-            continue
-        ff = factor.frame
-        p = factor.dim
-        pv = ff.nv
-        m = ff.nz
-        cb = factor.compact_bracket
-        form_f = Form(p, 3)
-        for t in range(m):
-            jt = ff.j_matrices[t]
-            for a in range(pv):
-                for b in range(a + 1, pv):
-                    if jt[b, a] != 0.0:
-                        form_f = form_f + jt[b, a] * Form.basis(p, 3, (a, b, pv + t))
-        gamma = Form(p, 3)
-        for s in range(m):
-            for t in range(s + 1, m):
-                for u in range(t + 1, m):
-                    coeff = 2.0 * cb[s, t, u]
-                    if coeff != 0.0:
-                        gamma = gamma + coeff * Form.basis(
-                            p, 3, (pv + s, pv + t, pv + u)
-                        )
-        form_f = form_f + gamma
-        basis.append(_normalize(_factor_to_ambient(form_f, factor)))
-        data.append(Killing3Data(gamma=gamma))
-    space = KillingSpace(degree=3, basis=basis, method="structured",
-                        algebra_ref=L.name)
-    return space, data
+    return _solve_structured(L, tol, 3, _killing3_part)

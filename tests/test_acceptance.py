@@ -235,7 +235,7 @@ def test_criterion_8_isometry_invariant():
         traces = {}
         for lam in (0.5, 1.0, 2.0, 3.0):
             L = complex_heisenberg(lam)
-            jt = j_trace_form(L, adapted_frame(L))
+            jt = j_trace_form(adapted_frame(L))
             assert np.abs(jt + 4.0 * lam ** 2 * np.eye(2)).max() <= 1e-9
             traces[lam] = jt
         lams = sorted(traces)

@@ -149,9 +149,9 @@ def test_levi_civita_h3_table():
     L = heisenberg(1)
     F = adapted_frame(L)
     e = np.eye(3)
-    assert np.allclose(levi_civita(L, F, e[:, 0], e[:, 1]), [0, 0, 0.5])
-    assert np.allclose(levi_civita(L, F, e[:, 0], e[:, 2]), [0, -0.5, 0])
-    assert np.allclose(levi_civita(L, F, e[:, 2], e[:, 2]), [0, 0, 0])
+    assert np.allclose(levi_civita(F, e[:, 0], e[:, 1]), [0, 0, 0.5])
+    assert np.allclose(levi_civita(F, e[:, 0], e[:, 2]), [0, -0.5, 0])
+    assert np.allclose(levi_civita(F, e[:, 2], e[:, 2]), [0, 0, 0])
 
 
 def test_levi_civita_matches_raw_koszul():
@@ -161,7 +161,7 @@ def test_levi_civita_matches_raw_koszul():
         for _ in range(100):
             x = rng.normal(size=L.dim)
             y = rng.normal(size=L.dim)
-            assert np.allclose(levi_civita(L, F, x, y), koszul_nabla(F, x, y),
+            assert np.allclose(levi_civita(F, x, y), koszul_nabla(F, x, y),
                                atol=1e-12)
 
 
@@ -172,11 +172,11 @@ def test_connection_metric_compatible_and_torsion_free():
         c = F.constants
         for _ in range(20):
             u, v, w = rng.normal(size=(3, L.dim))
-            duv = levi_civita(L, F, u, v)
-            duw = levi_civita(L, F, u, w)
+            duv = levi_civita(F, u, v)
+            duw = levi_civita(F, u, w)
             assert abs(duv @ w + v @ duw) < 1e-10
             br = np.einsum("i,j,ijk->k", u, v, c)
-            assert np.abs(duv - levi_civita(L, F, v, u) - br).max() < 1e-10
+            assert np.abs(duv - levi_civita(F, v, u) - br).max() < 1e-10
 
 
 def test_nabla_matrix_is_skew():
@@ -184,26 +184,26 @@ def test_nabla_matrix_is_skew():
     for L in CATALOG:
         F = adapted_frame(L)
         y = rng.normal(size=L.dim)
-        m = nabla_matrix(L, F, y)
+        m = nabla_matrix(F, y)
         assert np.abs(m + m.T).max() < 1e-12
 
 
 def test_j_trace_form_h3():
     L = heisenberg(1)
-    assert np.allclose(j_trace_form(L, adapted_frame(L)), [[-2.0]])
+    assert np.allclose(j_trace_form(adapted_frame(L)), [[-2.0]])
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
 def test_j_trace_form_complex_heisenberg(lam):
     L = complex_heisenberg(lam)
-    assert np.allclose(j_trace_form(L, adapted_frame(L)),
+    assert np.allclose(j_trace_form(adapted_frame(L)),
                        -4.0 * lam ** 2 * np.eye(2), atol=1e-9)
 
 
 def test_j_trace_form_abelian_direction_zero():
     L = direct_sum([euclidean(1), heisenberg(1)])
     F = adapted_frame(L)
-    jt = j_trace_form(L, F)
+    jt = j_trace_form(F)
     t = F.a_indices[0] - F.nv
     assert np.abs(jt[t, :]).max() < 1e-12
     assert np.abs(jt[:, t]).max() < 1e-12

@@ -56,7 +56,7 @@ def test_complex_heisenberg_params():
     for lam in (1.0, 2.0):
         L = complex_heisenberg(lam)
         assert validate(L).ok
-        jt = j_trace_form(L, adapted_frame(L))
+        jt = j_trace_form(adapted_frame(L))
         assert np.allclose(jt, -4.0 * lam ** 2 * np.eye(2), atol=1e-9)
     with pytest.raises(ValueError):
         complex_heisenberg(0.0)
@@ -89,9 +89,8 @@ def test_from_representation_so3_gives_free_two_step():
     for t, rho in enumerate(so3_matrices()):
         assert np.allclose(F.j_matrices[t], rho, atol=1e-10)
     assert killing_dimensions(L)[:2] == killing_dimensions(free_two_step_3())[:2]
-    ref = np.linalg.eigvalsh(j_trace_form(free_two_step_3(),
-                                          adapted_frame(free_two_step_3())))
-    got = np.linalg.eigvalsh(j_trace_form(L, F))
+    ref = np.linalg.eigvalsh(j_trace_form(adapted_frame(free_two_step_3())))
+    got = np.linalg.eigvalsh(j_trace_form(F))
     assert np.allclose(np.sort(got), np.sort(ref), atol=1e-9)
 
 

@@ -188,3 +188,13 @@ def test_bad_flags_exit_2():
         out = run_cli("analyze", "catalog:heisenberg", f"--tol={tol}", "--json")
         assert out.returncode == 2, (tol, out.stdout)
         assert "tol must be" in out.stderr
+    # a zero-dimensional catalog algebra is a parse error, not a traceback
+    for command in ("analyze", "killing", "decompose"):
+        out = run_cli(command, "catalog:euclidean", "--d", "0")
+        assert out.returncode == 2, (command, out.stderr)
+        assert "Traceback" not in out.stderr
+
+
+def test_flags_a_command_does_not_read_exit_2():
+    assert run_cli("tables", "--l", "2").returncode == 2
+    assert run_cli("catalog", "list", "--tol", "1e-6").returncode == 2

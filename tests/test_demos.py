@@ -17,3 +17,15 @@ def test_demo_runs(demo):
                          text=True, env=env, cwd=ROOT)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def test_readme_quick_start():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    # the values the block's comments state
+    assert out.stdout.splitlines() == ["1 1", "4 2", "True", "(1, 0, 0, 1, 0)"]

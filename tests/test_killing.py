@@ -4,6 +4,7 @@ import pytest
 
 from nilkilling import (
     Form,
+    catalog,
     adapted_frame,
     complex_heisenberg,
     direct_sum,
@@ -20,6 +21,7 @@ from nilkilling import (
     solve_killing3,
     wedge,
 )
+from nilkilling import killing
 from nilkilling.linalg import span_distance
 
 
@@ -194,8 +196,8 @@ def test_degree_one_killing_vector_condition():
             sharp = w.vec
             for a in range(n):
                 for b in range(n):
-                    val = eye[:, b] @ (nabla_matrix(L, F, eye[:, a]) @ sharp)
-                    val += eye[:, a] @ (nabla_matrix(L, F, eye[:, b]) @ sharp)
+                    val = eye[:, b] @ (nabla_matrix(F, eye[:, a]) @ sharp)
+                    val += eye[:, a] @ (nabla_matrix(F, eye[:, b]) @ sharp)
                     assert abs(val) < 1e-9
         # parallel central duals (the abelian kernel) are Killing 1-forms
         mat = space.matrix()
@@ -203,3 +205,39 @@ def test_degree_one_killing_vector_condition():
             dual = eye[:, t]
             proj = mat @ (mat.T @ dual) if space.dim else np.zeros(n)
             assert np.abs(proj - dual).max() < 1e-9
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_differential_once_per_form_connection_once_per_direction(monkeypatch):
+    L = heisenberg(2)
+    F = adapted_frame(L)
+    diffs = _count_calls(monkeypatch, killing, "lie_diff")
+    conns = _count_calls(monkeypatch, killing, "nabla_matrix")
+    killing_nullspace_brute(L, F, 3)
+    assert (len(diffs), len(conns)) == (10, 5)    # C(5, 3) forms, 5 directions
+    del diffs[:], conns[:]
+    killing_residual(L, F, Form.basis(5, 3, (0, 1, 4)))
+    assert (len(diffs), len(conns)) == (1, 5)
+
+
+def test_structured_forms_are_normalized():
+    # unit norm, first coefficient above 1e-10 in magnitude positive
+    for name in catalog.catalog_names():
+        L = catalog.build(name)
+        for solver in (solve_killing2, solve_killing3):
+            space, _ = solver(L)
+            for form in space.basis:
+                assert abs(form.norm() - 1.0) < 1e-12, name
+                lead = form.vec[np.abs(form.vec) > 1e-10]
+                assert lead[0] > 0, name

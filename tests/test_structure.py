@@ -182,8 +182,8 @@ def test_isometry_invariance():
         d1 = decompose(Ls)
         assert sorted(f.dim for f in d0.factors) == sorted(
             f.dim for f in d1.factors)
-        s0 = np.linalg.eigvalsh(j_trace_form(L, adapted_frame(L)))
-        s1 = np.linalg.eigvalsh(j_trace_form(Ls, adapted_frame(Ls)))
+        s0 = np.linalg.eigvalsh(j_trace_form(adapted_frame(L)))
+        s1 = np.linalg.eigvalsh(j_trace_form(adapted_frame(Ls)))
         assert np.allclose(np.sort(s0), np.sort(s1), atol=1e-8)
 
 
@@ -241,7 +241,7 @@ def test_g_lambda_family_separation():
     specs = {}
     for lam in (0.5, 1.0, 2.0):
         L = complex_heisenberg(lam)
-        jt = j_trace_form(L, adapted_frame(L))
+        jt = j_trace_form(adapted_frame(L))
         assert np.allclose(jt, -4.0 * lam ** 2 * np.eye(2), atol=1e-9)
         specs[lam] = jt
     pairs = [(0.5, 1.0), (1.0, 2.0), (0.5, 2.0)]
