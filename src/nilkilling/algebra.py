@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlgebraAbelian, NotSkew
+from .errors import NotSkew
 from .linalg import (
     DEFAULT_TOL,
+    _unit_scaled,
     column_space,
     gram_orthonormalize,
     nullspace,
-    projection_residual,
 )
 
 
@@ -197,7 +197,7 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check antisymmetry, 2-step nilpotency and positive-definiteness."""
     c = L.structure_constants
     violations = []
-    scale = max(1.0, float(np.abs(c).max()) if c.size else 1.0)
+    scale = np.abs(c).max()
     if np.abs(c + c.transpose(1, 0, 2)).max() > tol * scale:
         violations.append("antisymmetry: c[i][j][k] != -c[j][i][k]")
     # [[b_i, b_j], b_k] must vanish for all triples; subsumes Jacobi here
@@ -205,48 +205,28 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     if np.abs(double).max() > tol * scale * scale:
         violations.append("2-step: [[x,y],w] != 0 for some basis triple")
     g = L.gram
-    if np.abs(g - g.T).max() > tol * max(1.0, np.abs(g).max()):
+    if np.abs(g - g.T).max() > tol * np.abs(g).max():
         violations.append("gram not symmetric")
     else:
         eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if eigvals.min() <= tol * max(1.0, eigvals.max()):
+        if eigvals.min() <= tol * eigvals.max():
             violations.append("gram not positive definite")
     return ValidationReport(violations)
 
 
 def _center_columns(L: MetricLieAlgebra, tol):
     """Orthonormal columns spanning the center: the nullspace of all ad maps."""
-    n = L.dim
-    return nullspace(np.concatenate([L.ad_matrix(i) for i in range(n)]), tol)
+    ads = np.concatenate([L.ad_matrix(i) for i in range(L.dim)])
+    return nullspace(_unit_scaled(ads), tol)
 
 
-def center_commutator(L: MetricLieAlgebra, tol: float = DEFAULT_TOL):
-    """Subspaces spanning the center z and the commutator n' (user coords).
-
-    Raises AlgebraAbelian when n' = 0.
-    """
-    n = L.dim
-    z_cols = _center_columns(L, tol)
-    brackets = np.array(
-        [L.structure_constants[i, j] for i in range(n) for j in range(i + 1, n)]
-    ).T
-    if brackets.size == 0 or np.abs(brackets).max() <= tol:
-        raise AlgebraAbelian("all brackets vanish")
-    comm_cols = column_space(brackets, tol)
-    res = projection_residual(comm_cols, z_cols)
-    if res > 10 * tol:
-        raise AlgebraAbelian(
-            "commutator not contained in center (residual %.2e): not 2-step" % res
-        )
-    return Subspace(z_cols, "center"), Subspace(comm_cols, "commutator")
-
-
-def _canonical_span_basis(cols, gram, tol=1e-12):
+def _canonical_span_basis(cols, gram):
     """g-orthonormal basis of span(cols) aligned with user axes when possible.
 
     Pivoted Gram-Schmidt on the g-orthogonal projections of the user basis
     vectors: deterministic, and returns the user vectors themselves whenever
-    the span is axis-aligned and the metric is diagonal there.
+    the span is axis-aligned and the metric is diagonal there.  A pivot whose
+    squared g-norm is below DEFAULT_TOL / 1000 of the Gram scale ends it.
     """
     cols = np.asarray(cols, dtype=float)
     p = cols.shape[1]
@@ -254,12 +234,13 @@ def _canonical_span_basis(cols, gram, tol=1e-12):
         return cols
     c_on = gram_orthonormalize(cols, gram)
     cands = c_on @ (c_on.T @ gram)      # projections of the user axes, as columns
+    cutoff = np.sqrt(DEFAULT_TOL / 1000 * np.abs(gram).max())
     chosen = []
     for _ in range(p):
         g_cands = gram @ cands
         norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", cands, g_cands), 0.0))
         best = int(np.argmax(norms))
-        if norms[best] <= np.sqrt(tol):
+        if norms[best] <= cutoff:
             break
         u = cands[:, best] / norms[best]
         chosen.append(u)
@@ -293,17 +274,17 @@ def frame_from_constants(frame, constants, nv, tol=DEFAULT_TOL) -> AdaptedFrame:
     the z-vectors with vanishing j-map form the abelian kernel.
     """
     nz = constants.shape[0] - nv
-    mats = [constants[:nv, :nv, nv + t].T for t in range(nz)]
-    for m in mats:
-        if m.size and np.abs(m + m.T).max() > 100 * tol * max(1.0, np.abs(m).max()):
-            raise NotSkew("j matrix not skew; inconsistent input")
+    block = constants[:nv, :nv, nv:]
+    scale = np.abs(constants).max()
+    if np.abs(block + block.transpose(1, 0, 2)).max(initial=0.0) > 100 * tol * scale:
+        raise NotSkew("j matrix not skew; inconsistent input")
     return AdaptedFrame(
         frame=frame,
         v_indices=tuple(range(nv)),
         z_indices=tuple(range(nv, nv + nz)),
-        a_indices=tuple(nv + t for t, m in enumerate(mats)
-                        if m.size == 0 or np.abs(m).max() <= tol),
-        j_matrices=tuple(mats),
+        a_indices=tuple(nv + t for t in range(nz)
+                        if np.abs(block[:, :, t]).max(initial=0.0) <= tol * scale),
+        j_matrices=tuple(block[:, :, t].T for t in range(nz)),
         constants=constants,
     )
 
@@ -318,7 +299,8 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     """
     n = L.dim
     z_raw = _center_columns(L, tol)
-    v_raw = nullspace(z_raw.T @ L.gram, tol) if z_raw.shape[1] < n else np.zeros((n, 0))
+    v_raw = (nullspace(_unit_scaled(z_raw.T @ L.gram), tol) if z_raw.shape[1] < n
+             else np.zeros((n, 0)))
     v_cols = _canonical_span_basis(v_raw, L.gram)
     z_cols = _canonical_span_basis(z_raw, L.gram)
     nv, nz = v_cols.shape[1], z_cols.shape[1]
@@ -326,9 +308,9 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     const = _frame_constants(L, frame)
     if nz:
         # rotate the z-frame so the kernel of z -> j(z) is axis-aligned
-        jstack = const[:nv, :nv, nv:].reshape(-1, nz)
+        jstack = _unit_scaled(const[:nv, :nv, nv:].reshape(-1, nz))
         ker = nullspace(jstack, tol)
-        img = column_space(jstack.T, tol) if np.any(jstack) else np.zeros((nz, 0))
+        img = column_space(jstack.T, tol)
         if img.shape[1] + ker.shape[1] == nz and ker.shape[1] not in (0, nz):
             z_cols = np.concatenate(
                 [
@@ -346,11 +328,14 @@ def nabla_matrix(F: AdaptedFrame, y):
     """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates.
 
     Koszul formula in the orthonormal frame: with c the frame constants,
-    g(nabla_a e_b, e_c) = 1/2 (c_abc - c_bca + c_cab).
+    g(nabla_a e_b, e_c) = 1/2 (c_abc - c_bca + c_cab).  Returned as the skew
+    part of that sum, so it is exactly skew even where it is pure round-off
+    (an abelian direction), as the relative check of `skew_extend` needs.
     """
     c = F.constants
     koszul = 0.5 * (c - np.einsum("bca->abc", c) + np.einsum("cab->abc", c))
-    return np.einsum("a,abc->cb", y, koszul)
+    m = np.einsum("a,abc->cb", y, koszul)
+    return 0.5 * (m - m.T)
 
 
 def levi_civita(F: AdaptedFrame, x, y):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import MetricLieAlgebra
 from .errors import EmptySum, NotAdInvariant, TrivialSubrepresentation
-from .linalg import nullspace
+from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
 def heisenberg(l: int) -> MetricLieAlgebra:
@@ -94,26 +94,31 @@ def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:
     rho a list of m skew matrices on v (one per z basis vector), and
     gram_z an ad-invariant inner product on z.  The output bracket is
     defined by pairing the representation action with the metric, so the
-    induced skew maps coincide with rho.
+    induced skew maps coincide with rho.  Raises ValueError unless rho is
+    a representation: rho([u, w]) = [rho u, rho w].
     """
     z_bracket = np.asarray(z_bracket, dtype=float)
-    rho = [np.asarray(r, dtype=float) for r in rho]
+    mats = np.asarray(rho, dtype=float)
     gram_z = np.asarray(gram_z, dtype=float)
     m = z_bracket.shape[0]
-    if len(rho) != m:
+    if len(mats) != m:
         raise ValueError("need one representation matrix per z basis vector")
-    nv = rho[0].shape[0]
-    for r in rho:
-        if np.abs(r + r.T).max() > 1e-10 * max(1.0, np.abs(r).max()):
-            raise ValueError("representation matrices must be skew")
-    stacked = np.concatenate(rho, axis=0)
-    if nullspace(stacked).shape[1] > 0:
+    nv = mats.shape[1]
+    scale = np.abs(mats).max()
+    if np.abs(mats + mats.transpose(0, 2, 1)).max() > DEFAULT_TOL / 10 * scale:
+        raise ValueError("representation matrices must be skew")
+    # sum_u c[s,t,u] rho_u = [rho_s, rho_t], quadratic in rho
+    prod = np.einsum("sab,tbc->stac", mats, mats)
+    image = np.einsum("stu,uac->stac", z_bracket, mats)
+    residual = np.abs(image - prod + prod.transpose(1, 0, 2, 3)).max()
+    if residual > DEFAULT_TOL * scale ** 2:
+        raise ValueError("rho is not a representation of the bracket on z")
+    if nullspace(_unit_scaled(mats.reshape(-1, nv))).shape[1] > 0:
         raise TrivialSubrepresentation("representation matrices share a kernel")
     # ad-invariance of gram_z: <[[u,v]],w> + <v,[[u,w]]> = 0
     ad_pair = np.einsum("stu,uw->stw", z_bracket, gram_z)
-    if np.abs(ad_pair + ad_pair.transpose(0, 2, 1)).max() > 1e-9 * max(
-        1.0, np.abs(ad_pair).max()
-    ):
+    if (np.abs(ad_pair + ad_pair.transpose(0, 2, 1)).max()
+            > DEFAULT_TOL * np.abs(ad_pair).max()):
         raise NotAdInvariant("inner product on z is not ad-invariant")
     n = nv + m
     c = np.zeros((n, n, n))
@@ -121,8 +126,7 @@ def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:
     ginv = np.linalg.inv(gram_z)
     for a in range(nv):
         for b in range(nv):
-            pair = np.array([rho[s][b, a] for s in range(m)])
-            c[a, b, nv:] = ginv @ pair
+            c[a, b, nv:] = ginv @ mats[:, b, a]
     gram = np.zeros((n, n))
     gram[:nv, :nv] = np.eye(nv)
     gram[nv:, nv:] = gram_z

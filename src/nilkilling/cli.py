@@ -24,7 +24,7 @@ from .errors import (
     NumericalRankFailure,
 )
 from .killing import killing_nullspace_brute, solve_killing2, solve_killing3
-from .linalg import span_distance
+from .linalg import DEFAULT_TOL, span_distance
 from .structure import decompose, killing_dimensions
 
 SCHEMA = 1
@@ -41,16 +41,19 @@ class CliError(Exception):
         self.code = code
 
 
+def _build_catalog(name, lam, l, d):
+    try:
+        alg = cat.build(name, lam=lam, l=l, d=d)
+    except (KeyError, ValueError) as exc:
+        raise CliError(EXIT_PARSE, str(exc))
+    if alg.dim == 0:
+        raise CliError(EXIT_PARSE, "algebra dimension must be positive")
+    return alg
+
+
 def load_algebra(spec, lam=1.0, l=1, d=1):
     if spec.startswith("catalog:"):
-        name = spec.split(":", 1)[1]
-        try:
-            alg = cat.build(name, lam=lam, l=l, d=d)
-        except (KeyError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, str(exc))
-        if alg.dim == 0:
-            raise CliError(EXIT_PARSE, "algebra dimension must be positive")
-        return alg
+        return _build_catalog(spec.split(":", 1)[1], lam, l, d)
     try:
         return MetricLieAlgebra.load(spec)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, IndexError) as exc:
@@ -169,7 +172,7 @@ def cmd_killing(args):
 
     _emit(rec, args.json, lines)
     if brute is not None and structured is not None:
-        if brute.dim != structured.dim or rec["span_residual"] > 1e-8:
+        if brute.dim != structured.dim or rec["span_residual"] > 10 * args.tol:
             raise CliError(
                 EXIT_MISMATCH,
                 "brute (%d) and structured (%d) solvers disagree"
@@ -219,10 +222,7 @@ def cmd_catalog(args):
             for name in names:
                 print(name)
         return 0
-    try:
-        alg = cat.build(args.name, lam=args.lam, l=args.l, d=args.d)
-    except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, str(exc))
+    alg = _build_catalog(args.name, args.lam, args.l, args.d)
     print(json.dumps(alg.to_json(), indent=2))
     return 0
 
@@ -279,7 +279,7 @@ def _add_common(parser, with_input=True, tol=True, catalog_params=True):
     if with_input:
         parser.add_argument("input", help="algebra JSON path or catalog:<name>")
     if tol:
-        parser.add_argument("--tol", type=float, default=1e-9)
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--json", action="store_true")
     if catalog_params:
         parser.add_argument("--lambda", dest="lam", type=float, default=1.0)

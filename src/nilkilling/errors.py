@@ -5,10 +5,6 @@ class NilkillingError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AlgebraAbelian(NilkillingError):
-    """The algebra has no non-trivial brackets."""
-
-
 class NumericalRankFailure(NilkillingError):
     """A rank decision could not be made: the singular value gap is too small."""
 

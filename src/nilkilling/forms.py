@@ -186,8 +186,7 @@ def skew_extend(f, omega: Form, tol=DEFAULT_TOL) -> Form:
     action on a 1-form dual to u is the 1-form dual to f(u).
     """
     f = np.asarray(f, dtype=float)
-    scale = max(1.0, np.abs(f).max()) if f.size else 1.0
-    if f.size and np.abs(f + f.T).max() > tol * scale:
+    if f.size and np.abs(f + f.T).max() > tol * np.abs(f).max():
         raise NotSkew("endomorphism is not skew-symmetric")
     out = Form(omega.n, omega.degree)
     if omega.degree == 0:

@@ -61,7 +61,7 @@ def _normalize(form: Form) -> Form:
     if nrm == 0.0:
         return form
     out = form * (1.0 / nrm)
-    lead = out.vec[np.abs(out.vec) > 1e-10]
+    lead = out.vec[np.abs(out.vec) > DEFAULT_TOL / 10]
     if lead.size and lead[0] < 0:
         out = -out
     return out
@@ -104,7 +104,8 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     res2 = max((contract(eye[:, a], nablas[b])
                 + contract(eye[:, b], nablas[a])).norm()
                for a in range(n) for b in range(a, n))
-    thresh = tol * max(1.0, omega.norm())
+    # both residuals are bilinear in the constants and omega
+    thresh = tol * np.abs(F.constants).max() * omega.norm()
     if (res1 <= thresh) != (res2 <= 10 * thresh):
         raise InternalInvariantViolation(
             "Killing verdicts disagree: residuals %.3e vs %.3e" % (res1, res2)
@@ -122,6 +123,9 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
         cols.append(np.concatenate([(nab - (1.0 / (k + 1)) * dp).vec
                                     for nab, dp in zip(nablas, d_parts)]))
     op = np.array(cols).T
+    scale = np.abs(F.constants).max()
+    if scale:
+        op /= scale         # unit-scaled in place (see linalg), linear in c
     null = nullspace(op, tol)
     basis = [_normalize(Form(n, k, null[:, i])) for i in range(null.shape[1])]
     return KillingSpace(degree=k, basis=basis, method="brute", algebra_ref=L.name)
@@ -209,8 +213,8 @@ def killgen_residuals(L, F: AdaptedFrame, omega: Form):
 
 def is_parallel(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
-    nablas, _ = _killing_terms(L, F, _connections(F), omega)
-    return max(nab.norm() for nab in nablas) <= tol * max(1.0, omega.norm())
+    worst = max(skew_extend(m, omega).norm() for m in _connections(F))
+    return worst <= tol * np.abs(F.constants).max() * omega.norm()
 
 
 def _form_from_tensor(tensor) -> Form:

@@ -1,7 +1,11 @@
 """Dense linear algebra helpers: rank decisions via singular values.
 
 Every rank/nullity decision in the package goes through these routines so
-that the gap-ambiguity policy is applied uniformly.
+that the gap-ambiguity policy is applied uniformly.  The scale rule: rank
+decisions take unit-scaled data (`_unit_scaled` constants); every other
+zero test compares against tol times the largest entry of its own inputs
+(squared where it is quadratic in them), all-zero input being the exact
+case.  So no answer changes under a homothety or an isometry.
 """
 import numpy as np
 
@@ -20,7 +24,9 @@ def _svd_rank(a, tol, full_v):
     Singular values above tol * max(s_max, 1) count towards the rank; the
     decision is refused with NumericalRankFailure unless the retained and
     discarded values are separated by GAP_FACTOR times that scale.  The SVD
-    is thin unless the caller needs all rows of V (`full_v`).
+    is thin unless the caller needs all rows of V (`full_v`).  Callers pass
+    unit-scaled `a`, so the floor 1, the package's only unit scale, keeps
+    pure round-off (the Killing operator of a top-degree form) at rank 0.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=full_v)
     scale = max(s[0], 1.0)
@@ -36,11 +42,17 @@ def _svd_rank(a, tol, full_v):
     return u, kept.size, vt
 
 
+def _unit_scaled(a):
+    """`a` divided by its largest absolute entry; an all-zero `a` as is."""
+    peak = np.abs(a).max(initial=0.0)
+    return a / peak if peak else a
+
+
 def nullspace(a, tol=DEFAULT_TOL):
     """Orthonormal basis (columns) of the nullspace of `a`.
 
-    The cutoff is relative: singular values below tol * s_max are treated
-    as zero.  Raises NumericalRankFailure when the decision is ambiguous.
+    `a` is unit-scaled (see `_svd_rank`).  Raises NumericalRankFailure
+    when the decision is ambiguous.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):

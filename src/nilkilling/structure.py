@@ -27,7 +27,7 @@ from .errors import (
     InternalInvariantViolation,
     NotComplexStructure,
 )
-from .linalg import DEFAULT_TOL, nullspace
+from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
     basis[params, rows, cols] = 1.0
     basis[params, cols, rows] = 1.0 if symmetric else -1.0
     basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
-    c = constants[:pv, :pv, pv:]
+    c = _unit_scaled(constants[:pv, :pv, pv:])
     # z-part of S[x,y] - [Sx,y] for x, y in v, one column per basis matrix
     system = np.einsum("qsk,abk->qabs", basis[:, pv:, pv:], c)
     system -= np.einsum("qca,cbs->qabs", basis[:, :pv, :pv], c)
@@ -120,8 +120,7 @@ def _pick_splitting_element(mats, p):
 def _cluster(eigvals, tol):
     """Group sorted eigenvalues into clusters separated by a gap threshold."""
     order = np.argsort(eigvals)
-    scale = max(1.0, float(np.abs(eigvals).max()))
-    gap = 10.0 * tol * scale
+    gap = 10.0 * tol * np.abs(eigvals).max()
     clusters = [[order[0]]]
     for idx in order[1:]:
         if eigvals[idx] - eigvals[clusters[-1][-1]] > gap:
@@ -151,17 +150,16 @@ def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):
     d2 = d @ d
     p = d.shape[0]
     lam = float(np.trace(d2)) / p
-    scale = max(1.0, float(np.abs(d2).max()))
-    if np.abs(d2 - lam * np.eye(p)).max() > 100 * tol * scale:
+    if np.abs(d2 - lam * np.eye(p)).max() > 100 * tol * np.abs(d2).max():
         raise InternalInvariantViolation(
             "square of bi-invariant skew map is not scalar; factor not irreducible"
         )
     if lam >= 0:
         raise InternalInvariantViolation("scalar square is not negative")
     j = d / np.sqrt(-lam)
-    # deterministic sign: first non-zero entry positive
+    # deterministic sign: first non-zero entry positive (J is orthogonal)
     flat = j.ravel()
-    lead = flat[np.abs(flat) > 1e-8]
+    lead = flat[np.abs(flat) > 10 * tol]
     if lead.size and lead[0] < 0:
         j = -j
     return j
@@ -179,17 +177,17 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
         return None
     mats = np.array(F.j_matrices).reshape(m, F.nv, F.nv)
     a = mats.reshape(m, -1).T
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = np.abs(a).max()
     # every commutator [J_s, J_t], solved for in the span of the J_u at once
     prod = np.einsum("sab,tbc->stac", mats, mats)
     targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
     coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
-    if np.linalg.norm(a @ coef - targets, axis=0).max() > 100 * tol * scale:
+    # the commutators are quadratic in the j-maps, the bracket linear
+    if np.linalg.norm(a @ coef - targets, axis=0).max() > 100 * tol * scale ** 2:
         return None
     cb = coef.T.reshape(m, m, m)
-    for k in cb:
-        if np.abs(k + k.T).max() > 100 * tol * max(1.0, np.abs(k).max()):
-            return None
+    if np.abs(cb + cb.transpose(0, 2, 1)).max() > 100 * tol * scale:
+        return None
     return cb
 
 
@@ -282,8 +280,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     block_of = np.repeat(np.arange(len(parts)), [p.shape[1] for p in parts])
     i, j, k = np.ix_(block_of, block_of, block_of)
     cross = np.abs(np.where((i != j) | (j != k), c_rot, 0.0))
-    scale = max(1.0, float(np.abs(c_rot).max()))
-    if cross.max() > 100 * tol * scale:
+    if cross.max() > 100 * tol * np.abs(c_rot).max():
         raise DecompositionAmbiguous(
             "cross-block bracket residual %.2e" % cross.max()
         )
@@ -302,12 +299,13 @@ def compatible_metric(H: MetricLieAlgebra, J, h) -> MetricLieAlgebra:
     J = np.asarray(J, dtype=float)
     h = np.asarray(h, dtype=float)
     n = H.dim
-    if np.abs(J @ J + np.eye(n)).max() > 1e-8:
+    j_scale = np.abs(J).max()
+    if np.abs(J @ J + np.eye(n)).max() > 10 * DEFAULT_TOL * j_scale ** 2:
         raise NotComplexStructure("J^2 != -Id")
     c = H.structure_constants
     lhs = np.einsum("ijm,km->ijk", c, J)
     rhs = np.einsum("mi,mjk->ijk", J, c)
-    if np.abs(lhs - rhs).max() > 1e-8 * max(1.0, np.abs(c).max()):
+    if np.abs(lhs - rhs).max() > 10 * DEFAULT_TOL * np.abs(c).max() * j_scale:
         raise NotComplexStructure("J is not bi-invariant")
     gram = h + J.T @ h @ J
     return MetricLieAlgebra(

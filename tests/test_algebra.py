@@ -5,7 +5,6 @@ import pytest
 from nilkilling import (
     MetricLieAlgebra,
     adapted_frame,
-    center_commutator,
     complex_heisenberg,
     direct_sum,
     euclidean,
@@ -17,7 +16,7 @@ from nilkilling import (
     validate,
 )
 from nilkilling.algebra import rotate_constants
-from nilkilling.errors import AlgebraAbelian, NotSkew
+from nilkilling.errors import NotSkew
 
 from helpers import koszul_nabla
 
@@ -66,29 +65,52 @@ def test_validate_indefinite_gram():
     assert any("definite" in v for v in validate(bad).violations)
 
 
+def _spans_equal(a, b):
+    return (np.linalg.matrix_rank(np.concatenate([a, b], axis=1))
+            == np.linalg.matrix_rank(a) == np.linalg.matrix_rank(b))
+
+
+def center_and_commutator(L):
+    """The centre (z-block) and the commutator (z-block minus a_indices) of
+    the adapted frame, as user-coordinate columns; both are checked against
+    their definitions: the centre is annihilated by every ad map, and the
+    commutator is the span of all brackets."""
+    F = adapted_frame(L)
+    z = F.frame[:, list(F.z_indices)]
+    comm = F.frame[:, [i for i in F.z_indices if i not in F.a_indices]]
+    for i in range(L.dim):
+        assert np.abs(L.ad_matrix(i) @ z).max(initial=0.0) < 1e-12
+    brackets = L.structure_constants.reshape(-1, L.dim).T
+    if comm.shape[1]:
+        assert _spans_equal(comm, brackets)
+    else:
+        assert not np.any(brackets)
+    return F, z, comm
+
+
 def test_center_commutator_h3():
-    z, comm = center_commutator(heisenberg(1))
-    assert z.dim == 1 and comm.dim == 1
+    _, z, comm = center_and_commutator(heisenberg(1))
+    assert z.shape[1] == 1 and comm.shape[1] == 1
     # both are the e3 axis
-    for sub in (z, comm):
-        v = sub.columns[:, 0]
+    for v in (z[:, 0], comm[:, 0]):
         assert abs(abs(v[2]) - 1.0) < 1e-12
         assert np.abs(v[:2]).max() < 1e-12
 
 
 def test_center_commutator_r2_h3():
-    z, comm = center_commutator(direct_sum([euclidean(2), heisenberg(1)]))
-    assert z.dim == 3 and comm.dim == 1
+    _, z, comm = center_and_commutator(direct_sum([euclidean(2), heisenberg(1)]))
+    assert z.shape[1] == 3 and comm.shape[1] == 1
 
 
 def test_center_commutator_complex_heisenberg():
-    z, comm = center_commutator(complex_heisenberg(1.0))
-    assert z.dim == 2 and comm.dim == 2
+    _, z, comm = center_and_commutator(complex_heisenberg(1.0))
+    assert z.shape[1] == 2 and comm.shape[1] == 2
 
 
-def test_center_commutator_abelian_raises():
-    with pytest.raises(AlgebraAbelian):
-        center_commutator(euclidean(3))
+def test_center_commutator_abelian():
+    F, z, comm = center_and_commutator(euclidean(3))
+    assert F.nv == 0 and F.nz == len(F.a_indices) == 3
+    assert comm.shape[1] == 0
 
 
 def test_adapted_frame_h3():

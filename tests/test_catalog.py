@@ -116,6 +116,13 @@ def test_from_representation_rejects_non_skew():
         from_representation(np.zeros((1, 1, 1)), [np.eye(2)], np.eye(1))
 
 
+def test_from_representation_rejects_non_homomorphism():
+    # the negated matrices satisfy [rho_s, rho_t] = -rho([s, t]): residual 2
+    with pytest.raises(ValueError, match="not a representation"):
+        from_representation(so3_bracket(), [-r for r in so3_matrices()],
+                            np.eye(3))
+
+
 def test_from_representation_rejects_trivial_subrep():
     rho1 = np.zeros((4, 4)); rho1[:2, :2] = ROT
     rho2 = np.zeros((4, 4)); rho2[:2, :2] = 2.0 * ROT

@@ -160,16 +160,32 @@ def test_tables_tolerance_sweep():
 
 
 def test_numerical_ambiguity_exits_4(tmp_path):
-    # bracket magnitude right at the rank threshold: the singular-value gap
-    # check must refuse to decide instead of guessing
+    # h3 + 5e-9 * h3: the second bracket sits right at the rank threshold
+    # relative to the first, so the singular-value gap check must refuse to
+    # decide instead of guessing
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({
-        "dim": 3,
-        "brackets": [[0, 1, 2, 5e-9]],
+        "dim": 6,
+        "brackets": [[0, 1, 2, 1.0], [3, 4, 5, 5e-9]],
         "metric": {"identity": True},
     }))
     out = run_cli("analyze", str(path))
     assert out.returncode == 4
+
+
+@pytest.mark.parametrize("coeff", [5e-9, 1e-11])
+def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff):
+    # a bracket rescaling is a homothety: the answers of h3 do not change
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [[0, 1, 2, coeff]]}))
+    out = run_cli("analyze", str(path))
+    assert out.returncode == 0, out.stderr
+    assert "dim K2 = 0, dim K3 = 1" in out.stdout
+    out = run_cli("killing", str(path), "--method", "both", "--degree", "2",
+                  "--json")
+    assert out.returncode == 0, out.stderr
+    rec = json.loads(out.stdout)
+    assert (rec["brute_dim"], rec["structured_dim"]) == (0, 0)
 
 
 @pytest.mark.parametrize("error", [InternalInvariantViolation, NotSkew])
@@ -189,8 +205,11 @@ def test_bad_flags_exit_2():
         assert out.returncode == 2, (tol, out.stdout)
         assert "tol must be" in out.stderr
     # a zero-dimensional catalog algebra is a parse error, not a traceback
-    for command in ("analyze", "killing", "decompose"):
-        out = run_cli(command, "catalog:euclidean", "--d", "0")
+    for command in (("analyze", "catalog:euclidean"),
+                    ("killing", "catalog:euclidean"),
+                    ("decompose", "catalog:euclidean"),
+                    ("catalog", "show", "euclidean")):
+        out = run_cli(*command, "--d", "0")
         assert out.returncode == 2, (command, out.stderr)
         assert "Traceback" not in out.stderr
 

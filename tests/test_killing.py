@@ -229,6 +229,9 @@ def test_differential_once_per_form_connection_once_per_direction(monkeypatch):
     del diffs[:], conns[:]
     killing_residual(L, F, Form.basis(5, 3, (0, 1, 4)))
     assert (len(diffs), len(conns)) == (1, 5)
+    del diffs[:], conns[:]
+    is_parallel(L, F, Form.basis(5, 3, (0, 1, 4)))
+    assert (len(diffs), len(conns)) == (0, 5)
 
 
 def test_structured_forms_are_normalized():
