@@ -193,8 +193,18 @@ class AdaptedFrame:
         return len(self.z_indices)
 
 
+def _require_positive_dim(L: MetricLieAlgebra):
+    """Refuse a zero-dimensional algebra, which has no frame or constants."""
+    if L.dim < 1:
+        raise ValueError("algebra dimension must be positive")
+
+
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check antisymmetry, 2-step nilpotency and positive-definiteness."""
+    """Check antisymmetry, 2-step nilpotency and positive-definiteness.
+
+    A zero-dimensional algebra raises ValueError.
+    """
+    _require_positive_dim(L)
     c = L.structure_constants
     violations = []
     scale = np.abs(c).max()
@@ -295,8 +305,10 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     The center comes from the SVD nullspace of the stacked ad matrices, v is
     its g-orthogonal complement, both parts are orthonormalized via a
     Cholesky factor, and the z-frame is rotated so that ker j is spanned by
-    trailing frame vectors.  Works for abelian input too (v empty).
+    trailing frame vectors.  Works for abelian input too (v empty); a
+    zero-dimensional algebra raises ValueError.
     """
+    _require_positive_dim(L)
     n = L.dim
     z_raw = _center_columns(L, tol)
     v_raw = (nullspace(_unit_scaled(z_raw.T @ L.gram), tol) if z_raw.shape[1] < n

@@ -1,9 +1,10 @@
 """The left-invariant Killing equation: brute-force and structured solvers.
 
-The brute-force path assembles the linear operator behind the defining
-equation and takes its SVD nullspace; it is the independent oracle for the
-structured degree-2 and degree-3 solvers, which go through the de Rham
-decomposition and the classification of the irreducible factors.
+The brute-force path reduces the linear operator behind the defining
+equation to a triangular factor, one frame direction at a time, and takes
+its SVD nullspace; it is the independent oracle for the structured
+degree-2 and degree-3 solvers, which go through the de Rham decomposition
+and the classification of the irreducible factors.
 """
 from __future__ import annotations
 
@@ -73,20 +74,21 @@ def _connections(F: AdaptedFrame):
     return [nabla_matrix(F, eye[:, a]) for a in range(F.n)]
 
 
-def _killing_terms(L, F: AdaptedFrame, nmats, omega: Form):
-    """The two sides of the Killing equation over the frame.
+def _differential(L, F: AdaptedFrame, omega: Form):
+    """d omega, or None for a top-degree form, whose differential is zero."""
+    return lie_diff(L, F, omega) if omega.degree < F.n else None
 
-    Returns the n forms nabla_{e_a} omega and the n forms e_a -| d omega,
-    for the connection matrices `nmats` of the frame.  d omega is computed
-    once; it is zero in top degree.
+
+def _killing_terms(nmat, x, omega: Form, d_omega):
+    """The Killing equation of omega in the frame direction x.
+
+    Returns nabla_x omega and the defect nabla_x omega - (x -| d omega)/(k+1),
+    for the connection matrix `nmat` of x and `d_omega` from `_differential`.
     """
-    n = F.n
-    nablas = [skew_extend(m, omega) for m in nmats]
-    if omega.degree >= n:
-        return nablas, [Form(n, omega.degree)] * n
-    d_omega = lie_diff(L, F, omega)
-    eye = np.eye(n)
-    return nablas, [contract(eye[:, a], d_omega) for a in range(n)]
+    nab = skew_extend(nmat, omega)
+    if d_omega is None:
+        return nab, nab
+    return nab, nab - (1.0 / (omega.degree + 1)) * contract(x, d_omega)
 
 
 def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
@@ -96,11 +98,12 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     contraction of the differential) and the polarized self-contraction
     residual, and checks that the two verdicts agree.
     """
-    n, k = F.n, omega.degree
+    n = F.n
     eye = np.eye(n)
-    nablas, d_parts = _killing_terms(L, F, _connections(F), omega)
-    res1 = max((nab - (1.0 / (k + 1)) * dp).norm()
-               for nab, dp in zip(nablas, d_parts))
+    d_omega = _differential(L, F, omega)
+    nablas, defects = zip(*(_killing_terms(m, eye[:, a], omega, d_omega)
+                            for a, m in enumerate(_connections(F))))
+    res1 = max(dft.norm() for dft in defects)
     res2 = max((contract(eye[:, a], nablas[b])
                 + contract(eye[:, b], nablas[a])).norm()
                for a in range(n) for b in range(a, n))
@@ -114,19 +117,27 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
 
 
 def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSpace:
-    """Nullspace of the stacked Killing operator; oracle for any degree."""
+    """Nullspace of the stacked Killing operator; oracle for any degree.
+
+    The operator stacks one C(n,k) x C(n,k) block per frame direction, the
+    defects of the basis k-forms.  Each block is folded into a running
+    triangular factor R of the stack (row-blocked QR), so the stack itself
+    never exists; R has its singular values, so the rank decision on R is
+    the decision on the operator.
+    """
     n = F.n
-    nmats = _connections(F)
-    cols = []
-    for t in basis_tuples(n, k):
-        nablas, d_parts = _killing_terms(L, F, nmats, Form.basis(n, k, t))
-        cols.append(np.concatenate([(nab - (1.0 / (k + 1)) * dp).vec
-                                    for nab, dp in zip(nablas, d_parts)]))
-    op = np.array(cols).T
+    eye = np.eye(n)
+    forms = [Form.basis(n, k, t) for t in basis_tuples(n, k)]
+    diffs = [_differential(L, F, w) for w in forms]
     scale = np.abs(F.constants).max()
-    if scale:
-        op /= scale         # unit-scaled in place (see linalg), linear in c
-    null = nullspace(op, tol)
+    r = np.zeros((0, len(forms)))
+    for a, nmat in enumerate(_connections(F)):
+        block = np.array([_killing_terms(nmat, eye[:, a], w, dw)[1].vec
+                          for w, dw in zip(forms, diffs)]).T
+        if scale:
+            block /= scale      # unit-scaled in place (see linalg), linear in c
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    null = nullspace(r, tol)
     basis = [_normalize(Form(n, k, null[:, i])) for i in range(null.shape[1])]
     return KillingSpace(degree=k, basis=basis, method="brute", algebra_ref=L.name)
 

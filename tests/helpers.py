@@ -3,14 +3,16 @@
 Everything here is deliberately independent of the library's own code
 paths: the Koszul-formula connection is evaluated from its raw definition,
 the component-equation checks for Killing 2- and 3-forms extract the
-matrices straight out of the coefficient tables, and the intertwiner
-reference solves the full bracket system (sharing only the rank policy of
-`nullspace`).
+matrices straight out of the coefficient tables, the intertwiner
+reference solves the full bracket system, and the brute-oracle reference
+takes the nullspace of the full stacked Killing operator (both sharing
+only the rank policy of `nullspace`).
 """
 import numpy as np
 
-from nilkilling import Form, MetricLieAlgebra
-from nilkilling.forms import basis_tuples
+from nilkilling import Form, MetricLieAlgebra, nabla_matrix
+from nilkilling.forms import basis_tuples, contract, lie_diff, skew_extend
+from nilkilling.killing import _normalize
 from nilkilling.linalg import nullspace
 
 
@@ -80,6 +82,33 @@ def full_intertwiners(constants, tol, symmetric):
     system -= np.einsum("qca,cbp->qabp", basis, constants)
     null = nullspace(system.reshape(rows.size, -1).T, tol)
     return list(np.einsum("qr,qij->rij", null, basis))
+
+
+def brute_reference(L, F, k, tol):
+    """Reference for the brute oracle: the full stacked Killing operator.
+
+    One column per basis k-form e^t, stacking over the frame directions a
+    the defects nabla_a e^t - (e_a -| d e^t)/(k+1), all n*C(n,k) rows at
+    once, unit-scaled by the largest frame constant.  Returns the
+    normalized forms of its nullspace, the basis the oracle reports.
+    """
+    n = F.n
+    eye = np.eye(n)
+    nmats = [nabla_matrix(F, eye[:, a]) for a in range(n)]
+    cols = []
+    for t in basis_tuples(n, k):
+        w = Form.basis(n, k, t)
+        dw = lie_diff(L, F, w) if k < n else None
+        col = []
+        for a in range(n):
+            nab = skew_extend(nmats[a], w)
+            dp = contract(eye[:, a], dw) if dw is not None else Form(n, k)
+            col.append((nab - (1.0 / (k + 1)) * dp).vec)
+        cols.append(np.concatenate(col))
+    op = np.array(cols).T
+    scale = np.abs(F.constants).max()
+    null = nullspace(op / scale if scale else op, tol)
+    return [_normalize(Form(n, k, v)) for v in null.T]
 
 
 def random_form(n, k, rng):

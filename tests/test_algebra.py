@@ -13,6 +13,7 @@ from nilkilling import (
     j_trace_form,
     levi_civita,
     nabla_matrix,
+    decompose,
     validate,
 )
 from nilkilling.algebra import rotate_constants
@@ -56,6 +57,12 @@ def test_validate_three_step_violation():
     L = MetricLieAlgebra(4, ["e1", "e2", "e3", "e4"], c, np.eye(4))
     report = validate(L)
     assert any("2-step" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("entry", [validate, adapted_frame, decompose])
+def test_zero_dimensional_algebra_refused(entry):
+    with pytest.raises(ValueError, match="algebra dimension must be positive"):
+        entry(euclidean(0))
 
 
 def test_validate_indefinite_gram():

@@ -22,7 +22,9 @@ from nilkilling import (
     wedge,
 )
 from nilkilling import killing
-from nilkilling.linalg import span_distance
+from nilkilling.linalg import DEFAULT_TOL, span_distance
+
+from helpers import brute_reference, random_spd_metric, with_metric
 
 
 def e(n, i):
@@ -232,6 +234,60 @@ def test_differential_once_per_form_connection_once_per_direction(monkeypatch):
     del diffs[:], conns[:]
     is_parallel(L, F, Form.basis(5, 3, (0, 1, 4)))
     assert (len(diffs), len(conns)) == (0, 5)
+
+
+def _reference_cases():
+    """Catalog entries, the oracle ladder's sparse sums, random metrics."""
+    algebras = [catalog.build(name) for name in catalog.catalog_names()]
+    algebras += [heisenberg(l) for l in range(1, 6)]
+    algebras += [complex_heisenberg(lam) for lam in (0.5, 1.0, 2.0)]
+    algebras += [direct_sum([euclidean(3), heisenberg(1), heisenberg(1)]),
+                 direct_sum([free_two_step_3(), heisenberg(2)])]
+    rng = np.random.default_rng(11)
+    for L in [heisenberg(1), heisenberg(2), complex_heisenberg(1.0),
+              free_two_step_3(), direct_sum([euclidean(2), heisenberg(1)])]:
+        algebras.append(with_metric(L, random_spd_metric(L.dim, rng)))
+    return {L.name: L for L in algebras}
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_brute_matches_full_operator_reference(name):
+    L = REFERENCE_CASES[name]
+    F = adapted_frame(L)
+    for k in range(1, min(L.dim, 4 if L.dim <= 9 else 3) + 1):
+        got = killing_nullspace_brute(L, F, k)
+        want = brute_reference(L, F, k, DEFAULT_TOL)
+        assert got.dim == len(want), (name, k)
+        if got.dim:
+            qa, _ = np.linalg.qr(got.matrix())
+            qb, _ = np.linalg.qr(np.array([w.vec for w in want]).T)
+            assert span_distance(qa, qb) < 1e-12, (name, k)
+        if got.dim == 1:
+            assert np.abs(got.basis[0].vec - want[0].vec).max() < 1e-12, (name, k)
+
+
+def test_brute_working_set_is_one_block_pair(monkeypatch):
+    # n32 + h5: n = 11, C(11, 3) = 165; the full stack would be 1815 x 165
+    L = direct_sum([free_two_step_3(), heisenberg(2)])
+    F = adapted_frame(L)
+    seen = {"nullspace": [], "qr": []}
+
+    def recorder(name, original):
+        def record(a, *args, **kwargs):
+            seen[name].append(np.shape(a))
+            return original(a, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(killing, "nullspace",
+                        recorder("nullspace", killing.nullspace))
+    monkeypatch.setattr(np.linalg, "qr", recorder("qr", np.linalg.qr))
+    assert killing_nullspace_brute(L, F, 3).dim == 2
+    assert len(seen["nullspace"]) == 1 and seen["qr"]
+    cells = [int(np.prod(s)) for shapes in seen.values() for s in shapes]
+    assert max(cells) <= 2 * 165 ** 2
 
 
 def test_structured_forms_are_normalized():
