@@ -26,4 +26,4 @@ print("alpha2 = J|_v:\n", data[0].alpha2)
 print("alpha0 = 3 J|_z:\n", data[0].alpha0)
 
 worst = max(nabla_form(L, F, np.eye(6)[:, a], alpha).norm() for a in range(6))
-print("\nparallel?", is_parallel(L, F, alpha), "- max |nabla alpha| =", worst)
+print("\nparallel?", is_parallel(F, alpha), "- max |nabla alpha| =", worst)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -287,7 +288,9 @@ def _add_common(parser, with_input=True, tol=True, catalog_params=True):
         parser.add_argument("--d", type=int, default=1)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="nilkilling",
         description="Killing forms on metric 2-step nilpotent Lie algebras",

@@ -165,9 +165,12 @@ def wedge(omega: Form, eta: Form) -> Form:
 
 def contract(x, omega: Form) -> Form:
     """Interior product of a frame-coordinate vector with a form."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (omega.n,):
+        raise ValueError("vector must have shape (%d,), got %s"
+                         % (omega.n, x.shape))
     if omega.degree == 0:
         return Form(omega.n, 0)
-    x = np.asarray(x, dtype=float)
     out = Form(omega.n, omega.degree - 1)
     pos = tuple_index(omega.n, omega.degree - 1)
     for t, c in omega.terms():
@@ -186,6 +189,9 @@ def skew_extend(f, omega: Form, tol=DEFAULT_TOL) -> Form:
     action on a 1-form dual to u is the 1-form dual to f(u).
     """
     f = np.asarray(f, dtype=float)
+    if f.shape != (omega.n, omega.n):
+        raise ValueError("endomorphism must have shape (%d, %d), got %s"
+                         % (omega.n, omega.n, f.shape))
     if f.size and np.abs(f + f.T).max() > tol * np.abs(f).max():
         raise NotSkew("endomorphism is not skew-symmetric")
     out = Form(omega.n, omega.degree)

@@ -142,7 +142,7 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
     return KillingSpace(degree=k, basis=basis, method="brute", algebra_ref=L.name)
 
 
-def killgen_residuals(L, F: AdaptedFrame, omega: Form):
+def killgen_residuals(F: AdaptedFrame, omega: Form):
     """Per-bidegree residual table of the three component equations.
 
     Keys are ('pp1', l), ('pp2', l), ('pp3', l) for l = 0..k-1; the value is
@@ -222,7 +222,7 @@ def killgen_residuals(L, F: AdaptedFrame, omega: Form):
     return table
 
 
-def is_parallel(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
+def is_parallel(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
     worst = max(skew_extend(m, omega).norm() for m in _connections(F))
     return worst <= tol * np.abs(F.constants).max() * omega.norm()

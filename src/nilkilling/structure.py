@@ -8,6 +8,7 @@ formulas for Killing 2- and 3-forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -66,6 +67,19 @@ class Decomposition:
         return comb(d, 2) + r2, comb(d, 3) + r3, d, r2, r3
 
 
+@lru_cache(maxsize=None)
+def _block_triu_indices(pv, pz, symmetric):
+    """Upper-triangle (row, col) indices of the pv + pz block-diagonal
+    matrices, diagonal included when `symmetric`; read-only, shared by
+    every solve of these shapes."""
+    diag = 0 if symmetric else 1
+    rv, cv = np.triu_indices(pv, diag)
+    rz, cz = np.triu_indices(pz, diag)
+    rows, cols = np.concatenate([rv, pv + rz]), np.concatenate([cv, pv + cz])
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _solve_intertwiners(constants, pv, tol, symmetric):
     """Basis of {S : S[x,y] = [Sx,y]} among symmetric or skew matrices.
 
@@ -80,10 +94,7 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
     Frobenius-orthonormal.
     """
     p = constants.shape[0]
-    diag = 0 if symmetric else 1
-    rv, cv = np.triu_indices(pv, diag)
-    rz, cz = np.triu_indices(p - pv, diag)
-    rows, cols = np.concatenate([rv, pv + rz]), np.concatenate([cv, pv + cz])
+    rows, cols = _block_triu_indices(pv, p - pv, symmetric)
     if not rows.size:
         return []
     basis = np.zeros((rows.size, p, p))

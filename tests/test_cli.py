@@ -1,4 +1,5 @@
 """Command-line interface: commands, output formats, exit codes."""
+import argparse
 import json
 import subprocess
 import sys
@@ -217,3 +218,47 @@ def test_bad_flags_exit_2():
 def test_flags_a_command_does_not_read_exit_2():
     assert run_cli("tables", "--l", "2").returncode == 2
     assert run_cli("catalog", "list", "--tol", "1e-6").returncode == 2
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert cli.main(["catalog", "list"]) == 0
+    assert built.count("nilkilling") == 1
+    assert capsys.readouterr().out.splitlines().count("heisenberg") == 3
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:    # argparse rejects a flag
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    calls = [
+        ["killing", "catalog:h5", "--degree", "3", "--json"],
+        ["killing", "catalog:h5", "--json"],
+        ["analyze", "catalog:complex_heisenberg", "--lambda", "2", "--json"],
+        ["analyze", "catalog:complex_heisenberg", "--json"],
+        ["killing", "catalog:h5", "--bogus"],
+        ["killing", "catalog:h5", "--json"],
+    ]
+    reused = [_main_in_process(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_main_in_process(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert json.loads(reused[1][1])["degree"] == 2
+    assert reused[2][1] != reused[3][1]

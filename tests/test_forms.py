@@ -74,6 +74,13 @@ def test_contract_basics():
     assert np.allclose(out.vec, -Form.basis(3, 2, (0, 2)).vec)
 
 
+@pytest.mark.parametrize("x", [[1, 0, 0, 5, 7], [1, 0]])
+def test_contract_rejects_wrong_length(x):
+    # a too-long vector used to lose its trailing entries silently
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        contract(x, Form(3, 1, [1, 2, 3]))
+
+
 def test_contract_squares_to_zero():
     rng = np.random.default_rng(5)
     w = random_form(6, 3, rng)
@@ -115,6 +122,13 @@ def test_skew_extend_zero_map():
 def test_skew_extend_rejects_non_skew():
     with pytest.raises(NotSkew):
         skew_extend(np.eye(3), oneform(e(3, 0)))
+
+
+@pytest.mark.parametrize("size", [4, 2])
+def test_skew_extend_rejects_wrong_shape(size):
+    f = random_skew(size, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        skew_extend(f, oneform(e(3, 0)))
 
 
 def test_skew_extend_derivation_and_commutator():

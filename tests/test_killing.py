@@ -83,7 +83,7 @@ def test_killgen_zero_on_killing_form():
     L = heisenberg(1)
     F = adapted_frame(L)
     vol = Form.basis(3, 3, (0, 1, 2))
-    table = killgen_residuals(L, F, vol)
+    table = killgen_residuals(F, vol)
     assert max(table.values()) < 1e-12
 
 
@@ -92,7 +92,7 @@ def test_killgen_flags_alpha1_component():
     L = complex_heisenberg(1.0)
     F = adapted_frame(L)
     w = Form.basis(6, 3, (0, 4, 5))
-    table = killgen_residuals(L, F, w)
+    table = killgen_residuals(F, w)
     assert table[("pp3", 0)] > 1e-3
 
 
@@ -101,7 +101,7 @@ def test_killgen_flags_bad_two_form():
     L = complex_heisenberg(1.0)
     F = adapted_frame(L)
     w = Form.basis(6, 2, (0, 1))
-    table = killgen_residuals(L, F, w)
+    table = killgen_residuals(F, w)
     assert table[("pp3", 1)] > 1e-3
 
 
@@ -111,7 +111,7 @@ def test_killgen_consistent_with_residual():
     F = adapted_frame(L)
     for _ in range(10):
         w = Form(6, 2, rng.normal(size=15))
-        table = killgen_residuals(L, F, w)
+        table = killgen_residuals(F, w)
         killing = killing_residual(L, F, w) < 1e-9 * max(1.0, w.norm())
         assert (max(table.values()) < 1e-8 * max(1.0, w.norm())) == killing
 
@@ -176,15 +176,15 @@ def test_is_parallel():
     L = complex_heisenberg(1.0)
     F = adapted_frame(L)
     alpha = killing_nullspace_brute(L, F, 2).basis[0]
-    assert not is_parallel(L, F, alpha)
+    assert not is_parallel(F, alpha)
 
     h3 = heisenberg(1)
     F3 = adapted_frame(h3)
-    assert is_parallel(h3, F3, Form.basis(3, 3, (0, 1, 2)))
+    assert is_parallel(F3, Form.basis(3, 3, (0, 1, 2)))
 
     flat = euclidean(3)
     Ff = adapted_frame(flat)
-    assert is_parallel(flat, Ff, Form.basis(3, 2, (0, 1)))
+    assert is_parallel(Ff, Form.basis(3, 2, (0, 1)))
 
 
 def test_degree_one_killing_vector_condition():
@@ -232,7 +232,7 @@ def test_differential_once_per_form_connection_once_per_direction(monkeypatch):
     killing_residual(L, F, Form.basis(5, 3, (0, 1, 4)))
     assert (len(diffs), len(conns)) == (1, 5)
     del diffs[:], conns[:]
-    is_parallel(L, F, Form.basis(5, 3, (0, 1, 4)))
+    is_parallel(F, Form.basis(5, 3, (0, 1, 4)))
     assert (len(diffs), len(conns)) == (0, 5)
 
 

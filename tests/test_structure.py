@@ -279,3 +279,29 @@ def test_compatible_metric_rejects_bad_j():
     skew = np.kron(np.diag([1.0, 1.0, -1.0]), ROT)  # squares to -Id,
     with pytest.raises(NotComplexStructure):        # but not bi-invariant
         compatible_metric(L, skew, np.eye(6))
+
+
+def test_block_index_sets_are_read_only():
+    rows, cols = structure._block_triu_indices(2, 1, True)
+    for arr in (rows, cols):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_same_block_shapes_reuse_index_sets(monkeypatch):
+    built = []
+    triu = np.triu_indices
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return triu(*args, **kwargs)
+
+    structure._block_triu_indices.cache_clear()
+    monkeypatch.setattr(np, "triu_indices", counting)
+    L = direct_sum([heisenberg(1), heisenberg(2)])
+    decompose(L)
+    assert built
+    del built[:]
+    q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(8, 8)))
+    decompose(change_user_basis(L, q))
+    assert built == []
