@@ -4,7 +4,7 @@ naturally-reductive-type algebras from compact Lie algebra representations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,7 +141,6 @@ class CatalogEntry:
     builder: Optional[Callable[[], MetricLieAlgebra]]
     expected: Optional[tuple] = None        # (dimK2, dimK3)
     construction_external: bool = False
-    params: dict = field(default_factory=dict)
 
     @property
     def buildable(self):

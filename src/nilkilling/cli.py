@@ -134,8 +134,12 @@ def cmd_analyze(args):
 
 
 def cmd_killing(args):
-    alg = _validated(load_algebra(args.input, args.lam, args.l, args.d), args.tol)
     k = args.degree
+    if args.method != "brute" and k not in (2, 3):
+        raise CliError(
+            EXIT_PARSE, "structured solvers exist for degrees 2 and 3 only"
+        )
+    alg = _validated(load_algebra(args.input, args.lam, args.l, args.d), args.tol)
     rec = {"schema": SCHEMA, "name": alg.name, "degree": k}
     brute = structured = None
     if args.method in ("brute", "both"):
@@ -143,14 +147,8 @@ def cmd_killing(args):
         brute = killing_nullspace_brute(alg, F, k, args.tol)
         rec["brute_dim"] = brute.dim
     if args.method in ("structured", "both"):
-        if k == 2:
-            structured, _ = solve_killing2(alg, args.tol)
-        elif k == 3:
-            structured, _ = solve_killing3(alg, args.tol)
-        else:
-            raise CliError(
-                EXIT_PARSE, "structured solvers exist for degrees 2 and 3 only"
-            )
+        solve = solve_killing2 if k == 2 else solve_killing3
+        structured, _ = solve(alg, args.tol)
         rec["structured_dim"] = structured.dim
     if brute is not None and structured is not None:
         residual = _space_mismatch(brute, structured)
@@ -325,8 +323,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # a rejected flag (2) or --help (0)
+        return exc.code
     if getattr(args, "degree", 1) < 1:
         print("degree must be >= 1", file=sys.stderr)
         return EXIT_PARSE

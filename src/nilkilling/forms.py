@@ -248,15 +248,12 @@ def nabla_form(L: MetricLieAlgebra, F: AdaptedFrame, y, omega: Form) -> Form:
 
 
 def bigrade(F: AdaptedFrame, omega: Form, l: int) -> Form:
-    """Projection onto the component with l v-legs and degree-l z-legs."""
+    """Projection onto the component with l v-legs and degree - l z-legs."""
     if not 0 <= l <= omega.degree:
         raise ValueError("bigrade index out of range")
-    vset = set(F.v_indices)
-    out = omega.copy()
-    for i, t in enumerate(basis_tuples(omega.n, omega.degree)):
-        if sum(1 for x in t if x in vset) != l:
-            out.vec[i] = 0.0
-    return out
+    legs = np.array(basis_tuples(omega.n, omega.degree), dtype=int)
+    mask = np.isin(legs, F.v_indices).sum(axis=1) == l
+    return Form(omega.n, omega.degree, np.where(mask, omega.vec, 0.0))
 
 
 def transform(omega: Form, matrix) -> Form:

@@ -4,7 +4,9 @@ The brute-force path reduces the linear operator behind the defining
 equation to a triangular factor, one frame direction at a time, and takes
 its SVD nullspace; it is the independent oracle for the structured
 degree-2 and degree-3 solvers, which go through the de Rham decomposition
-and the classification of the irreducible factors.
+and the classification of the irreducible factors.  The component table
+of the equation in the v/z bigrading is read off the polarized equation
+P(x, y) = x -| nabla_y omega + y -| nabla_x omega, one bigrade at a time.
 """
 from __future__ import annotations
 
@@ -20,10 +22,8 @@ from .forms import (
     bigrade,
     contract,
     lie_diff,
-    oneform,
     skew_extend,
     transform,
-    wedge,
 )
 from .linalg import DEFAULT_TOL, nullspace
 
@@ -91,6 +91,17 @@ def _killing_terms(nmat, x, omega: Form, d_omega):
     return nab, nab - (1.0 / (omega.degree + 1)) * contract(x, d_omega)
 
 
+def _polarized(nablas):
+    """P(e_a, e_b) = e_a -| nabla_{e_b} omega + e_b -| nabla_{e_a} omega, a <= b.
+
+    `nablas` are the n forms nabla_{e_a} omega; P vanishes exactly when
+    nabla omega is totally skew, i.e. when omega is Killing.
+    """
+    eye = np.eye(len(nablas))
+    return {(a, b): contract(eye[:, a], nablas[b]) + contract(eye[:, b], nablas[a])
+            for a in range(len(nablas)) for b in range(a, len(nablas))}
+
+
 def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     """Max deviation from the Killing equation over the frame.
 
@@ -98,15 +109,12 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     contraction of the differential) and the polarized self-contraction
     residual, and checks that the two verdicts agree.
     """
-    n = F.n
-    eye = np.eye(n)
+    eye = np.eye(F.n)
     d_omega = _differential(L, F, omega)
     nablas, defects = zip(*(_killing_terms(m, eye[:, a], omega, d_omega)
                             for a, m in enumerate(_connections(F))))
     res1 = max(dft.norm() for dft in defects)
-    res2 = max((contract(eye[:, a], nablas[b])
-                + contract(eye[:, b], nablas[a])).norm()
-               for a in range(n) for b in range(a, n))
+    res2 = max(p.norm() for p in _polarized(nablas).values())
     # both residuals are bilinear in the constants and omega
     thresh = tol * np.abs(F.constants).max() * omega.norm()
     if (res1 <= thresh) != (res2 <= 10 * thresh):
@@ -145,81 +153,20 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
 def killgen_residuals(F: AdaptedFrame, omega: Form):
     """Per-bidegree residual table of the three component equations.
 
-    Keys are ('pp1', l), ('pp2', l), ('pp3', l) for l = 0..k-1; the value is
-    the max residual norm over frame vectors x in v and z in z.
+    Keys are ('pp1', l), ('pp2', l), ('pp3', l) for l = 0..k-1.  The three
+    families are the bigrade-l parts of the polarized equation P: pp1 is the
+    max of |P(x, x)_l| over frame vectors x in v, pp2 that of |P(z, z)_l|
+    over z in z, and pp3 that of 2|P(x, z)_l| over both.
     """
-    n = F.n
-    nv = F.nv
-    k = omega.degree
-    eye = np.eye(n)
-    vvecs = [eye[:, i] for i in F.v_indices]
-    zvecs = [eye[:, i] for i in F.z_indices]
-
-    def grade(l):
-        if 0 <= l <= k:
-            return bigrade(F, omega, l)
-        return Form(n, k)
-
-    def bracket_vec(x, e):
-        return np.einsum("a,b,abc->c", x, e, F.constants)
-
-    def j_apply(z, x):
-        out = np.zeros(n)
-        for t, jt in enumerate(F.j_matrices):
-            out[:nv] += z[nv + t] * (jt @ x[:nv])
-        return out
-
-    table = {}
-    for l in range(k):
-        # first family: bracket-wedge of the double contraction by x
-        res1 = 0.0
-        for x in vvecs:
-            lhs = Form(n, k - 1)
-            for e in vvecs:
-                lhs = lhs + wedge(
-                    oneform(bracket_vec(x, e)), contract(x, contract(e, grade(l + 2)))
-                )
-            rhs = Form(n, k - 1)
-            for zt in zvecs:
-                rhs = rhs + wedge(
-                    oneform(j_apply(zt, x)), contract(x, contract(zt, grade(l)))
-                )
-            res1 = max(res1, (lhs - rhs).norm())
-        table[("pp1", l)] = res1
-
-        res2 = 0.0
-        for z in zvecs:
-            acc = Form(n, k - 1)
-            for e in vvecs:
-                acc = acc + wedge(
-                    oneform(j_apply(z, e)), contract(z, contract(e, grade(l)))
-                )
-            res2 = max(res2, acc.norm())
-        table[("pp2", l)] = res2
-
-        res3 = 0.0
-        for x in vvecs:
-            for z in zvecs:
-                lhs = Form(n, k - 1)
-                for e in vvecs:
-                    lhs = lhs + wedge(
-                        oneform(bracket_vec(x, e)),
-                        contract(z, contract(e, grade(l + 1))),
-                    )
-                rhs = 2.0 * contract(j_apply(z, x), grade(l + 1))
-                for e in vvecs:
-                    rhs = rhs + wedge(
-                        oneform(j_apply(z, e)),
-                        contract(x, contract(e, grade(l + 1))),
-                    )
-                for zt in zvecs:
-                    rhs = rhs + wedge(
-                        oneform(j_apply(zt, x)),
-                        contract(z, contract(zt, grade(l - 1))),
-                    )
-                res3 = max(res3, (lhs - rhs).norm())
-        table[("pp3", l)] = res3
-    return table
+    pol = _polarized([skew_extend(m, omega) for m in _connections(F)])
+    v, z = F.v_indices, F.z_indices
+    families = {
+        "pp1": [pol[a, a] for a in v],
+        "pp2": [pol[t, t] for t in z],
+        "pp3": [2.0 * pol[a, t] for a in v for t in z],
+    }
+    return {(name, l): max((bigrade(F, p, l).norm() for p in forms), default=0.0)
+            for l in range(omega.degree) for name, forms in families.items()}
 
 
 def is_parallel(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:

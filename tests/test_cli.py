@@ -117,6 +117,17 @@ def test_killing_structured_degree_4_rejected():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("degree", ["1", "4"])
+def test_structured_degree_refused_before_brute(monkeypatch, capsys, degree):
+    calls = []
+    monkeypatch.setattr(cli, "killing_nullspace_brute",
+                        lambda *args: calls.append(args))
+    argv = ["killing", "catalog:h3", "--degree", degree, "--method", "both"]
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert "degrees 2 and 3 only" in capsys.readouterr().err
+
+
 def test_killing_forms_serialized():
     rec = json.loads(run_cli("killing", "catalog:heisenberg", "--degree", "3",
                              "--json").stdout)
@@ -215,6 +226,14 @@ def test_bad_flags_exit_2():
         assert "Traceback" not in out.stderr
 
 
+def test_main_returns_parser_exit_codes(capsys):
+    # argparse's own exits come back as return values, not SystemExit
+    assert cli.main(["killing", "catalog:h5", "--bogus"]) == 2
+    assert "--bogus" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert "usage: nilkilling" in capsys.readouterr().out
+
+
 def test_flags_a_command_does_not_read_exit_2():
     assert run_cli("tables", "--l", "2").returncode == 2
     assert run_cli("catalog", "list", "--tol", "1e-6").returncode == 2
@@ -237,11 +256,7 @@ def test_main_builds_parser_once(monkeypatch, capsys):
 
 
 def _main_in_process(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:    # argparse rejects a flag
-        code = exc.code
-    return code, capsys.readouterr().out
+    return cli.main(argv), capsys.readouterr().out
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

@@ -1,4 +1,6 @@
 """Killing equation: residuals, the brute-force oracle, structured solvers."""
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -105,13 +107,25 @@ def test_killgen_flags_bad_two_form():
     assert table[("pp3", 1)] > 1e-3
 
 
+def test_killgen_one_forms_h3():
+    # the dual of the central z is Killing, the dual of e1 is not
+    L = heisenberg(1)
+    F = adapted_frame(L)
+    central = killgen_residuals(F, oneform(e(3, 2)))
+    assert sorted(central) == [("pp1", 0), ("pp2", 0), ("pp3", 0)]
+    assert max(central.values()) < 1e-12
+    assert max(killgen_residuals(F, oneform(e(3, 0))).values()) > 1e-3
+
+
 def test_killgen_consistent_with_residual():
     rng = np.random.default_rng(21)
     L = complex_heisenberg(1.0)
     F = adapted_frame(L)
-    for _ in range(10):
-        w = Form(6, 2, rng.normal(size=15))
+    for k in (2,) * 10 + (1, 3, 4) * 4:
+        w = Form(6, k, rng.normal(size=comb(6, k)))
         table = killgen_residuals(F, w)
+        assert sorted(table) == sorted((fam, l) for fam in ("pp1", "pp2", "pp3")
+                                       for l in range(k))
         killing = killing_residual(L, F, w) < 1e-9 * max(1.0, w.norm())
         assert (max(table.values()) < 1e-8 * max(1.0, w.norm())) == killing
 
