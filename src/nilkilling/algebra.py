@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSkew
-from .linalg import (
-    DEFAULT_TOL,
-    _unit_scaled,
-    column_space,
-    gram_orthonormalize,
-    nullspace,
-)
+from .errors import InvalidAlgebra, NotSkew
+from .linalg import DEFAULT_TOL, _unit_scaled, gram_orthonormalize, nullspace
 
 
 def _is_int(x):
@@ -176,7 +170,7 @@ class AdaptedFrame:
     frame: np.ndarray
     v_indices: tuple
     z_indices: tuple
-    a_indices: tuple
+    a_indices: tuple             # trailing z-vectors spanning ker j
     j_matrices: tuple
     constants: np.ndarray
 
@@ -193,18 +187,14 @@ class AdaptedFrame:
         return len(self.z_indices)
 
 
-def _require_positive_dim(L: MetricLieAlgebra):
-    """Refuse a zero-dimensional algebra, which has no frame or constants."""
-    if L.dim < 1:
-        raise ValueError("algebra dimension must be positive")
-
-
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check antisymmetry, 2-step nilpotency and positive-definiteness.
 
-    A zero-dimensional algebra raises ValueError.
+    A zero-dimensional algebra, which has no frame or constants, raises
+    ValueError.
     """
-    _require_positive_dim(L)
+    if L.dim < 1:
+        raise ValueError("algebra dimension must be positive")
     c = L.structure_constants
     violations = []
     scale = np.abs(c).max()
@@ -276,14 +266,15 @@ def _frame_constants(L, frame):
     return rotate_constants(L.structure_constants, frame, L.gram @ frame)
 
 
-def frame_from_constants(frame, constants, nv, tol=DEFAULT_TOL) -> AdaptedFrame:
+def frame_from_constants(frame, constants, nv, na, tol=DEFAULT_TOL) -> AdaptedFrame:
     """Adapted frame whose first `nv` columns span v and the rest span z.
 
     `constants` are the structure constants in the orthonormal frame; the
-    j-map of the t-th z-vector is the z_t-component of the v x v block, and
-    the z-vectors with vanishing j-map form the abelian kernel.
+    j-map of the t-th z-vector is the z_t-component of the v x v block.
+    The last `na` z-vectors span the abelian kernel ker j, as decided by
+    the caller.
     """
-    nz = constants.shape[0] - nv
+    n = constants.shape[0]
     block = constants[:nv, :nv, nv:]
     scale = np.abs(constants).max()
     if np.abs(block + block.transpose(1, 0, 2)).max(initial=0.0) > 100 * tol * scale:
@@ -291,10 +282,9 @@ def frame_from_constants(frame, constants, nv, tol=DEFAULT_TOL) -> AdaptedFrame:
     return AdaptedFrame(
         frame=frame,
         v_indices=tuple(range(nv)),
-        z_indices=tuple(range(nv, nv + nz)),
-        a_indices=tuple(nv + t for t in range(nz)
-                        if np.abs(block[:, :, t]).max(initial=0.0) <= tol * scale),
-        j_matrices=tuple(block[:, :, t].T for t in range(nz)),
+        z_indices=tuple(range(nv, n)),
+        a_indices=tuple(range(n - na, n)),
+        j_matrices=tuple(block[:, :, t].T for t in range(n - nv)),
         constants=constants,
     )
 
@@ -302,13 +292,17 @@ def frame_from_constants(frame, constants, nv, tol=DEFAULT_TOL) -> AdaptedFrame:
 def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame:
     """Build a g-orthonormal frame split into v-part and z-part.
 
-    The center comes from the SVD nullspace of the stacked ad matrices, v is
-    its g-orthogonal complement, both parts are orthonormalized via a
-    Cholesky factor, and the z-frame is rotated so that ker j is spanned by
-    trailing frame vectors.  Works for abelian input too (v empty); a
-    zero-dimensional algebra raises ValueError.
+    The one gate of the package: an algebra that fails `validate` raises
+    InvalidAlgebra, a zero-dimensional one ValueError.  The center comes
+    from the SVD nullspace of the stacked ad matrices, v is its
+    g-orthogonal complement, both parts are orthonormalized via a Cholesky
+    factor, and the z-frame is rotated so that ker j, the one SVD nullspace
+    of the stacked j-maps, is spanned by trailing frame vectors.  Works for
+    abelian input too (v empty).
     """
-    _require_positive_dim(L)
+    report = validate(L, tol)
+    if not report.ok:
+        raise InvalidAlgebra("invalid algebra: " + "; ".join(report.violations))
     n = L.dim
     z_raw = _center_columns(L, tol)
     v_raw = (nullspace(_unit_scaled(z_raw.T @ L.gram), tol) if z_raw.shape[1] < n
@@ -318,12 +312,13 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     nv, nz = v_cols.shape[1], z_cols.shape[1]
     frame = np.concatenate([v_cols, z_cols], axis=1)
     const = _frame_constants(L, frame)
+    na = 0
     if nz:
-        # rotate the z-frame so the kernel of z -> j(z) is axis-aligned
-        jstack = _unit_scaled(const[:nv, :nv, nv:].reshape(-1, nz))
-        ker = nullspace(jstack, tol)
-        img = column_space(jstack.T, tol)
-        if img.shape[1] + ker.shape[1] == nz and ker.shape[1] not in (0, nz):
+        ker = nullspace(_unit_scaled(const[:nv, :nv, nv:].reshape(-1, nz)), tol)
+        na = ker.shape[1]
+        if 0 < na < nz:
+            # the image of z -> j(z) is the orthogonal complement of ker j
+            img = np.linalg.qr(ker, mode="complete")[0][:, na:]
             z_cols = np.concatenate(
                 [
                     _canonical_span_basis(z_cols @ img, L.gram),
@@ -333,7 +328,7 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
             )
             frame = np.concatenate([v_cols, z_cols], axis=1)
             const = _frame_constants(L, frame)
-    return frame_from_constants(frame, const, nv, tol)
+    return frame_from_constants(frame, const, nv, na, tol)
 
 
 def nabla_matrix(F: AdaptedFrame, y):

@@ -3,7 +3,8 @@
 Commands: analyze, killing, decompose, catalog list|show, tables.
 Inputs are either algebra JSON files or the pseudo-path catalog:<name>.
 
-Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 numerical failure
+Exit codes: 0 ok, 2 parse error, 3 validation failure (InvalidAlgebra,
+raised by the one gate `adapted_frame`), 4 numerical failure
 (NumericalRankFailure, DecompositionAmbiguous, InternalInvariantViolation,
 NotSkew), 5 oracle/table mismatch.
 """
@@ -17,10 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import catalog as cat
-from .algebra import MetricLieAlgebra, adapted_frame, j_trace_form, validate
+from .algebra import MetricLieAlgebra, adapted_frame, j_trace_form
 from .errors import (
     DecompositionAmbiguous,
     InternalInvariantViolation,
+    InvalidAlgebra,
     NotSkew,
     NumericalRankFailure,
 )
@@ -59,15 +61,6 @@ def load_algebra(spec, lam=1.0, l=1, d=1):
         return MetricLieAlgebra.load(spec)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, IndexError) as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}")
-
-
-def _validated(alg, tol):
-    report = validate(alg, tol)
-    if not report.ok:
-        raise CliError(
-            EXIT_INVALID, "invalid algebra: " + "; ".join(report.violations)
-        )
-    return alg
 
 
 def _decomposition_record(dec):
@@ -113,7 +106,7 @@ def _emit(record, as_json, text_lines):
 
 
 def cmd_analyze(args):
-    alg = _validated(load_algebra(args.input, args.lam, args.l, args.d), args.tol)
+    alg = load_algebra(args.input, args.lam, args.l, args.d)
     rec = analyze_record(alg, args.tol)
 
     def lines(r):
@@ -139,16 +132,20 @@ def cmd_killing(args):
         raise CliError(
             EXIT_PARSE, "structured solvers exist for degrees 2 and 3 only"
         )
-    alg = _validated(load_algebra(args.input, args.lam, args.l, args.d), args.tol)
+    alg = load_algebra(args.input, args.lam, args.l, args.d)
     rec = {"schema": SCHEMA, "name": alg.name, "degree": k}
     brute = structured = None
-    if args.method in ("brute", "both"):
+    if args.method == "brute":
         F = adapted_frame(alg, args.tol)
+    else:
+        # the brute oracle of --method both runs on the solver's frame
+        solve = solve_killing2 if k == 2 else solve_killing3
+        structured, dec = solve(alg, args.tol)
+        F = dec.frame
+    if args.method != "structured":
         brute = killing_nullspace_brute(alg, F, k, args.tol)
         rec["brute_dim"] = brute.dim
-    if args.method in ("structured", "both"):
-        solve = solve_killing2 if k == 2 else solve_killing3
-        structured, _ = solve(alg, args.tol)
+    if structured is not None:
         rec["structured_dim"] = structured.dim
     if brute is not None and structured is not None:
         residual = _space_mismatch(brute, structured)
@@ -192,7 +189,7 @@ def _space_mismatch(a, b):
 
 
 def cmd_decompose(args):
-    alg = _validated(load_algebra(args.input, args.lam, args.l, args.d), args.tol)
+    alg = load_algebra(args.input, args.lam, args.l, args.d)
     rec = {
         "schema": SCHEMA,
         "name": alg.name,
@@ -338,6 +335,9 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except InvalidAlgebra as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INVALID
     except (NumericalRankFailure, DecompositionAmbiguous,
             InternalInvariantViolation, NotSkew) as exc:
         print(str(exc), file=sys.stderr)

@@ -5,6 +5,11 @@ class NilkillingError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidAlgebra(NilkillingError, ValueError):
+    """The algebra is not antisymmetric, not 2-step, or its Gram matrix is
+    not symmetric positive definite."""
+
+
 class NumericalRankFailure(NilkillingError):
     """A rank decision could not be made: the singular value gap is too small."""
 

@@ -206,37 +206,23 @@ def skew_extend(f, omega: Form, tol=DEFAULT_TOL) -> Form:
     return out
 
 
-def _d_of_frame_oneform(F: AdaptedFrame, index):
-    """d(e^index): minus the frame bracket coefficients as a 2-form."""
-    n = F.n
-    out = Form(n, 2)
-    pos = tuple_index(n, 2)
-    c = F.constants
-    for a in range(n):
-        for b in range(a + 1, n):
-            coeff = c[a, b, index]
-            if coeff != 0.0:
-                out.vec[pos[(a, b)]] -= coeff
-    return out
-
-
 def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:
-    """Lie algebra (Chevalley-Eilenberg) differential in frame coordinates."""
+    """Lie algebra (Chevalley-Eilenberg) differential in frame coordinates.
+
+    d omega = sum_i d(e^i) ^ (e_i -| omega), where d(e^i) is the 2-form
+    with coefficients -c[a, b, i], a < b, read off the frame constants c.
+    """
     n = F.n
     k = omega.degree
     if k >= n:
         raise DegreeOverflow("differential of a top-degree form")
     out = Form(n, k + 1)
-    d1 = {}
-    for t, c in omega.terms():
-        for p, i in enumerate(t):
-            if i not in d1:
-                d1[i] = _d_of_frame_oneform(F, i)
-            di = d1[i]
-            if not np.any(di.vec):
-                continue
-            rest = t[:p] + t[p + 1:]
-            out = out + ((-1) ** p * c) * wedge(di, Form.basis(n, k - 1, rest))
+    d_frame = -F.constants[np.triu_indices(n, 1)]    # rows in basis_tuples(n, 2) order
+    eye = np.eye(n)
+    # e_i -| omega vanishes unless i is a leg of one of omega's terms
+    for i in sorted({i for t, _ in omega.terms() for i in t}):
+        if np.any(d_frame[:, i]):
+            out = out + wedge(Form(n, 2, d_frame[:, i]), contract(eye[:, i], omega))
     return out
 
 

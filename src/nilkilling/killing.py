@@ -46,17 +46,6 @@ class KillingSpace:
         return np.array([f.vec for f in self.basis]).T
 
 
-@dataclass(frozen=True)
-class Killing2Data:
-    alpha2: np.ndarray           # skew matrix on the factor's v
-    alpha0: np.ndarray           # skew matrix on the factor's z
-
-
-@dataclass(frozen=True)
-class Killing3Data:
-    gamma: Form                  # degree-3 form supported on the z legs
-
-
 def _normalize(form: Form) -> Form:
     nrm = form.norm()
     if nrm == 0.0:
@@ -155,14 +144,16 @@ def killgen_residuals(F: AdaptedFrame, omega: Form):
 
     Keys are ('pp1', l), ('pp2', l), ('pp3', l) for l = 0..k-1.  The three
     families are the bigrade-l parts of the polarized equation P: pp1 is the
-    max of |P(x, x)_l| over frame vectors x in v, pp2 that of |P(z, z)_l|
-    over z in z, and pp3 that of 2|P(x, z)_l| over both.
+    max of |P(x, y)_l| over frame vectors x, y in v, pp2 that of |P(z, w)_l|
+    over z, w in z, and pp3 that of 2|P(x, z)_l| over x in v and z in z.
+    Every value of P is read, so the table is all zero exactly when omega
+    is Killing.
     """
     pol = _polarized([skew_extend(m, omega) for m in _connections(F)])
     v, z = F.v_indices, F.z_indices
     families = {
-        "pp1": [pol[a, a] for a in v],
-        "pp2": [pol[t, t] for t in z],
+        "pp1": [pol[a, b] for a in v for b in v if a <= b],
+        "pp2": [pol[s, t] for s in z for t in z if s <= t],
         "pp3": [2.0 * pol[a, t] for a in v for t in z],
     }
     return {(name, l): max((bigrade(F, p, l).norm() for p in forms), default=0.0)
@@ -185,8 +176,8 @@ def _solve_structured(L, tol, k, factor_part):
     """Shared skeleton of the structured solvers.
 
     Every k-wedge of the abelian block, then one form per factor for which
-    `factor_part` returns a (form, data) pair; each form is pulled back to
-    the ambient frame and normalized.
+    `factor_part` returns one; each form is pulled back to the ambient
+    frame and normalized.  Returns the space and the decomposition.
     """
     from .structure import decompose
 
@@ -195,25 +186,22 @@ def _solve_structured(L, tol, k, factor_part):
     d = acols.shape[1]
     basis = [_normalize(transform(Form.basis(d, k, t), acols.T))
              for t in basis_tuples(d, k)]
-    data = []
     for factor in dec.factors:
-        part = factor_part(factor)
-        if part is not None:
+        form_f = factor_part(factor)
+        if form_f is not None:
             cols = factor.columns @ factor.frame.frame
-            basis.append(_normalize(transform(part[0], cols.T)))
-            data.append(part[1])
+            basis.append(_normalize(transform(form_f, cols.T)))
     return KillingSpace(degree=k, basis=basis, method="structured",
-                        algebra_ref=L.name), data
+                        algebra_ref=L.name), dec
 
 
 def _killing2_part(factor):
     if not factor.has_complex_structure:
         return None
     J, pv = factor.J, factor.frame.nv
-    data = Killing2Data(alpha2=J[:pv, :pv], alpha0=3.0 * J[pv:, pv:])
     tensor = np.zeros((factor.dim, factor.dim))
-    tensor[:pv, :pv], tensor[pv:, pv:] = data.alpha2.T, data.alpha0.T
-    return _form_from_tensor(tensor), data
+    tensor[:pv, :pv], tensor[pv:, pv:] = J[:pv, :pv].T, 3.0 * J[pv:, pv:].T
+    return _form_from_tensor(tensor)
 
 
 def _killing3_part(factor):
@@ -225,24 +213,25 @@ def _killing3_part(factor):
     tensor = np.zeros((p, p, p))
     tensor[:pv, :pv, pv:] = jmats.transpose(2, 1, 0)
     tensor[pv:, pv:, pv:] = 2.0 * factor.compact_bracket
-    form_f = _form_from_tensor(tensor)
-    return form_f, Killing3Data(gamma=bigrade(ff, form_f, 0))
+    return _form_from_tensor(tensor)
 
 
 def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):
-    """Structured solver for degree 2.
+    """Structured solver for degree 2; returns (KillingSpace, Decomposition).
 
     Wedges on the abelian block are added wholesale; each irreducible
     factor contributes a one-dimensional piece exactly when it carries a
-    bi-invariant orthogonal complex structure J: alpha2 = J|_v, alpha0 = 3 J|_z.
+    bi-invariant orthogonal complex structure J, the factor's `J` in the
+    returned decomposition: alpha2 = J|_v, alpha0 = 3 J|_z.
     """
     return _solve_structured(L, tol, 2, _killing2_part)
 
 
 def solve_killing3(L: MetricLieAlgebra, tol=DEFAULT_TOL):
-    """Structured solver for degree 3.
+    """Structured solver for degree 3; returns (KillingSpace, Decomposition).
 
     Each naturally reductive factor contributes the form whose mixed part
-    is the j-map itself and whose z-part doubles the compact bracket.
+    is the j-map itself and whose z-part gamma doubles the factor's
+    `compact_bracket` in the returned decomposition.
     """
     return _solve_structured(L, tol, 3, _killing3_part)

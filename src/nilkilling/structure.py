@@ -21,7 +21,6 @@ from .algebra import (
     adapted_frame,
     frame_from_constants,
     rotate_constants,
-    validate,
 )
 from .errors import (
     DecompositionAmbiguous,
@@ -33,19 +32,30 @@ from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 @dataclass(frozen=True)
 class FactorReport:
-    """One irreducible factor together with its analysis flags."""
+    """One irreducible factor together with its analysis.
+
+    `J` is its bi-invariant orthogonal complex structure and
+    `compact_bracket` its bracket on z of naturally reductive type, each
+    in the factor's frame and None where the factor has none.
+    """
 
     sub_algebra: MetricLieAlgebra
     columns: np.ndarray          # factor basis in ambient frame coordinates
     frame: AdaptedFrame          # adapted frame of the factor itself
-    has_complex_structure: bool
     J: Optional[np.ndarray]
-    naturally_reductive: bool
     compact_bracket: Optional[np.ndarray]
 
     @property
     def dim(self):
         return self.columns.shape[1]
+
+    @property
+    def has_complex_structure(self):
+        return self.J is not None
+
+    @property
+    def naturally_reductive(self):
+        return self.compact_bracket is not None
 
 
 @dataclass(frozen=True)
@@ -207,11 +217,9 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
 
     Works in frame coordinates: the kernel of j is split off first, then
     blocks are subdivided along eigenspaces of generic bracket-commutant
-    elements until every commutant is 1-dimensional.
+    elements until every commutant is 1-dimensional.  An invalid algebra
+    raises InvalidAlgebra from `adapted_frame`.
     """
-    report = validate(L, tol)
-    if not report.ok:
-        raise ValueError("invalid algebra: %s" % "; ".join(report.violations))
     F = adapted_frame(L, tol)
     eye = np.eye(F.n)
     a_idx = list(F.a_indices)
@@ -267,24 +275,15 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
         )
         # an irreducible factor's centre is its z-block and its ker j is 0,
         # so the identity is already its adapted frame
-        ff = frame_from_constants(np.eye(p), sub_const, vc.shape[1], tol)
+        ff = frame_from_constants(np.eye(p), sub_const, vc.shape[1], 0, tol)
         j_struct = find_complex_structure(ff, tol)
         cbr = naturally_reductive_type(ff, tol)
         if j_struct is not None and cbr is not None:
             raise InternalInvariantViolation(
                 "factor flagged both complex and naturally reductive"
             )
-        factors.append(
-            FactorReport(
-                sub_algebra=sub,
-                columns=cols,
-                frame=ff,
-                has_complex_structure=j_struct is not None,
-                J=j_struct,
-                naturally_reductive=cbr is not None,
-                compact_bracket=cbr,
-            )
-        )
+        factors.append(FactorReport(sub_algebra=sub, columns=cols, frame=ff,
+                                    J=j_struct, compact_bracket=cbr))
     transform = np.concatenate(parts, axis=1)
     # the blocks must reassemble the algebra: no cross-block brackets
     c_rot = rotate_constants(const, transform, transform)

@@ -17,7 +17,7 @@ from nilkilling import (
     validate,
 )
 from nilkilling.algebra import rotate_constants
-from nilkilling.errors import NotSkew
+from nilkilling.errors import InvalidAlgebra
 
 from helpers import koszul_nabla
 
@@ -43,7 +43,7 @@ def test_validate_antisymmetry_violation():
     report = validate(L)
     assert not report.ok
     assert any("antisymmetry" in v for v in report.violations)
-    with pytest.raises(NotSkew):
+    with pytest.raises(InvalidAlgebra, match="invalid algebra: antisymmetry"):
         adapted_frame(L)
 
 

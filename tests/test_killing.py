@@ -6,6 +6,7 @@ import pytest
 
 from nilkilling import (
     Form,
+    bigrade,
     catalog,
     adapted_frame,
     complex_heisenberg,
@@ -117,6 +118,16 @@ def test_killgen_one_forms_h3():
     assert max(killgen_residuals(F, oneform(e(3, 0))).values()) > 1e-3
 
 
+def test_killgen_reads_every_pair_of_frame_vectors():
+    # only P(e_a, e_b) with a != b in v sees this form fail: its values
+    # P(x, x), P(z, z) and P(x, z) all vanish
+    L = heisenberg(2)
+    F = adapted_frame(L)
+    w = Form.basis(5, 3, (0, 1, 4))
+    assert killing_residual(L, F, w) == pytest.approx(0.25)
+    assert max(killgen_residuals(F, w).values()) > 1e-3
+
+
 def test_killgen_consistent_with_residual():
     rng = np.random.default_rng(21)
     L = complex_heisenberg(1.0)
@@ -131,16 +142,19 @@ def test_killgen_consistent_with_residual():
 
 
 def test_solve_killing2_r2_h3():
-    space, data = solve_killing2(direct_sum([euclidean(2), heisenberg(1)]))
+    space, dec = solve_killing2(direct_sum([euclidean(2), heisenberg(1)]))
     assert space.dim == 1
-    assert data == []  # the single form comes from the abelian block
+    # the single form comes from the abelian block
+    assert not any(f.has_complex_structure for f in dec.factors)
 
 
 def test_solve_killing2_complex_heisenberg_data():
     L = complex_heisenberg(1.0)
-    space, data = solve_killing2(L)
-    assert space.dim == 1 and len(data) == 1
-    a2, a0 = data[0].alpha2, data[0].alpha0
+    space, dec = solve_killing2(L)
+    flagged = [f for f in dec.factors if f.has_complex_structure]
+    assert space.dim == 1 and len(flagged) == 1
+    J, pv = flagged[0].J, flagged[0].frame.nv
+    a2, a0 = J[:pv, :pv], 3.0 * J[pv:, pv:]
     assert np.allclose(a2 @ a2, -np.eye(4), atol=1e-9)
     assert np.allclose(a0 @ a0, -9.0 * np.eye(2), atol=1e-9)
     # the component equation: j(alpha0 z) = 3 alpha2 j(z) = -3 j(z) alpha2
@@ -152,24 +166,28 @@ def test_solve_killing2_complex_heisenberg_data():
 
 
 def test_solve_killing2_h5_empty():
-    space, data = solve_killing2(heisenberg(2))
-    assert space.dim == 0 and data == []
+    space, dec = solve_killing2(heisenberg(2))
+    assert space.dim == 0
+    assert not any(f.has_complex_structure for f in dec.factors)
 
 
 def test_solve_killing3_h3():
-    space, data = solve_killing3(heisenberg(1))
-    assert space.dim == 1 and len(data) == 1
+    space, dec = solve_killing3(heisenberg(1))
+    assert space.dim == 1
+    assert sum(f.naturally_reductive for f in dec.factors) == 1
 
 
 def test_solve_killing3_free_two_step():
-    space, data = solve_killing3(free_two_step_3())
+    space, dec = solve_killing3(free_two_step_3())
     assert space.dim == 1
-    assert data[0].gamma.norm() > 0.1
+    # gamma: the part of the form with all legs in z
+    assert bigrade(dec.frame, space.basis[0], 0).norm() > 0.1
 
 
 def test_solve_killing3_complex_heisenberg_empty():
-    space, data = solve_killing3(complex_heisenberg(1.0))
-    assert space.dim == 0 and data == []
+    space, dec = solve_killing3(complex_heisenberg(1.0))
+    assert space.dim == 0
+    assert not any(f.naturally_reductive for f in dec.factors)
 
 
 def test_structured_matches_brute_spans():

@@ -1,23 +1,28 @@
-"""Each request runs the de Rham decomposition once and builds one frame."""
+"""Each request validates once, builds one frame and decomposes at most once."""
 import sys
 
+import numpy as np
 import pytest
 
-from nilkilling import algebra, cli, structure
+from nilkilling import MetricLieAlgebra, algebra, cli, structure
 from nilkilling.catalog import complex_heisenberg, direct_sum, euclidean, heisenberg
+from nilkilling.errors import InvalidAlgebra
 from nilkilling.killing import solve_killing2, solve_killing3
+
+COUNTED = (("validate", algebra.validate),
+           ("adapted_frame", algebra.adapted_frame),
+           ("decompose", structure.decompose))
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Algebras passed to decompose and adapted_frame, in call order.
+    """Algebras passed to validate, adapted_frame and decompose, in call order.
 
-    Every nilkilling.* namespace that binds either function gets the counting
+    Every nilkilling.* namespace that binds one of them gets the counting
     wrapper, so lazy imports and module-level imports are both seen.
     """
-    seen = {"decompose": [], "adapted_frame": []}
-    for name, orig in (("decompose", structure.decompose),
-                       ("adapted_frame", algebra.adapted_frame)):
+    seen = {name: [] for name, _ in COUNTED}
+    for name, orig in COUNTED:
         def counted(L, *args, _orig=orig, _name=name, **kwargs):
             seen[_name].append(L)
             return _orig(L, *args, **kwargs)
@@ -33,20 +38,61 @@ def _sum():
     return direct_sum([euclidean(2), heisenberg(1), complex_heisenberg(1.0)])
 
 
+def _killing(method, k):
+    return lambda: cli.main(["killing", "catalog:R2+h3", "--degree", str(k),
+                             "--method", method, "--json"])
+
+
+# request -> number of decompositions it needs
 REQUESTS = {
-    "analyze_record": lambda: cli.analyze_record(_sum(), 1e-9),
-    "cli_decompose": lambda: cli.main(["decompose", "catalog:R3+h3", "--json"]),
-    "cli_analyze": lambda: cli.main(["analyze", "catalog:R3+h3", "--json"]),
-    "solve_killing2": lambda: solve_killing2(_sum()),
-    "solve_killing3": lambda: solve_killing3(_sum()),
+    "analyze_record": (lambda: cli.analyze_record(_sum(), 1e-9), 1),
+    "cli_decompose": (lambda: cli.main(["decompose", "catalog:R3+h3", "--json"]), 1),
+    "cli_analyze": (lambda: cli.main(["analyze", "catalog:R3+h3", "--json"]), 1),
+    "cli_killing_brute": (_killing("brute", 2), 0),
+    "cli_killing_structured": (_killing("structured", 3), 1),
+    "cli_killing_both_k2": (_killing("both", 2), 1),
+    "cli_killing_both_k3": (_killing("both", 3), 1),
+    "solve_killing2": (lambda: solve_killing2(_sum()), 1),
+    "solve_killing3": (lambda: solve_killing3(_sum()), 1),
 }
 
 
 @pytest.mark.parametrize("request_name", sorted(REQUESTS))
 def test_one_decomposition_and_one_whole_frame(calls, capsys, request_name):
-    REQUESTS[request_name]()
+    """One validate and one adapted_frame, both of the request's algebra, and
+    one decompose of it unless the request runs only the brute oracle."""
+    run, decompositions = REQUESTS[request_name]
+    run()
     capsys.readouterr()
-    assert len(calls["decompose"]) == 1
-    (L,) = calls["decompose"]
-    whole_frames = [M for M in calls["adapted_frame"] if M is L]
-    assert len(whole_frames) == 1
+    (L,) = calls["validate"]
+    (framed,) = calls["adapted_frame"]
+    assert framed is L
+    assert len(calls["decompose"]) == decompositions
+    assert all(M is L for M in calls["decompose"])
+
+
+def _three_step():
+    # [e1,e2] = e3, [e1,e3] = e4 is 3-step: [[e1,e2],e1] != 0
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2], c[1, 0, 2], c[0, 2, 3], c[2, 0, 3] = 1.0, -1.0, 1.0, -1.0
+    return MetricLieAlgebra(4, ["e1", "e2", "e3", "e4"], c, np.eye(4))
+
+
+def test_adapted_frame_refuses_three_step_algebra():
+    with pytest.raises(InvalidAlgebra, match="invalid algebra: 2-step"):
+        algebra.adapted_frame(_three_step())
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["decompose"],
+    ["killing", "--method", "brute"],
+    ["killing", "--method", "structured"],
+    ["killing", "--method", "both", "--degree", "3"],
+])
+def test_every_command_refuses_three_step_algebra(tmp_path, capsys, command):
+    path = tmp_path / "three_step.json"
+    _three_step().save(path)
+    assert cli.main([command[0], str(path), *command[1:]]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid algebra: 2-step")
