@@ -1,13 +1,13 @@
 """Solving the invariant Killing equation two ways.
 
-Runs the brute-force nullspace solver against the structured solvers (which
-go through the de Rham decomposition) on a handful of algebras and prints
-the dimensions plus the paper-formula prediction dim = C(d,k) + r.
+Runs the brute-force nullspace solver against the structured forms (read
+off the de Rham decomposition) on a handful of algebras and prints the
+dimensions plus the paper-formula prediction dim = C(d,k) + r.  Each
+algebra is decomposed once; the brute oracle runs on that frame.
 """
 from nilkilling import (
-    adapted_frame, complex_heisenberg, direct_sum, euclidean, free_two_step_3,
-    heisenberg, killing_dimensions, killing_nullspace_brute, solve_killing2,
-    solve_killing3,
+    adapted_frame, complex_heisenberg, decompose, direct_sum, euclidean,
+    free_two_step_3, heisenberg, killing_nullspace_brute, structured_killing,
 )
 
 algebras = [
@@ -21,11 +21,11 @@ algebras = [
 
 print(f"{'algebra':<14} {'k':>2} {'brute':>6} {'structured':>11} {'formula':>8}")
 for L in algebras:
-    F = adapted_frame(L)
-    dims = killing_dimensions(L)
-    for k, solver in ((2, solve_killing2), (3, solve_killing3)):
-        brute = killing_nullspace_brute(L, F, k).dim
-        structured = solver(L)[0].dim
+    dec = decompose(L)
+    dims = dec.killing_dimensions()
+    for k in (2, 3):
+        brute = killing_nullspace_brute(L, dec.frame, k).dim
+        structured = structured_killing(dec, k).dim
         print(f"{L.name:<14} {k:>2} {brute:>6} {structured:>11} "
               f"{dims[k - 2]:>8}")
 

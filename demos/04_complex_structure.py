@@ -7,22 +7,22 @@ Killing 2-form, and shows it is Killing but not parallel.
 import numpy as np
 
 from nilkilling import (
-    adapted_frame, complex_heisenberg, find_complex_structure, is_parallel,
-    killing_residual, nabla_form, solve_killing2,
+    complex_heisenberg, decompose, find_complex_structure, is_parallel,
+    killing_residual, nabla_form, structured_killing,
 )
 
 L = complex_heisenberg(1.0)
-F = adapted_frame(L)
+dec = decompose(L)
+F = dec.frame
 
 J = find_complex_structure(F)
 print("recovered J (frame coordinates):\n", np.round(J, 6))
 print("|J^2 + Id| =", np.abs(J @ J + np.eye(6)).max())
 
-space, dec = solve_killing2(L)
-alpha = space.basis[0]
+alpha = structured_killing(dec, 2).basis[0]
 print("\nKilling 2-form:", alpha)
 print("killing residual:", killing_residual(L, F, alpha))
-# the factor's J, in the factor's own frame, from the solver's decomposition
+# the factor's J, in the factor's own frame, from the same decomposition
 J_f, pv = dec.factors[0].J, dec.factors[0].frame.nv
 print("alpha2 = J|_v:\n", J_f[:pv, :pv])
 print("alpha0 = 3 J|_z:\n", 3.0 * J_f[pv:, pv:])

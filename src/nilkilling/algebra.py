@@ -59,9 +59,6 @@ class MetricLieAlgebra:
         """Matrix of ad_{b_i} acting on user coordinates."""
         return self.structure_constants[i].T
 
-    def inner(self, x, y):
-        return float(x @ self.gram @ y)
-
     def to_json(self):
         brackets = []
         c = self.structure_constants
@@ -137,18 +134,6 @@ class MetricLieAlgebra:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """Columns spanning a subspace, in whatever coordinates the caller uses."""
-
-    columns: np.ndarray
-    label: str = ""
-
-    @property
-    def dim(self):
-        return self.columns.shape[1]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     violations: list = field(default_factory=list)
 
@@ -163,15 +148,16 @@ class AdaptedFrame:
 
     Columns of `frame` are the frame vectors in user coordinates, v-part
     first.  `constants` holds the structure constants rewritten in frame
-    coordinates, where the metric is the identity.  `j_matrices[t]` is the
-    skew map on v attached to the t-th z-frame vector.
+    coordinates, where the metric is the identity.  `j_matrices` is the
+    (nz, nv, nv) stack whose t-th entry is the skew map on v attached to
+    the t-th z-frame vector.
     """
 
     frame: np.ndarray
     v_indices: tuple
     z_indices: tuple
     a_indices: tuple             # trailing z-vectors spanning ker j
-    j_matrices: tuple
+    j_matrices: np.ndarray
     constants: np.ndarray
 
     @property
@@ -188,15 +174,21 @@ class AdaptedFrame:
 
 
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check antisymmetry, 2-step nilpotency and positive-definiteness.
+    """Check finiteness, antisymmetry, 2-step nilpotency and
+    positive-definiteness.
 
-    A zero-dimensional algebra, which has no frame or constants, raises
-    ValueError.
+    A non-finite entry is the only violation reported, since no other check
+    is meaningful on it.  A zero-dimensional algebra, which has no frame or
+    constants, raises ValueError.
     """
     if L.dim < 1:
         raise ValueError("algebra dimension must be positive")
-    c = L.structure_constants
-    violations = []
+    c, g = L.structure_constants, L.gram
+    violations = [f"{what} has a non-finite entry"
+                  for what, a in (("structure constants", c), ("gram", g))
+                  if not np.isfinite(a).all()]
+    if violations:
+        return ValidationReport(violations)
     scale = np.abs(c).max()
     if np.abs(c + c.transpose(1, 0, 2)).max() > tol * scale:
         violations.append("antisymmetry: c[i][j][k] != -c[j][i][k]")
@@ -204,7 +196,6 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     double = np.einsum("ijm,mkl->ijkl", c, c)
     if np.abs(double).max() > tol * scale * scale:
         violations.append("2-step: [[x,y],w] != 0 for some basis triple")
-    g = L.gram
     if np.abs(g - g.T).max() > tol * np.abs(g).max():
         violations.append("gram not symmetric")
     else:
@@ -284,7 +275,7 @@ def frame_from_constants(frame, constants, nv, na, tol=DEFAULT_TOL) -> AdaptedFr
         v_indices=tuple(range(nv)),
         z_indices=tuple(range(nv, n)),
         a_indices=tuple(range(n - na, n)),
-        j_matrices=tuple(block[:, :, t].T for t in range(n - nv)),
+        j_matrices=block.transpose(2, 1, 0),
         constants=constants,
     )
 
@@ -352,5 +343,4 @@ def levi_civita(F: AdaptedFrame, x, y):
 
 def j_trace_form(F: AdaptedFrame):
     """Symmetric matrix [tr(J_s J_t)] on the z-frame; an isometry invariant."""
-    mats = np.array(F.j_matrices).reshape(F.nz, F.nv, F.nv)
-    return np.einsum("sab,tba->st", mats, mats)
+    return np.einsum("sab,tba->st", F.j_matrices, F.j_matrices)

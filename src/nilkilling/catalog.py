@@ -35,12 +35,15 @@ def complex_heisenberg(lam: float = 1.0) -> MetricLieAlgebra:
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    lam2 = float(lam) * float(lam)      # float ** would raise OverflowError
+    if not np.isfinite(lam2):
+        raise ValueError(f"lambda squared is not finite: {lam!r}")
     n = 6
     c = np.zeros((n, n, n))
     for i, j, k, v in [(0, 2, 4, 1.0), (1, 3, 4, -1.0), (1, 2, 5, 1.0), (0, 3, 5, 1.0)]:
         c[i, j, k] = v
         c[j, i, k] = -v
-    gram = np.diag([1.0, 1.0, 1.0, 1.0, lam ** 2, lam ** 2])
+    gram = np.diag([1.0, 1.0, 1.0, 1.0, lam2, lam2])
     names = ["e1", "e2", "e3", "e4", "z1", "z2"]
     return MetricLieAlgebra(n, names, c, gram, name=f"h3C(lam={lam:g})")
 
@@ -140,7 +143,6 @@ class CatalogEntry:
     dim: int
     builder: Optional[Callable[[], MetricLieAlgebra]]
     expected: Optional[tuple] = None        # (dimK2, dimK3)
-    construction_external: bool = False
 
     @property
     def buildable(self):
@@ -184,17 +186,17 @@ def classification_lists():
         CatalogEntry("R+h3C", 7, _sum(lambda: r(1), complex_heisenberg),
                      expected=(1, 0)),
         CatalogEntry("R2+h5", 7, _sum(lambda: r(2), _h5), expected=(1, 1)),
-        CatalogEntry("R2+N5#2", 7, None, construction_external=True),
-        CatalogEntry("R2+N5#3", 7, None, construction_external=True),
+        CatalogEntry("R2+N5#2", 7, None),
+        CatalogEntry("R2+N5#3", 7, None),
         CatalogEntry("R2+(h3+h3)", 8, _sum(lambda: r(2), _h3, _h3),
                      expected=(1, 2)),
         CatalogEntry("R2+n32", 8, _sum(lambda: r(2), free_two_step_3),
                      expected=(1, 1)),
-        CatalogEntry("R2+N6#3", 8, None, construction_external=True),
-        CatalogEntry("R2+N6#4", 8, None, construction_external=True),
-        CatalogEntry("R2+N6#5", 8, None, construction_external=True),
-        CatalogEntry("R2+N6#6", 8, None, construction_external=True),
-        CatalogEntry("R2+N6#7", 8, None, construction_external=True),
+        CatalogEntry("R2+N6#3", 8, None),
+        CatalogEntry("R2+N6#4", 8, None),
+        CatalogEntry("R2+N6#5", 8, None),
+        CatalogEntry("R2+N6#6", 8, None),
+        CatalogEntry("R2+N6#7", 8, None),
     ]
     list3 = [
         CatalogEntry("h3", 3, _h3, expected=(0, 1)),

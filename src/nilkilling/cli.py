@@ -26,7 +26,7 @@ from .errors import (
     NotSkew,
     NumericalRankFailure,
 )
-from .killing import killing_nullspace_brute, solve_killing2, solve_killing3
+from .killing import killing_nullspace_brute, structured_killing
 from .linalg import DEFAULT_TOL, span_distance
 from .structure import decompose, killing_dimensions
 
@@ -138,10 +138,9 @@ def cmd_killing(args):
     if args.method == "brute":
         F = adapted_frame(alg, args.tol)
     else:
-        # the brute oracle of --method both runs on the solver's frame
-        solve = solve_killing2 if k == 2 else solve_killing3
-        structured, dec = solve(alg, args.tol)
-        F = dec.frame
+        # the brute oracle of --method both runs on the decomposition's frame
+        dec = decompose(alg, args.tol)
+        structured, F = structured_killing(dec, k), dec.frame
     if args.method != "structured":
         brute = killing_nullspace_brute(alg, F, k, args.tol)
         rec["brute_dim"] = brute.dim
@@ -329,6 +328,9 @@ def main(argv=None):
         return EXIT_PARSE
     if hasattr(args, "tol") and not (np.isfinite(args.tol) and args.tol > 0):
         print("tol must be a finite positive number", file=sys.stderr)
+        return EXIT_PARSE
+    if not np.isfinite(getattr(args, "lam", 1.0)):
+        print("lambda must be a finite number", file=sys.stderr)
         return EXIT_PARSE
     try:
         return args.func(args)

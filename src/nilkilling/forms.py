@@ -75,9 +75,6 @@ class Form:
             if abs(c) > tol:
                 yield t, float(c)
 
-    def copy(self):
-        return Form(self.n, self.degree, self.vec.copy())
-
     def norm(self):
         return float(np.linalg.norm(self.vec))
 

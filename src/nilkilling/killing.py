@@ -26,14 +26,13 @@ from .forms import (
     transform,
 )
 from .linalg import DEFAULT_TOL, nullspace
+from .structure import Decomposition, decompose
 
 
 @dataclass(frozen=True)
 class KillingSpace:
     degree: int
     basis: list
-    method: str                  # 'brute' or 'structured'
-    algebra_ref: str = ""
 
     @property
     def dim(self):
@@ -136,7 +135,7 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
         r = np.linalg.qr(np.vstack([r, block]), mode="r")
     null = nullspace(r, tol)
     basis = [_normalize(Form(n, k, null[:, i])) for i in range(null.shape[1])]
-    return KillingSpace(degree=k, basis=basis, method="brute", algebra_ref=L.name)
+    return KillingSpace(degree=k, basis=basis)
 
 
 def killgen_residuals(F: AdaptedFrame, omega: Form):
@@ -172,29 +171,6 @@ def _form_from_tensor(tensor) -> Form:
     return Form(p, k, tensor[tuple(np.array(basis_tuples(p, k)).T)])
 
 
-def _solve_structured(L, tol, k, factor_part):
-    """Shared skeleton of the structured solvers.
-
-    Every k-wedge of the abelian block, then one form per factor for which
-    `factor_part` returns one; each form is pulled back to the ambient
-    frame and normalized.  Returns the space and the decomposition.
-    """
-    from .structure import decompose
-
-    dec = decompose(L, tol)
-    acols = dec.abelian.columns
-    d = acols.shape[1]
-    basis = [_normalize(transform(Form.basis(d, k, t), acols.T))
-             for t in basis_tuples(d, k)]
-    for factor in dec.factors:
-        form_f = factor_part(factor)
-        if form_f is not None:
-            cols = factor.columns @ factor.frame.frame
-            basis.append(_normalize(transform(form_f, cols.T)))
-    return KillingSpace(degree=k, basis=basis, method="structured",
-                        algebra_ref=L.name), dec
-
-
 def _killing2_part(factor):
     if not factor.has_complex_structure:
         return None
@@ -208,30 +184,43 @@ def _killing3_part(factor):
     if not factor.naturally_reductive:
         return None
     ff = factor.frame
-    pv, m, p = ff.nv, ff.nz, factor.dim
-    jmats = np.array(ff.j_matrices).reshape(m, pv, pv)
+    pv, p = ff.nv, factor.dim
     tensor = np.zeros((p, p, p))
-    tensor[:pv, :pv, pv:] = jmats.transpose(2, 1, 0)
+    tensor[:pv, :pv, pv:] = ff.j_matrices.transpose(2, 1, 0)
     tensor[pv:, pv:, pv:] = 2.0 * factor.compact_bracket
     return _form_from_tensor(tensor)
 
 
-def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):
-    """Structured solver for degree 2; returns (KillingSpace, Decomposition).
+def structured_killing(dec: Decomposition, k) -> KillingSpace:
+    """Killing k-forms, k = 2 or 3, read off a decomposition.
 
-    Wedges on the abelian block are added wholesale; each irreducible
-    factor contributes a one-dimensional piece exactly when it carries a
-    bi-invariant orthogonal complex structure J, the factor's `J` in the
-    returned decomposition: alpha2 = J|_v, alpha0 = 3 J|_z.
+    By the structure theorem they are every k-wedge of the abelian block
+    plus one form per factor carrying one: for k = 2 a factor with a
+    bi-invariant orthogonal complex structure J (alpha2 = J|_v, alpha0 =
+    3 J|_z), for k = 3 a naturally reductive one (the j-map plus twice its
+    `compact_bracket`).  Each is pulled back to the ambient frame and
+    normalized.
     """
-    return _solve_structured(L, tol, 2, _killing2_part)
+    if k not in (2, 3):
+        raise ValueError(f"structured Killing forms exist for degrees 2 and 3, not {k}")
+    factor_part = _killing2_part if k == 2 else _killing3_part
+    d = dec.d
+    basis = [_normalize(transform(Form.basis(d, k, t), dec.abelian.T))
+             for t in basis_tuples(d, k)]
+    for factor in dec.factors:
+        form_f = factor_part(factor)
+        if form_f is not None:
+            basis.append(_normalize(transform(form_f, factor.columns.T)))
+    return KillingSpace(degree=k, basis=basis)
+
+
+def solve_killing2(L: MetricLieAlgebra, tol=DEFAULT_TOL):
+    """(structured_killing(decompose(L), 2), the decomposition)."""
+    dec = decompose(L, tol)
+    return structured_killing(dec, 2), dec
 
 
 def solve_killing3(L: MetricLieAlgebra, tol=DEFAULT_TOL):
-    """Structured solver for degree 3; returns (KillingSpace, Decomposition).
-
-    Each naturally reductive factor contributes the form whose mixed part
-    is the j-map itself and whose z-part gamma doubles the factor's
-    `compact_bracket` in the returned decomposition.
-    """
-    return _solve_structured(L, tol, 3, _killing3_part)
+    """(structured_killing(decompose(L), 3), the decomposition)."""
+    dec = decompose(L, tol)
+    return structured_killing(dec, 3), dec

@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import (
     AdaptedFrame,
     MetricLieAlgebra,
-    Subspace,
     adapted_frame,
     frame_from_constants,
     rotate_constants,
@@ -35,11 +34,14 @@ class FactorReport:
     """One irreducible factor together with its analysis.
 
     `J` is its bi-invariant orthogonal complex structure and
-    `compact_bracket` its bracket on z of naturally reductive type, each
-    in the factor's frame and None where the factor has none.
+    `compact_bracket` its bracket on z of naturally reductive type, each in
+    the factor's basis `columns` and None where the factor has none.
+    `columns`, `J` and `compact_bracket` are defined only up to an
+    orthogonal change of basis within the factor (`eigh` picks any basis of
+    a repeated eigenspace); the invariant is the projector
+    `columns @ columns.T`.
     """
 
-    sub_algebra: MetricLieAlgebra
     columns: np.ndarray          # factor basis in ambient frame coordinates
     frame: AdaptedFrame          # adapted frame of the factor itself
     J: Optional[np.ndarray]
@@ -60,14 +62,13 @@ class FactorReport:
 
 @dataclass(frozen=True)
 class Decomposition:
-    abelian: Subspace
+    abelian: np.ndarray          # columns spanning ker j, ambient frame coordinates
     factors: list
-    transform: np.ndarray        # columns: abelian block then factor blocks
     frame: AdaptedFrame          # adapted frame of the whole algebra
 
     @property
     def d(self):
-        return self.abelian.dim
+        return self.abelian.shape[1]
 
     def killing_dimensions(self):
         """(dimK2, dimK3, d, r2, r3) from the dimension formulas."""
@@ -193,10 +194,9 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
     that the induced bracket on z has skew adjoint maps; returns the m^3
     bracket table or None.
     """
-    m = F.nz
+    m, mats = F.nz, F.j_matrices
     if m == 0:
         return None
-    mats = np.array(F.j_matrices).reshape(m, F.nv, F.nv)
     a = mats.reshape(m, -1).T
     scale = np.abs(a).max()
     # every commutator [J_s, J_t], solved for in the span of the J_u at once
@@ -223,7 +223,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     F = adapted_frame(L, tol)
     eye = np.eye(F.n)
     a_idx = list(F.a_indices)
-    abelian = Subspace(eye[:, a_idx], "abelian")
+    abelian = eye[:, a_idx]
     v0 = eye[:, list(F.v_indices)]
     z0 = eye[:, [i for i in F.z_indices if i not in a_idx]]
     const = F.constants
@@ -264,15 +264,11 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     final.sort(key=lambda b: (-(b[0].shape[1] + b[1].shape[1]),
                               tuple(np.round(b[0][:, 0], 6))))
     factors = []
-    parts = [abelian.columns]
+    parts = [abelian]
     for vc, zc, sub_const in final:
         cols = np.concatenate([vc, zc], axis=1)
         parts.append(cols)
         p = cols.shape[1]
-        sub = MetricLieAlgebra(
-            p, [f"f{i}" for i in range(p)], sub_const, np.eye(p),
-            name=f"{L.name}:factor" if L.name else "factor",
-        )
         # an irreducible factor's centre is its z-block and its ker j is 0,
         # so the identity is already its adapted frame
         ff = frame_from_constants(np.eye(p), sub_const, vc.shape[1], 0, tol)
@@ -282,8 +278,8 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
             raise InternalInvariantViolation(
                 "factor flagged both complex and naturally reductive"
             )
-        factors.append(FactorReport(sub_algebra=sub, columns=cols, frame=ff,
-                                    J=j_struct, compact_bracket=cbr))
+        factors.append(FactorReport(columns=cols, frame=ff, J=j_struct,
+                                    compact_bracket=cbr))
     transform = np.concatenate(parts, axis=1)
     # the blocks must reassemble the algebra: no cross-block brackets
     c_rot = rotate_constants(const, transform, transform)
@@ -294,8 +290,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
         raise DecompositionAmbiguous(
             "cross-block bracket residual %.2e" % cross.max()
         )
-    return Decomposition(abelian=abelian, factors=factors, transform=transform,
-                         frame=F)
+    return Decomposition(abelian=abelian, factors=factors, frame=F)
 
 
 def killing_dimensions(L: MetricLieAlgebra, tol=DEFAULT_TOL):

@@ -65,6 +65,23 @@ def test_zero_dimensional_algebra_refused(entry):
         entry(euclidean(0))
 
 
+@pytest.mark.parametrize("where", ["constants", "gram"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_entry_is_a_violation(where, value):
+    L = heisenberg(1)
+    c, g = L.structure_constants.copy(), np.eye(3)
+    if where == "constants":
+        c[0, 1, 2], c[1, 0, 2] = value, -value
+    else:
+        g[2, 2] = value
+    bad = MetricLieAlgebra(3, list(L.basis_names), c, g)
+    assert validate(bad).violations == [
+        ("structure constants" if where == "constants" else "gram")
+        + " has a non-finite entry"]
+    with pytest.raises(InvalidAlgebra, match="non-finite"):
+        adapted_frame(bad)
+
+
 def test_validate_indefinite_gram():
     L = heisenberg(1)
     bad = MetricLieAlgebra(3, list(L.basis_names), L.structure_constants,

@@ -226,6 +226,17 @@ def test_bad_flags_exit_2():
         assert "Traceback" not in out.stderr
 
 
+def test_bad_lambda_exits_2():
+    # a non-finite lambda is refused before any algebra is built, and one
+    # whose square overflows by the builder
+    for lam, message in (("nan", "lambda must be a finite number"),
+                         ("inf", "lambda must be a finite number"),
+                         ("1e300", "lambda squared is not finite")):
+        out = run_cli("analyze", "catalog:complex_heisenberg", "--lambda", lam)
+        assert out.returncode == 2, (lam, out.stderr)
+        assert message in out.stderr
+
+
 def test_main_returns_parser_exit_codes(capsys):
     # argparse's own exits come back as return values, not SystemExit
     assert cli.main(["killing", "catalog:h5", "--bogus"]) == 2

@@ -7,7 +7,7 @@ import pytest
 from nilkilling import MetricLieAlgebra, algebra, cli, structure
 from nilkilling.catalog import complex_heisenberg, direct_sum, euclidean, heisenberg
 from nilkilling.errors import InvalidAlgebra
-from nilkilling.killing import solve_killing2, solve_killing3
+from nilkilling.killing import solve_killing2, solve_killing3, structured_killing
 
 COUNTED = (("validate", algebra.validate),
            ("adapted_frame", algebra.adapted_frame),
@@ -43,6 +43,12 @@ def _killing(method, k):
                              "--method", method, "--json"])
 
 
+def _both_degrees():
+    # read through the module, so the counting wrapper is seen
+    dec = structure.decompose(_sum())
+    return structured_killing(dec, 2), structured_killing(dec, 3)
+
+
 # request -> number of decompositions it needs
 REQUESTS = {
     "analyze_record": (lambda: cli.analyze_record(_sum(), 1e-9), 1),
@@ -54,6 +60,7 @@ REQUESTS = {
     "cli_killing_both_k3": (_killing("both", 3), 1),
     "solve_killing2": (lambda: solve_killing2(_sum()), 1),
     "solve_killing3": (lambda: solve_killing3(_sum()), 1),
+    "structured_killing_k2_k3": (_both_degrees, 1),
 }
 
 
@@ -69,6 +76,15 @@ def test_one_decomposition_and_one_whole_frame(calls, capsys, request_name):
     assert framed is L
     assert len(calls["decompose"]) == decompositions
     assert all(M is L for M in calls["decompose"])
+
+
+def test_structured_killing_degrees_two_and_three_only():
+    dec = structure.decompose(_sum())
+    dims = [structured_killing(dec, k).dim for k in (2, 3)]
+    assert dims == list(dec.killing_dimensions()[:2]) == [2, 1]
+    for k in (1, 4):
+        with pytest.raises(ValueError, match="degrees 2 and 3"):
+            structured_killing(dec, k)
 
 
 def _three_step():

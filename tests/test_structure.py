@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilkilling import (
+    MetricLieAlgebra,
     adapted_frame,
     bracket_commutant,
     compatible_metric,
@@ -17,6 +18,8 @@ from nilkilling import (
     j_trace_form,
     killing_dimensions,
     naturally_reductive_type,
+    structured_killing,
+    transform,
 )
 from nilkilling import structure
 from nilkilling.errors import NotComplexStructure
@@ -47,10 +50,17 @@ def assert_intertwiners(mats, F):
         assert np.abs(s_bracket - bracket_s).max() < 1e-10
 
 
+def factor_algebra(factor):
+    """The factor as an algebra in its own orthonormal basis."""
+    p = factor.dim
+    return MetricLieAlgebra(p, [f"f{i}" for i in range(p)],
+                            factor.frame.constants, np.eye(p))
+
+
 def assert_factor_frames_match(dec):
     """Each factor frame equals the adapted frame built from scratch."""
     for factor in dec.factors:
-        ff, ref = factor.frame, adapted_frame(factor.sub_algebra)
+        ff, ref = factor.frame, adapted_frame(factor_algebra(factor))
         assert np.abs(ff.frame - ref.frame).max() < 1e-10
         assert (ff.nv, ff.nz) == (ref.nv, ref.nz)
         assert ff.a_indices == ref.a_indices == ()
@@ -167,7 +177,7 @@ def test_decompose_idempotent():
         dec = decompose(L)
         assert_factor_frames_match(dec)
         for factor in dec.factors:
-            again = decompose(factor.sub_algebra)
+            again = decompose(factor_algebra(factor))
             assert again.d == 0 and len(again.factors) == 1
 
 
@@ -185,6 +195,58 @@ def test_isometry_invariance():
         s0 = np.linalg.eigvalsh(j_trace_form(adapted_frame(L)))
         s1 = np.linalg.eigvalsh(j_trace_form(adapted_frame(Ls)))
         assert np.allclose(np.sort(s0), np.sort(s1), atol=1e-8)
+
+
+# irreducible summands of the scrambled sums below (n <= 14); each factor
+# is a repeated eigenspace of the splitting element
+FACTORS = [lambda: heisenberg(1), lambda: heisenberg(2), free_two_step_3,
+           lambda: complex_heisenberg(1.0), lambda: complex_heisenberg(2.0)]
+
+
+def _defined_answers(L):
+    """What a decomposition defines: the dimensions, each factor's flags and
+    g-orthogonal projector in user coordinates, and the structured Killing
+    spans in user coordinates."""
+    dec = decompose(L)
+    frame = dec.frame.frame
+    factors = []
+    for f in dec.factors:
+        b = frame @ f.columns
+        key = (f.dim, f.frame.nv, f.has_complex_structure, f.naturally_reductive)
+        factors.append((key, b @ b.T @ L.gram))
+    to_frame = np.linalg.inv(frame)
+    spans = []
+    for k in (2, 3):
+        forms = structured_killing(dec, k).basis
+        m = np.array([transform(w, to_frame).vec for w in forms]).T
+        spans.append(np.linalg.qr(m)[0] if forms else None)
+    return dec.killing_dimensions(), factors, spans
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(picks=st.lists(st.integers(0, len(FACTORS) - 1), min_size=2, max_size=2),
+       flat=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_factor_answers_survive_rounding_level_metric_change(picks, flat, seed):
+    """Factor bases are defined only up to rotation within the factor, so
+    only the projectors, flags and Killing spans are compared."""
+    rng = np.random.default_rng(seed)
+    parts = [FACTORS[i]() for i in picks] + ([euclidean(flat)] if flat else [])
+    L = direct_sum(parts)
+    p = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))[0] * rng.uniform(0.5, 2.0, L.dim)
+    Ls = change_user_basis(L, p)
+    e = rng.normal(size=(L.dim, L.dim))
+    e = (e + e.T) * (1e-15 * np.abs(Ls.gram).max() / np.abs(e + e.T).max())
+    dims0, factors0, spans0 = _defined_answers(Ls)
+    dims1, factors1, spans1 = _defined_answers(with_metric(Ls, Ls.gram + e))
+    assert dims0 == dims1
+    assert sorted(k for k, _ in factors0) == sorted(k for k, _ in factors1)
+    for key, proj in factors0:
+        assert min(np.abs(proj - other).max()
+                   for k, other in factors1 if k == key) < 1e-10
+    for a, b in zip(spans0, spans1):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert span_distance(a, b) < 1e-10
 
 
 def test_complex_structure_complex_heisenberg():
