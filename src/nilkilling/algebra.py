@@ -174,8 +174,8 @@ class AdaptedFrame:
 
 
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check finiteness, antisymmetry, 2-step nilpotency and
-    positive-definiteness.
+    """Check finiteness, antisymmetry, 2-step nilpotency,
+    positive-definiteness and the conditioning of the Gram matrix.
 
     A non-finite entry is the only violation reported, since no other check
     is meaningful on it.  A zero-dimensional algebra, which has no frame or
@@ -200,15 +200,12 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
         violations.append("gram not symmetric")
     else:
         eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if eigvals.min() <= tol * eigvals.max():
+        if eigvals.min() <= 0:
             violations.append("gram not positive definite")
+        elif eigvals.min() <= tol * eigvals.max():
+            violations.append("gram condition number %.3g exceeds 1/tol = %.3g"
+                              % (eigvals.max() / eigvals.min(), 1 / tol))
     return ValidationReport(violations)
-
-
-def _center_columns(L: MetricLieAlgebra, tol):
-    """Orthonormal columns spanning the center: the nullspace of all ad maps."""
-    ads = np.concatenate([L.ad_matrix(i) for i in range(L.dim)])
-    return nullspace(_unit_scaled(ads), tol)
 
 
 def _canonical_span_basis(cols, gram):
@@ -284,42 +281,31 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     """Build a g-orthonormal frame split into v-part and z-part.
 
     The one gate of the package: an algebra that fails `validate` raises
-    InvalidAlgebra, a zero-dimensional one ValueError.  The center comes
-    from the SVD nullspace of the stacked ad matrices, v is its
-    g-orthogonal complement, both parts are orthonormalized via a Cholesky
-    factor, and the z-frame is rotated so that ker j, the one SVD nullspace
-    of the stacked j-maps, is spanned by trailing frame vectors.  Works for
-    abelian input too (v empty).
+    InvalidAlgebra, a zero-dimensional one ValueError.  It makes two rank
+    decisions: the center z is the SVD nullspace of the stacked ad
+    matrices, and ker j is the SVD nullspace of the stacked j-maps in a
+    g-orthonormal basis of z.  v is the g-orthogonal complement of z and
+    the image of j the orthogonal complement of ker j, both read off a
+    complete QR.  v, the image and ker j are each made g-orthonormal and
+    aligned with the user axes where possible, ker j spanning the trailing
+    frame vectors.  Works for abelian input too (v empty).
     """
     report = validate(L, tol)
     if not report.ok:
         raise InvalidAlgebra("invalid algebra: " + "; ".join(report.violations))
-    n = L.dim
-    z_raw = _center_columns(L, tol)
-    v_raw = (nullspace(_unit_scaled(z_raw.T @ L.gram), tol) if z_raw.shape[1] < n
-             else np.zeros((n, 0)))
-    v_cols = _canonical_span_basis(v_raw, L.gram)
-    z_cols = _canonical_span_basis(z_raw, L.gram)
-    nv, nz = v_cols.shape[1], z_cols.shape[1]
-    frame = np.concatenate([v_cols, z_cols], axis=1)
-    const = _frame_constants(L, frame)
-    na = 0
-    if nz:
-        ker = nullspace(_unit_scaled(const[:nv, :nv, nv:].reshape(-1, nz)), tol)
-        na = ker.shape[1]
-        if 0 < na < nz:
-            # the image of z -> j(z) is the orthogonal complement of ker j
-            img = np.linalg.qr(ker, mode="complete")[0][:, na:]
-            z_cols = np.concatenate(
-                [
-                    _canonical_span_basis(z_cols @ img, L.gram),
-                    _canonical_span_basis(z_cols @ ker, L.gram),
-                ],
-                axis=1,
-            )
-            frame = np.concatenate([v_cols, z_cols], axis=1)
-            const = _frame_constants(L, frame)
-    return frame_from_constants(frame, const, nv, na, tol)
+    n, g = L.dim, L.gram
+    ads = np.concatenate([L.ad_matrix(i) for i in range(n)])
+    z = gram_orthonormalize(nullspace(_unit_scaled(ads), tol), g)
+    nz = z.shape[1]
+    nv = n - nz
+    v = np.linalg.qr(g @ z, mode="complete")[0][:, nz:]
+    jmaps = rotate_constants(L.structure_constants, v, g @ z)
+    ker = nullspace(_unit_scaled(jmaps.reshape(nv * nv, nz)), tol)
+    na = ker.shape[1]
+    img = np.linalg.qr(ker, mode="complete")[0][:, na:]
+    frame = np.concatenate(
+        [_canonical_span_basis(cols, g) for cols in (v, z @ img, z @ ker)], axis=1)
+    return frame_from_constants(frame, _frame_constants(L, frame), nv, na, tol)
 
 
 def nabla_matrix(F: AdaptedFrame, y):

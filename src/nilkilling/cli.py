@@ -226,15 +226,16 @@ def cmd_tables(args):
     list2, list3 = cat.classification_lists()
     mismatch = False
     tables = []
+    dims = {}                   # (dimK2, dimK3) by name; the lists share entries
     for degree, entries in ((2, list2), (3, list3)):
         rows = []
         for entry in entries:
             if not entry.buildable:
                 rows.append({"name": entry.name, "dim": entry.dim, "skipped": True})
                 continue
-            alg = entry.build()
-            dim_k2, dim_k3, *_ = killing_dimensions(alg, args.tol)
-            computed = dim_k2 if degree == 2 else dim_k3
+            if entry.name not in dims:
+                dims[entry.name] = killing_dimensions(entry.build(), args.tol)[:2]
+            computed = dims[entry.name][degree - 2]
             expected = entry.expected[degree - 2] if entry.expected else None
             ok = expected is None or computed == expected
             mismatch = mismatch or not ok

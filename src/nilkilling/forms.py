@@ -130,14 +130,6 @@ def _sort_sign(idx):
     return sign
 
 
-def _merge_sign(s, t):
-    """Sign of sorting the concatenation of two sorted disjoint tuples."""
-    sign = 1
-    for x in t:
-        sign *= (-1) ** sum(1 for y in s if y > x)
-    return sign
-
-
 def oneform(vector):
     """The 1-form dual to a frame-coordinate vector (frame is orthonormal)."""
     return Form(len(vector), 1, np.asarray(vector, dtype=float))
@@ -149,15 +141,9 @@ def wedge(omega: Form, eta: Form) -> Form:
     k, l = omega.degree, eta.degree
     if k + l > n:
         raise DegreeOverflow("wedge degree %d exceeds dimension %d" % (k + l, n))
-    out = Form(n, k + l)
-    pos = tuple_index(n, k + l)
-    for s, a in omega.terms():
-        for t, b in eta.terms():
-            if set(s) & set(t):
-                continue
-            merged = tuple(sorted(s + t))
-            out.vec[pos[merged]] += _merge_sign(s, t) * a * b
-    return out
+    return Form.from_terms(n, k + l, ((s + t, a * b)
+                                      for s, a in omega.terms()
+                                      for t, b in eta.terms()))
 
 
 def contract(x, omega: Form) -> Form:
@@ -179,7 +165,7 @@ def contract(x, omega: Form) -> Form:
     return out
 
 
-def skew_extend(f, omega: Form, tol=DEFAULT_TOL) -> Form:
+def skew_extend(f, omega: Form) -> Form:
     """Derivation action of a skew endomorphism on a form.
 
     Sum over the frame of f(u_i) wedged with the contraction by u_i; the
@@ -189,7 +175,7 @@ def skew_extend(f, omega: Form, tol=DEFAULT_TOL) -> Form:
     if f.shape != (omega.n, omega.n):
         raise ValueError("endomorphism must have shape (%d, %d), got %s"
                          % (omega.n, omega.n, f.shape))
-    if f.size and np.abs(f + f.T).max() > tol * np.abs(f).max():
+    if f.size and np.abs(f + f.T).max() > DEFAULT_TOL * np.abs(f).max():
         raise NotSkew("endomorphism is not skew-symmetric")
     out = Form(omega.n, omega.degree)
     if omega.degree == 0:

@@ -1,7 +1,8 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library's own code
-paths: the Koszul-formula connection is evaluated from its raw definition,
+paths: the Koszul-formula connection is evaluated from its raw definition
+and gives a second differential through the torsion-free formula,
 the component-equation checks for Killing 2- and 3-forms extract the
 matrices straight out of the coefficient tables, the intertwiner
 reference solves the full bracket system, and the brute-oracle reference
@@ -26,6 +27,27 @@ def koszul_nabla(F, x, y):
     t2 = np.einsum("j,i,jwi->w", y, x, c)
     t3 = np.einsum("i,j,wij->w", x, y, c)
     return 0.5 * (t1 - t2 + t3)
+
+
+def koszul_covariant(F, x, omega):
+    """nabla_x omega from `koszul_nabla`, for left-invariant omega:
+    (nabla_x omega)_t = -sum_j omega(e_t1, ..., nabla_x e_tj, ..., e_tk)."""
+    n = omega.n
+    nab = np.array([koszul_nabla(F, x, e) for e in np.eye(n)]).T
+    vec = [-sum(nab[m, b] * omega.coeff(t[:j] + (m,) + t[j + 1:])
+                for j, b in enumerate(t) for m in range(n))
+           for t in basis_tuples(n, omega.degree)]
+    return Form(n, omega.degree, vec)
+
+
+def torsion_free_d(F, omega):
+    """Reference differential sum_i e^i ^ nabla_{e_i} omega, valid for the
+    torsion-free Levi-Civita connection."""
+    n = omega.n
+    return Form.from_terms(n, omega.degree + 1, (
+        ((i,) + t, c)
+        for i, x in enumerate(np.eye(n))
+        for t, c in koszul_covariant(F, x, omega).terms()))
 
 
 def random_spd_metric(n, rng, shift=0.5):

@@ -16,6 +16,7 @@ from nilkilling import (
     decompose,
     validate,
 )
+from nilkilling import algebra
 from nilkilling.algebra import rotate_constants
 from nilkilling.errors import InvalidAlgebra
 
@@ -86,7 +87,39 @@ def test_validate_indefinite_gram():
     L = heisenberg(1)
     bad = MetricLieAlgebra(3, list(L.basis_names), L.structure_constants,
                            np.diag([1.0, 1.0, -1.0]))
-    assert any("definite" in v for v in validate(bad).violations)
+    assert validate(bad).violations == ["gram not positive definite"]
+
+
+def test_ill_conditioned_gram_names_the_condition_number():
+    # h3C(1e5) has Gram diag(1, 1, 1, 1, 1e10, 1e10): positive definite,
+    # but past the 1/tol conditioning cap
+    L = complex_heisenberg(1e5)
+    assert validate(L).violations == [
+        "gram condition number 1e+10 exceeds 1/tol = 1e+09"]
+    with pytest.raises(InvalidAlgebra, match="gram condition number"):
+        adapted_frame(L)
+    assert validate(complex_heisenberg(3e4)).ok
+
+
+@pytest.mark.parametrize("L", [
+    heisenberg(2),
+    complex_heisenberg(2.0),
+    direct_sum([euclidean(2), heisenberg(1)]),
+    direct_sum([euclidean(1), free_two_step_3()]),
+], ids=lambda L: L.name)
+def test_adapted_frame_makes_two_rank_decisions(monkeypatch, L):
+    # the centre and ker j; v and the image of j are their complements
+    shapes = []
+    solve = algebra.nullspace
+
+    def recording(a, tol):
+        shapes.append(np.shape(a))
+        return solve(a, tol)
+
+    monkeypatch.setattr(algebra, "nullspace", recording)
+    F = adapted_frame(L)
+    n, nv, nz = L.dim, F.nv, F.nz
+    assert shapes == [(n * n, n), (nv * nv, nz)]
 
 
 def _spans_equal(a, b):

@@ -237,6 +237,17 @@ def test_bad_lambda_exits_2():
         assert message in out.stderr
 
 
+def test_ill_conditioned_gram_exits_3(capsys):
+    # a positive-definite Gram matrix past the conditioning cap is refused
+    # as such, not as indefinite
+    argv = ["analyze", "catalog:complex_heisenberg", "--lambda", "1e5"]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid algebra: gram condition number 1e+10"
+                            " exceeds 1/tol = 1e+09\n")
+
+
 def test_main_returns_parser_exit_codes(capsys):
     # argparse's own exits come back as return values, not SystemExit
     assert cli.main(["killing", "catalog:h5", "--bogus"]) == 2

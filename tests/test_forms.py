@@ -19,10 +19,17 @@ from nilkilling import (
     transform,
     wedge,
 )
+from nilkilling.catalog import build, catalog_names
 from nilkilling.errors import DegreeOverflow, NotSkew
 from nilkilling.forms import basis_tuples
 
-from helpers import random_form, random_skew
+from helpers import (
+    random_form,
+    random_skew,
+    random_spd_metric,
+    torsion_free_d,
+    with_metric,
+)
 
 CATALOG = [
     heisenberg(1),
@@ -168,6 +175,20 @@ def test_lie_diff_squares_to_zero():
             k = int(rng.integers(1, n - 1))
             w = random_form(n, k, rng)
             assert lie_diff(L, F, lie_diff(L, F, w)).norm() < 1e-10
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_lie_diff_matches_torsion_free_d(name):
+    # d = sum_i e^i ^ nabla_{e_i}, with nabla from the raw Koszul formula
+    L = build(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for M in (L, with_metric(L, random_spd_metric(L.dim, rng))):
+        F = adapted_frame(M)
+        scale = np.abs(F.constants).max()
+        for k in range(1, M.dim):
+            w = random_form(M.dim, k, rng)
+            diff = (lie_diff(M, F, w) - torsion_free_d(F, w)).norm()
+            assert diff <= 1e-12 * w.norm() * scale, (k, diff)
 
 
 def test_nabla_form_h3_volume_legs_cancel():

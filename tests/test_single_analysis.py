@@ -1,4 +1,5 @@
 """Each request validates once, builds one frame and decomposes at most once."""
+import json
 import sys
 
 import numpy as np
@@ -76,6 +77,17 @@ def test_one_decomposition_and_one_whole_frame(calls, capsys, request_name):
     assert framed is L
     assert len(calls["decompose"]) == decompositions
     assert all(M is L for M in calls["decompose"])
+
+
+def test_tables_decomposes_each_algebra_once(calls, capsys):
+    # R2+h3 and R3+h3 are on both classification lists: 15 rows, 13 algebras
+    assert cli.main(["tables", "--json"]) == 0
+    rows = [row for table in json.loads(capsys.readouterr().out)["tables"]
+            for row in table["rows"] if not row["skipped"]]
+    names = [L.name for L in calls["decompose"]]
+    assert len(rows) == 15
+    assert sorted(names) == sorted({row["name"] for row in rows})
+    assert len(names) == 13
 
 
 def test_structured_killing_degrees_two_and_three_only():
