@@ -146,31 +146,31 @@ class ValidationReport:
 class AdaptedFrame:
     """g-orthonormal frame adapted to the orthogonal splitting n = v + z.
 
-    Columns of `frame` are the frame vectors in user coordinates, v-part
-    first.  `constants` holds the structure constants rewritten in frame
+    Columns of `frame` are the frame vectors in user coordinates: the first
+    `nv` span v, the rest span z, and the last `na` of those span ker j.
+    `constants` holds the structure constants rewritten in frame
     coordinates, where the metric is the identity.  `j_matrices` is the
-    (nz, nv, nv) stack whose t-th entry is the skew map on v attached to
-    the t-th z-frame vector.
+    (nz, nv, nv) stack, a view of `constants`, whose t-th entry is the
+    skew map on v attached to the t-th z-frame vector.
     """
 
     frame: np.ndarray
-    v_indices: tuple
-    z_indices: tuple
-    a_indices: tuple             # trailing z-vectors spanning ker j
-    j_matrices: np.ndarray
     constants: np.ndarray
+    nv: int
+    na: int                      # trailing z-vectors spanning ker j
 
     @property
     def n(self):
         return self.frame.shape[0]
 
     @property
-    def nv(self):
-        return len(self.v_indices)
+    def nz(self):
+        return self.n - self.nv
 
     @property
-    def nz(self):
-        return len(self.z_indices)
+    def j_matrices(self):
+        nv = self.nv
+        return self.constants[:nv, :nv, nv:].transpose(2, 1, 0)
 
 
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -262,19 +262,11 @@ def frame_from_constants(frame, constants, nv, na, tol=DEFAULT_TOL) -> AdaptedFr
     The last `na` z-vectors span the abelian kernel ker j, as decided by
     the caller.
     """
-    n = constants.shape[0]
     block = constants[:nv, :nv, nv:]
     scale = np.abs(constants).max()
     if np.abs(block + block.transpose(1, 0, 2)).max(initial=0.0) > 100 * tol * scale:
         raise NotSkew("j matrix not skew; inconsistent input")
-    return AdaptedFrame(
-        frame=frame,
-        v_indices=tuple(range(nv)),
-        z_indices=tuple(range(nv, n)),
-        a_indices=tuple(range(n - na, n)),
-        j_matrices=block.transpose(2, 1, 0),
-        constants=constants,
-    )
+    return AdaptedFrame(frame, constants, nv, na)
 
 
 def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame:

@@ -327,8 +327,8 @@ def main(argv=None):
     if getattr(args, "degree", 1) < 1:
         print("degree must be >= 1", file=sys.stderr)
         return EXIT_PARSE
-    if hasattr(args, "tol") and not (np.isfinite(args.tol) and args.tol > 0):
-        print("tol must be a finite positive number", file=sys.stderr)
+    if hasattr(args, "tol") and not 0 < args.tol < 1:
+        print("tol must be a finite number in (0, 1)", file=sys.stderr)
         return EXIT_PARSE
     if not np.isfinite(getattr(args, "lam", 1.0)):
         print("lambda must be a finite number", file=sys.stderr)

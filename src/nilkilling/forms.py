@@ -165,6 +165,22 @@ def contract(x, omega: Form) -> Form:
     return out
 
 
+def _derive(images, degree, omega: Form) -> Form:
+    """The derivation sum_i images[i] ^ (e_i -| omega).
+
+    `images[i]` is the coefficient vector of a `degree`-form; e_i -| omega
+    vanishes unless i is a leg of one of omega's terms, so only those legs
+    with a non-zero image contribute.
+    """
+    n = omega.n
+    out = Form(n, omega.degree + degree - 1)
+    eye = np.eye(n)
+    for i in sorted({i for t, _ in omega.terms() for i in t}):
+        if np.any(images[i]):
+            out = out + wedge(Form(n, degree, images[i]), contract(eye[:, i], omega))
+    return out
+
+
 def skew_extend(f, omega: Form) -> Form:
     """Derivation action of a skew endomorphism on a form.
 
@@ -177,16 +193,7 @@ def skew_extend(f, omega: Form) -> Form:
                          % (omega.n, omega.n, f.shape))
     if f.size and np.abs(f + f.T).max() > DEFAULT_TOL * np.abs(f).max():
         raise NotSkew("endomorphism is not skew-symmetric")
-    out = Form(omega.n, omega.degree)
-    if omega.degree == 0:
-        return out
-    basis = np.eye(omega.n)
-    for i in range(omega.n):
-        col = f[:, i]
-        if not np.any(col):
-            continue
-        out = out + wedge(oneform(col), contract(basis[:, i], omega))
-    return out
+    return _derive(f.T, 1, omega)
 
 
 def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:
@@ -196,23 +203,14 @@ def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:
     with coefficients -c[a, b, i], a < b, read off the frame constants c.
     """
     n = F.n
-    k = omega.degree
-    if k >= n:
+    if omega.degree >= n:
         raise DegreeOverflow("differential of a top-degree form")
-    out = Form(n, k + 1)
     d_frame = -F.constants[np.triu_indices(n, 1)]    # rows in basis_tuples(n, 2) order
-    eye = np.eye(n)
-    # e_i -| omega vanishes unless i is a leg of one of omega's terms
-    for i in sorted({i for t, _ in omega.terms() for i in t}):
-        if np.any(d_frame[:, i]):
-            out = out + wedge(Form(n, 2, d_frame[:, i]), contract(eye[:, i], omega))
-    return out
+    return _derive(d_frame.T, 2, omega)
 
 
 def nabla_form(L: MetricLieAlgebra, F: AdaptedFrame, y, omega: Form) -> Form:
     """Covariant derivative of an invariant form in the direction y."""
-    if omega.degree == 0:
-        return Form(omega.n, 0)
     return skew_extend(nabla_matrix(F, y), omega)
 
 
@@ -221,7 +219,7 @@ def bigrade(F: AdaptedFrame, omega: Form, l: int) -> Form:
     if not 0 <= l <= omega.degree:
         raise ValueError("bigrade index out of range")
     legs = np.array(basis_tuples(omega.n, omega.degree), dtype=int)
-    mask = np.isin(legs, F.v_indices).sum(axis=1) == l
+    mask = (legs < F.nv).sum(axis=1) == l
     return Form(omega.n, omega.degree, np.where(mask, omega.vec, 0.0))
 
 

@@ -149,7 +149,7 @@ def killgen_residuals(F: AdaptedFrame, omega: Form):
     is Killing.
     """
     pol = _polarized([skew_extend(m, omega) for m in _connections(F)])
-    v, z = F.v_indices, F.z_indices
+    v, z = range(F.nv), range(F.nv, F.n)
     families = {
         "pp1": [pol[a, b] for a in v for b in v if a <= b],
         "pp2": [pol[s, t] for s in z for t in z if s <= t],
@@ -186,7 +186,7 @@ def _killing3_part(factor):
     ff = factor.frame
     pv, p = ff.nv, factor.dim
     tensor = np.zeros((p, p, p))
-    tensor[:pv, :pv, pv:] = ff.j_matrices.transpose(2, 1, 0)
+    tensor[:pv, :pv, pv:] = ff.constants[:pv, :pv, pv:]
     tensor[pv:, pv:, pv:] = 2.0 * factor.compact_bracket
     return _form_from_tensor(tensor)
 

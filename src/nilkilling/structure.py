@@ -221,11 +221,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     raises InvalidAlgebra from `adapted_frame`.
     """
     F = adapted_frame(L, tol)
-    eye = np.eye(F.n)
-    a_idx = list(F.a_indices)
-    abelian = eye[:, a_idx]
-    v0 = eye[:, list(F.v_indices)]
-    z0 = eye[:, [i for i in F.z_indices if i not in a_idx]]
+    v0, z0, abelian = np.split(np.eye(F.n), [F.nv, F.n - F.na], axis=1)
     const = F.constants
 
     blocks = [(v0, z0)] if v0.shape[1] else []

@@ -7,11 +7,13 @@ the component-equation checks for Killing 2- and 3-forms extract the
 matrices straight out of the coefficient tables, the intertwiner
 reference solves the full bracket system, and the brute-oracle reference
 takes the nullspace of the full stacked Killing operator (both sharing
-only the rank policy of `nullspace`).
+only the rank policy of `nullspace`).  The representation ladder (Im H on
+H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
+library's `from_representation`.
 """
 import numpy as np
 
-from nilkilling import Form, MetricLieAlgebra, nabla_matrix
+from nilkilling import Form, MetricLieAlgebra, from_representation, nabla_matrix
 from nilkilling.forms import basis_tuples, contract, lie_diff, skew_extend
 from nilkilling.killing import _normalize
 from nilkilling.linalg import nullspace
@@ -106,13 +108,12 @@ def full_intertwiners(constants, tol, symmetric):
     return list(np.einsum("qr,qij->rij", null, basis))
 
 
-def brute_reference(L, F, k, tol):
-    """Reference for the brute oracle: the full stacked Killing operator.
+def killing_operator_reference(L, F, k):
+    """The full stacked Killing operator, one column per basis k-form e^t.
 
-    One column per basis k-form e^t, stacking over the frame directions a
-    the defects nabla_a e^t - (e_a -| d e^t)/(k+1), all n*C(n,k) rows at
-    once, unit-scaled by the largest frame constant.  Returns the
-    normalized forms of its nullspace, the basis the oracle reports.
+    Row block a (frame direction e_a) holds the defects
+    nabla_a e^t - (e_a -| d e^t)/(k+1), all n*C(n,k) rows at once; row
+    (a, s) is component s of direction a's defect.
     """
     n = F.n
     eye = np.eye(n)
@@ -127,10 +128,79 @@ def brute_reference(L, F, k, tol):
             dp = contract(eye[:, a], dw) if dw is not None else Form(n, k)
             col.append((nab - (1.0 / (k + 1)) * dp).vec)
         cols.append(np.concatenate(col))
-    op = np.array(cols).T
+    return np.array(cols).T
+
+
+def brute_reference(L, F, k, tol):
+    """Reference for the brute oracle: the nullspace of
+    `killing_operator_reference`, unit-scaled by the largest frame
+    constant, as the normalized forms the oracle reports."""
+    op = killing_operator_reference(L, F, k)
     scale = np.abs(F.constants).max()
     null = nullspace(op / scale if scale else op, tol)
-    return [_normalize(Form(n, k, v)) for v in null.T]
+    return [_normalize(Form(F.n, k, v)) for v in null.T]
+
+
+def so3_matrices():
+    """The rotation generators L_1, L_2, L_3 of so(3) on R^3."""
+    l1 = np.zeros((3, 3)); l1[2, 1] = 1.0; l1[1, 2] = -1.0
+    l2 = np.zeros((3, 3)); l2[0, 2] = 1.0; l2[2, 0] = -1.0
+    l3 = np.zeros((3, 3)); l3[1, 0] = 1.0; l3[0, 1] = -1.0
+    return [l1, l2, l3]
+
+
+def so3_bracket():
+    """Structure table of so(3) in the basis of `so3_matrices`."""
+    c = np.zeros((3, 3, 3))
+    for s, t, u in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        c[s, t, u] = 1.0
+        c[t, s, u] = -1.0
+    return c
+
+
+def spin2_matrices():
+    """so(3) acting by commutators on the traceless symmetric 3x3 matrices,
+    in a Frobenius-orthonormal basis: the spin-2 representation, skew."""
+    e = np.eye(3)
+    sym = [(np.outer(e[0], e[0]) - np.outer(e[1], e[1])) / np.sqrt(2),
+           (np.outer(e[0], e[0]) + np.outer(e[1], e[1])
+            - 2 * np.outer(e[2], e[2])) / np.sqrt(6)]
+    sym += [(np.outer(e[i], e[j]) + np.outer(e[j], e[i])) / np.sqrt(2)
+            for i, j in ((0, 1), (0, 2), (1, 2))]
+    return [np.array([[np.sum(a * (g @ b - b @ g)) for b in sym] for a in sym])
+            for g in so3_matrices()]
+
+
+def quaternion_matrices():
+    """Left multiplication by i, j, k on H = R^4 (basis 1, i, j, k)."""
+    table = {"i": [(1, 1), (0, -1), (3, 1), (2, -1)],
+             "j": [(2, 1), (3, -1), (0, -1), (1, 1)],
+             "k": [(3, 1), (2, 1), (1, -1), (0, -1)]}
+    mats = []
+    for unit in "ijk":
+        m = np.zeros((4, 4))
+        for col, (row, sign) in enumerate(table[unit]):
+            m[row, col] = sign
+        mats.append(m)
+    return mats
+
+
+def quaternionic_heisenberg():
+    """Im H acting on H (n = 7); [i, j] = 2k in Im H."""
+    return from_representation(2 * so3_bracket(), quaternion_matrices(),
+                               np.eye(3))
+
+
+def spin2_algebra():
+    """spin-2 of so(3) on the traceless symmetric 3x3 matrices (n = 8)."""
+    return from_representation(so3_bracket(), spin2_matrices(), np.eye(3))
+
+
+def spin1_spin2_algebra():
+    """spin-1 + spin-2 over one so(3) (n = 11)."""
+    rho = [np.block([[a, np.zeros((3, 5))], [np.zeros((5, 3)), b]])
+           for a, b in zip(so3_matrices(), spin2_matrices())]
+    return from_representation(so3_bracket(), rho, np.eye(3))
 
 
 def random_form(n, k, rng):

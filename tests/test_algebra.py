@@ -1,8 +1,11 @@
 """Validation, adapted frames, the j-map and the Levi-Civita connection."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nilkilling import (
+    AdaptedFrame,
     MetricLieAlgebra,
     adapted_frame,
     complex_heisenberg,
@@ -128,13 +131,13 @@ def _spans_equal(a, b):
 
 
 def center_and_commutator(L):
-    """The centre (z-block) and the commutator (z-block minus a_indices) of
+    """The centre (z-block) and the commutator (z-block minus the last na) of
     the adapted frame, as user-coordinate columns; both are checked against
     their definitions: the centre is annihilated by every ad map, and the
     commutator is the span of all brackets."""
     F = adapted_frame(L)
-    z = F.frame[:, list(F.z_indices)]
-    comm = F.frame[:, [i for i in F.z_indices if i not in F.a_indices]]
+    z = F.frame[:, F.nv:]
+    comm = F.frame[:, F.nv:F.n - F.na]
     for i in range(L.dim):
         assert np.abs(L.ad_matrix(i) @ z).max(initial=0.0) < 1e-12
     brackets = L.structure_constants.reshape(-1, L.dim).T
@@ -166,14 +169,14 @@ def test_center_commutator_complex_heisenberg():
 
 def test_center_commutator_abelian():
     F, z, comm = center_and_commutator(euclidean(3))
-    assert F.nv == 0 and F.nz == len(F.a_indices) == 3
+    assert F.nv == 0 and F.nz == F.na == 3
     assert comm.shape[1] == 0
 
 
 def test_adapted_frame_h3():
     L = heisenberg(1)
     F = adapted_frame(L)
-    assert F.nv == 2 and F.nz == 1 and F.a_indices == ()
+    assert F.nv == 2 and F.nz == 1 and F.na == 0
     # j(e3) maps e1 -> e2, e2 -> -e1
     j = F.j_matrices[0]
     assert np.allclose(j @ np.array([1.0, 0.0]), [0.0, 1.0])
@@ -191,9 +194,20 @@ def test_adapted_frame_complex_heisenberg(lam):
 
 def test_adapted_frame_abelian_kernel():
     F = adapted_frame(direct_sum([euclidean(1), heisenberg(1)]))
-    assert len(F.a_indices) == 1
-    t = F.a_indices[0] - F.nv
+    assert F.na == 1
+    t = F.nz - F.na
     assert np.abs(F.j_matrices[t]).max() < 1e-12
+
+
+def test_frame_layout_is_two_integers():
+    # v is the first nv frame vectors, ker j the last na; the j-maps are a
+    # view of the constants, not a copy
+    names = [f.name for f in dataclasses.fields(AdaptedFrame)]
+    assert names == ["frame", "constants", "nv", "na"]
+    F = adapted_frame(direct_sum([euclidean(1), heisenberg(1)]))
+    assert (F.n, F.nv, F.nz, F.na) == (4, 2, 2, 1)
+    assert np.shares_memory(F.j_matrices, F.constants)
+    assert np.array_equal(F.j_matrices, F.constants[:2, :2, 2:].transpose(2, 1, 0))
 
 
 def test_frame_is_gram_orthonormal():
@@ -206,8 +220,7 @@ def test_frame_is_gram_orthonormal():
 def test_j_matrices_skew_and_no_common_kernel():
     for L in CATALOG:
         F = adapted_frame(L)
-        active = [F.j_matrices[t - F.nv] for t in F.z_indices
-                  if t not in F.a_indices]
+        active = list(F.j_matrices[:F.nz - F.na])
         for jt in F.j_matrices:
             assert np.abs(jt + jt.T).max() < 1e-10
         if F.nv and active:
@@ -283,7 +296,7 @@ def test_j_trace_form_abelian_direction_zero():
     L = direct_sum([euclidean(1), heisenberg(1)])
     F = adapted_frame(L)
     jt = j_trace_form(F)
-    t = F.a_indices[0] - F.nv
+    t = F.nz - F.na
     assert np.abs(jt[t, :]).max() < 1e-12
     assert np.abs(jt[:, t]).max() < 1e-12
 

@@ -19,22 +19,9 @@ from nilkilling import (
 )
 from nilkilling.errors import EmptySum, NotAdInvariant, TrivialSubrepresentation
 
+from helpers import so3_bracket, so3_matrices, spin2_matrices
+
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def so3_matrices():
-    l1 = np.zeros((3, 3)); l1[2, 1] = 1.0; l1[1, 2] = -1.0
-    l2 = np.zeros((3, 3)); l2[0, 2] = 1.0; l2[2, 0] = -1.0
-    l3 = np.zeros((3, 3)); l3[1, 0] = 1.0; l3[0, 1] = -1.0
-    return [l1, l2, l3]
-
-
-def so3_bracket():
-    c = np.zeros((3, 3, 3))
-    for s, t, u in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        c[s, t, u] = 1.0
-        c[t, s, u] = -1.0
-    return c
 
 
 def test_heisenberg_family():
@@ -123,6 +110,13 @@ def test_from_representation_rejects_non_homomorphism():
     # the negated matrices satisfy [rho_s, rho_t] = -rho([s, t]): residual 2
     with pytest.raises(ValueError, match="not a representation"):
         from_representation(so3_bracket(), [-r for r in so3_matrices()],
+                            np.eye(3))
+
+
+def test_from_representation_rejects_transposed_spin2():
+    # rho^T = -rho represents the opposite bracket on so(3)
+    with pytest.raises(ValueError, match="rho is not a representation"):
+        from_representation(so3_bracket(), [r.T for r in spin2_matrices()],
                             np.eye(3))
 
 

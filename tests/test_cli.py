@@ -212,7 +212,7 @@ def test_library_invariant_failure_exits_4(monkeypatch, capsys, error):
 
 def test_bad_flags_exit_2():
     assert run_cli("killing", "catalog:heisenberg", "--degree", "0").returncode == 2
-    for tol in ("-1", "0", "nan", "inf", "-inf"):
+    for tol in ("-1", "0", "1", "2", "nan", "inf", "-inf"):
         out = run_cli("analyze", "catalog:heisenberg", f"--tol={tol}", "--json")
         assert out.returncode == 2, (tol, out.stdout)
         assert "tol must be" in out.stderr

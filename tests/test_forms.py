@@ -19,6 +19,7 @@ from nilkilling import (
     transform,
     wedge,
 )
+from nilkilling import forms
 from nilkilling.catalog import build, catalog_names
 from nilkilling.errors import DegreeOverflow, NotSkew
 from nilkilling.forms import basis_tuples
@@ -159,10 +160,40 @@ def test_lie_diff_h3_center_dual():
     assert np.allclose(out.vec, -wedge(oneform(e(3, 0)), oneform(e(3, 1))).vec)
 
 
+def test_skew_extend_contracts_only_along_legs(monkeypatch):
+    # e_i -| e^t vanishes unless i is a leg of t: k contractions, not n
+    rng = np.random.default_rng(21)
+    n = 6
+    f = random_skew(n, rng)
+    calls = []
+    contract_ = forms.contract
+
+    def counting(x, omega):
+        calls.append(x)
+        return contract_(x, omega)
+
+    monkeypatch.setattr(forms, "contract", counting)
+    for t in ((2,), (0, 4), (1, 2, 5), (0, 1, 3, 4)):
+        calls.clear()
+        skew_extend(f, Form.basis(n, len(t), t))
+        assert len(calls) == len(t), t
+
+
+def test_degree_zero_derivations_vanish():
+    L = heisenberg(2)
+    F = adapted_frame(L)
+    rng = np.random.default_rng(22)
+    const = Form(5, 0, [2.5])
+    for out, degree in ((skew_extend(random_skew(5, rng), const), 0),
+                        (nabla_form(L, F, rng.normal(size=5), const), 0),
+                        (lie_diff(L, F, const), 1)):
+        assert out.degree == degree and not out.vec.any()
+
+
 def test_lie_diff_v_duals_closed():
     for L in CATALOG:
         F = adapted_frame(L)
-        for i in F.v_indices:
+        for i in range(F.nv):
             assert lie_diff(L, F, oneform(e(L.dim, i))).norm() < 1e-12
 
 
@@ -203,7 +234,7 @@ def test_nabla_form_vanishes_on_abelian_kernel():
     F = adapted_frame(L)
     rng = np.random.default_rng(4)
     y = np.zeros(4)
-    y[F.a_indices[0]] = 1.0
+    y[F.n - F.na] = 1.0
     for k in (1, 2, 3):
         assert nabla_form(L, F, y, random_form(4, k, rng)).norm() < 1e-12
 

@@ -20,14 +20,25 @@ from nilkilling import (
     killing_residual,
     nabla_matrix,
     oneform,
+    decompose,
     solve_killing2,
     solve_killing3,
+    structured_killing,
     wedge,
 )
 from nilkilling import killing
+from nilkilling.forms import basis_tuples
 from nilkilling.linalg import DEFAULT_TOL, span_distance
 
-from helpers import brute_reference, random_spd_metric, with_metric
+from helpers import (
+    brute_reference,
+    killing_operator_reference,
+    quaternionic_heisenberg,
+    random_spd_metric,
+    spin1_spin2_algebra,
+    spin2_algebra,
+    with_metric,
+)
 
 
 def e(n, i):
@@ -235,7 +246,7 @@ def test_degree_one_killing_vector_condition():
                     assert abs(val) < 1e-9
         # parallel central duals (the abelian kernel) are Killing 1-forms
         mat = space.matrix()
-        for t in F.a_indices:
+        for t in range(n - F.na, n):
             dual = eye[:, t]
             proj = mat @ (mat.T @ dual) if space.dim else np.zeros(n)
             assert np.abs(proj - dual).max() < 1e-9
@@ -332,3 +343,61 @@ def test_structured_forms_are_normalized():
                 assert abs(form.norm() - 1.0) < 1e-12, name
                 lead = form.vec[np.abs(form.vec) > 1e-10]
                 assert lead[0] > 0, name
+
+
+def _parity_cases():
+    rng = np.random.default_rng(23)
+    cases = []
+    for L in [direct_sum([free_two_step_3(), heisenberg(2)]),
+              direct_sum([complex_heisenberg(1.0), heisenberg(1)]),
+              catalog.build("R3+h3")]:
+        cases += [L, with_metric(L, random_spd_metric(L.dim, rng))]
+    return {L.name: L for L in cases}
+
+
+PARITY_CASES = _parity_cases()
+
+
+@pytest.mark.parametrize("name", list(PARITY_CASES))
+def test_killing_operator_splits_by_v_leg_parity(name):
+    # nabla_x moves the number l of v-legs by 1 for x in v and keeps it for
+    # x in z; e_a -| d moves it by 1 or 2 alike, so row (a, S) meets only
+    # columns T with l(T) = l(S) + [a in v] mod 2
+    L = PARITY_CASES[name]
+    F = adapted_frame(L)
+    n = F.n
+    for k in (2, 3, 4):
+        op = killing_operator_reference(L, F, k)
+        legs = (np.array(basis_tuples(n, k)) < F.nv).sum(axis=1)
+        rows = np.tile(legs, n) + np.repeat(np.arange(n) < F.nv, len(legs))
+        cross = (rows[:, None] - legs[None, :]) % 2 == 1
+        assert np.abs(op[cross]).max() <= 1e-12 * np.abs(op).max(), (name, k)
+
+
+def test_structured_forms_have_even_v_legs():
+    # the abelian block lies in z, and each factor's form has 2 or 0 v-legs
+    for name in catalog.catalog_names():
+        dec = decompose(catalog.build(name))
+        for k in (2, 3):
+            for form in structured_killing(dec, k).basis:
+                for l in range(1, k + 1, 2):
+                    assert not bigrade(dec.frame, form, l).vec.any(), (name, k, l)
+
+
+@pytest.mark.parametrize("build, n", [(quaternionic_heisenberg, 7),
+                                      (spin2_algebra, 8),
+                                      (spin1_spin2_algebra, 11)])
+def test_representation_ladder_brute_matches_structured(build, n):
+    # irreducible, naturally reductive, with a 3-dim centre: K2 = 0, K3 = 1
+    L = build()
+    assert L.dim == n
+    dec = decompose(L)
+    assert dec.d == 0 and len(dec.factors) == 1
+    for k, want in ((2, 0), (3, 1)):
+        structured = structured_killing(dec, k)
+        brute = killing_nullspace_brute(L, dec.frame, k)
+        assert brute.dim == structured.dim == want, k
+        if want:
+            qa, _ = np.linalg.qr(brute.matrix())
+            qb, _ = np.linalg.qr(structured.matrix())
+            assert span_distance(qa, qb) < 1e-9

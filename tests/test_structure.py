@@ -63,7 +63,7 @@ def assert_factor_frames_match(dec):
         ff, ref = factor.frame, adapted_frame(factor_algebra(factor))
         assert np.abs(ff.frame - ref.frame).max() < 1e-10
         assert (ff.nv, ff.nz) == (ref.nv, ref.nz)
-        assert ff.a_indices == ref.a_indices == ()
+        assert ff.na == ref.na == 0
         assert len(ff.j_matrices) == len(ref.j_matrices)
         for a, b in zip(ff.j_matrices, ref.j_matrices):
             assert np.abs(a - b).max() < 1e-10
