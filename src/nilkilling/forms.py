@@ -2,14 +2,15 @@
 
 Forms are stored densely over the C(n, k) strictly increasing index tuples
 of frame indices; the frame is orthonormal so the coefficient vector also
-gives the inner product.  Alongside the standard wedge/contraction pair,
-this module provides the derivation action of skew endomorphisms, the Lie
-algebra differential, the covariant derivative of invariant forms, and the
-projection onto the v/z bigrading.
+gives the inner product.  One cached wedge table (`_wedge_table`) decides
+every sign: wedge, contraction, basis forms and the derivations built from
+them (skew endomorphisms, the Lie algebra differential, the covariant
+derivative of invariant forms) are products over it.  Also the projection
+onto the v/z bigrading and pullback along linear maps.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 
@@ -26,8 +27,36 @@ def basis_tuples(n, k):
 
 
 @lru_cache(maxsize=None)
-def tuple_index(n, k):
-    return {t: i for i, t in enumerate(basis_tuples(n, k))}
+def _legs(n, k):
+    """basis_tuples(n, k) as a read-only (C(n, k), k) integer array."""
+    legs = np.array(basis_tuples(n, k), dtype=int).reshape(comb(n, k), k)
+    legs.setflags(write=False)
+    return legs
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n, k, l):
+    """e^s ^ e^t = sign * e^target for basis k-tuples s and l-tuples t.
+
+    Read-only (target, sign) arrays of shape (C(n, k), C(n, l)); sign is 0
+    where s and t share a leg.  The sign is the parity of the shuffle, the
+    number of legs of s above each leg of t; target is the lexicographic
+    rank C(n, m) - 1 - sum_p C(n - 1 - u_p, m - p) of the merged legs u.
+    """
+    m = k + l
+    s, t = _legs(n, k), _legs(n, l)
+    member = np.zeros((len(s), n), dtype=int)
+    np.put_along_axis(member, s, 1, axis=1)
+    shared = member[:, t].any(axis=2)
+    shuffles = (k - np.cumsum(member, axis=1))[:, t].sum(axis=2)
+    merged = np.sort(np.concatenate([s[:, None].repeat(len(t), axis=1),
+                                     t[None].repeat(len(s), axis=0)], axis=2), axis=2)
+    binom = np.array([[comb(a, b) for b in range(m + 1)] for a in range(n)])
+    rank = comb(n, m) - 1 - binom[n - 1 - merged, m - np.arange(m)].sum(axis=2)
+    table = np.where(shared, 0, rank), np.where(shared, 0, (-1) ** shuffles)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 class Form:
@@ -49,26 +78,20 @@ class Form:
     @classmethod
     def from_terms(cls, n, degree, terms):
         """Build from (indices, coeff) pairs; indices need not be sorted."""
-        out = cls(n, degree)
-        pos = tuple_index(n, degree)
-        for indices, coeff in terms:
-            idx = tuple(indices)
-            if len(set(idx)) != len(idx):
-                continue
-            srt = tuple(sorted(idx))
-            out.vec[pos[srt]] += _sort_sign(idx) * coeff
-        return out
+        return sum((c * cls.basis(n, degree, idx) for idx, c in terms),
+                   cls(n, degree))
 
     @classmethod
     def basis(cls, n, degree, indices):
-        return cls.from_terms(n, degree, [(indices, 1.0)])
+        """e^{i_1} ^ ... ^ e^{i_k}: signed for unsorted legs, 0 if one repeats."""
+        if len(indices) != degree or not all(0 <= i < n for i in indices):
+            raise ValueError("legs %s of a degree-%d form on R^%d"
+                             % (indices, degree, n))
+        eye = np.eye(n)
+        return reduce(wedge, (oneform(eye[i]) for i in indices), cls(n, 0, [1.0]))
 
     def coeff(self, indices):
-        idx = tuple(indices)
-        srt = tuple(sorted(idx))
-        if len(set(idx)) != len(idx):
-            return 0.0
-        return _sort_sign(idx) * self.vec[tuple_index(self.n, self.degree)[srt]]
+        return self.vec @ Form.basis(self.n, self.degree, indices).vec
 
     def terms(self, tol=0.0):
         for t, c in zip(basis_tuples(self.n, self.degree), self.vec):
@@ -105,29 +128,13 @@ class Form:
         return "Form(%d, deg=%d: %s)" % (self.n, self.degree, inside or "0")
 
     def to_json(self):
-        return {
-            "degree": self.degree,
-            "terms": [
-                {"indices": list(t), "coeff": c} for t, c in self.terms(1e-15)
-            ],
-        }
+        terms = [{"indices": list(t), "coeff": c} for t, c in self.terms(1e-15)]
+        return {"degree": self.degree, "terms": terms}
 
     @classmethod
     def from_json(cls, data, n):
-        return cls.from_terms(
-            n, int(data["degree"]),
-            [(term["indices"], term["coeff"]) for term in data.get("terms", [])],
-        )
-
-
-def _sort_sign(idx):
-    sign = 1
-    idx = list(idx)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
+        terms = [(term["indices"], term["coeff"]) for term in data.get("terms", [])]
+        return cls.from_terms(n, int(data["degree"]), terms)
 
 
 def oneform(vector):
@@ -141,9 +148,18 @@ def wedge(omega: Form, eta: Form) -> Form:
     k, l = omega.degree, eta.degree
     if k + l > n:
         raise DegreeOverflow("wedge degree %d exceeds dimension %d" % (k + l, n))
-    return Form.from_terms(n, k + l, ((s + t, a * b)
-                                      for s, a in omega.terms()
-                                      for t, b in eta.terms()))
+    target, sign = _wedge_table(n, k, l)
+    weights = sign * np.outer(omega.vec, eta.vec)
+    return Form(n, k + l, np.bincount(target.ravel(), weights.ravel(),
+                                      minlength=comb(n, k + l)))
+
+
+def _contractions(omega: Form):
+    """(n, C(n, k-1)) array whose row i is e_i -| omega; zeros for k = 0."""
+    if omega.degree == 0:
+        return np.zeros((omega.n, 1))
+    target, sign = _wedge_table(omega.n, 1, omega.degree - 1)
+    return sign * omega.vec[target]
 
 
 def contract(x, omega: Form) -> Form:
@@ -152,32 +168,20 @@ def contract(x, omega: Form) -> Form:
     if x.shape != (omega.n,):
         raise ValueError("vector must have shape (%d,), got %s"
                          % (omega.n, x.shape))
-    if omega.degree == 0:
-        return Form(omega.n, 0)
-    out = Form(omega.n, omega.degree - 1)
-    pos = tuple_index(omega.n, omega.degree - 1)
-    for t, c in omega.terms():
-        for p, i in enumerate(t):
-            if x[i] == 0.0:
-                continue
-            rest = t[:p] + t[p + 1:]
-            out.vec[pos[rest]] += ((-1) ** p) * x[i] * c
-    return out
+    return Form(omega.n, max(omega.degree - 1, 0), x @ _contractions(omega))
 
 
 def _derive(images, degree, omega: Form) -> Form:
     """The derivation sum_i images[i] ^ (e_i -| omega).
 
-    `images[i]` is the coefficient vector of a `degree`-form; e_i -| omega
-    vanishes unless i is a leg of one of omega's terms, so only those legs
-    with a non-zero image contribute.
+    `images[i]` is the coefficient vector of a `degree`-form; only the legs
+    i with a non-zero contraction and a non-zero image contribute.
     """
-    n = omega.n
-    out = Form(n, omega.degree + degree - 1)
-    eye = np.eye(n)
-    for i in sorted({i for t, _ in omega.terms() for i in t}):
-        if np.any(images[i]):
-            out = out + wedge(Form(n, degree, images[i]), contract(eye[:, i], omega))
+    n, k = omega.n, omega.degree
+    out = Form(n, k + degree - 1)
+    rows = _contractions(omega)
+    for i in np.flatnonzero(rows.any(axis=1) & images.any(axis=1)):
+        out = out + wedge(Form(n, degree, images[i]), Form(n, k - 1, rows[i]))
     return out
 
 
@@ -218,8 +222,7 @@ def bigrade(F: AdaptedFrame, omega: Form, l: int) -> Form:
     """Projection onto the component with l v-legs and degree - l z-legs."""
     if not 0 <= l <= omega.degree:
         raise ValueError("bigrade index out of range")
-    legs = np.array(basis_tuples(omega.n, omega.degree), dtype=int)
-    mask = (legs < F.nv).sum(axis=1) == l
+    mask = (_legs(omega.n, omega.degree) < F.nv).sum(axis=1) == l
     return Form(omega.n, omega.degree, np.where(mask, omega.vec, 0.0))
 
 
@@ -234,12 +237,8 @@ def transform(omega: Form, matrix) -> Form:
     if n_in != omega.n:
         raise ValueError("matrix rows must match form dimension")
     k = omega.degree
-
-    def tuples(n):
-        return np.array(basis_tuples(n, k), dtype=int).reshape(comb(n, k), k)
-
     # k-th compound of the map, restricted to the rows of the non-zero terms
     nonzero = np.flatnonzero(omega.vec)
-    rows, cols = tuples(n_in)[nonzero], tuples(n_out)
+    rows, cols = _legs(n_in, k)[nonzero], _legs(n_out, k)
     minors = np.linalg.det(matrix[rows[:, None, :, None], cols[None, :, None, :]])
     return Form(n_out, k, omega.vec[nonzero] @ minors)

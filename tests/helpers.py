@@ -2,15 +2,18 @@
 
 Everything here is deliberately independent of the library's own code
 paths: the Koszul-formula connection is evaluated from its raw definition
-and gives a second differential through the torsion-free formula,
-the component-equation checks for Killing 2- and 3-forms extract the
-matrices straight out of the coefficient tables, the intertwiner
-reference solves the full bracket system, and the brute-oracle reference
-takes the nullspace of the full stacked Killing operator (both sharing
-only the rank policy of `nullspace`).  The representation ladder (Im H on
-H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
+and gives a second differential through the torsion-free formula, with
+its shuffle signs from `perm_sign` (permutation parity by cycles) and its
+own index lookup, the component-equation checks for Killing 2- and
+3-forms extract the matrices straight out of the coefficient tables, the
+intertwiner reference solves the full bracket system, and the brute-oracle
+reference takes the nullspace of the full stacked Killing operator (both
+sharing only the rank policy of `nullspace`).  The representation ladder
+(Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
 library's `from_representation`.
 """
+from functools import lru_cache
+
 import numpy as np
 
 from nilkilling import Form, MetricLieAlgebra, from_representation, nabla_matrix
@@ -31,12 +34,46 @@ def koszul_nabla(F, x, y):
     return 0.5 * (t1 - t2 + t3)
 
 
+def perm_sign(legs):
+    """Parity of the permutation that sorts `legs`, by its cycles; 0 if a
+    leg repeats."""
+    legs = list(legs)
+    if len(set(legs)) != len(legs):
+        return 0
+    order = sorted(range(len(legs)), key=legs.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(legs)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = order[i]
+    return -1 if (len(legs) - cycles) % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _positions(n, k):
+    return {t: i for i, t in enumerate(basis_tuples(n, k))}
+
+
+def _signed_index(n, legs):
+    """(position of sorted(legs) among the basis tuples, perm_sign(legs))."""
+    sign = perm_sign(legs)
+    return (_positions(n, len(legs))[tuple(sorted(legs))] if sign else 0), sign
+
+
 def koszul_covariant(F, x, omega):
     """nabla_x omega from `koszul_nabla`, for left-invariant omega:
     (nabla_x omega)_t = -sum_j omega(e_t1, ..., nabla_x e_tj, ..., e_tk)."""
     n = omega.n
     nab = np.array([koszul_nabla(F, x, e) for e in np.eye(n)]).T
-    vec = [-sum(nab[m, b] * omega.coeff(t[:j] + (m,) + t[j + 1:])
+
+    def value(legs):
+        pos, sign = _signed_index(n, legs)
+        return sign * omega.vec[pos]
+
+    vec = [-sum(nab[m, b] * value(t[:j] + (m,) + t[j + 1:])
                 for j, b in enumerate(t) for m in range(n))
            for t in basis_tuples(n, omega.degree)]
     return Form(n, omega.degree, vec)
@@ -46,10 +83,12 @@ def torsion_free_d(F, omega):
     """Reference differential sum_i e^i ^ nabla_{e_i} omega, valid for the
     torsion-free Levi-Civita connection."""
     n = omega.n
-    return Form.from_terms(n, omega.degree + 1, (
-        ((i,) + t, c)
-        for i, x in enumerate(np.eye(n))
-        for t, c in koszul_covariant(F, x, omega).terms()))
+    out = Form(n, omega.degree + 1)
+    for i, x in enumerate(np.eye(n)):
+        for t, c in koszul_covariant(F, x, omega).terms():
+            pos, sign = _signed_index(n, (i,) + t)
+            out.vec[pos] += sign * c
+    return out
 
 
 def random_spd_metric(n, rng, shift=0.5):

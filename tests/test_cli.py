@@ -7,7 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from nilkilling import MetricLieAlgebra, cli, structure
+from nilkilling import (
+    MetricLieAlgebra,
+    cli,
+    direct_sum,
+    euclidean,
+    heisenberg,
+    structure,
+)
 from nilkilling.errors import InternalInvariantViolation, NotSkew
 
 
@@ -183,6 +190,25 @@ def test_numerical_ambiguity_exits_4(tmp_path):
     }))
     out = run_cli("analyze", str(path))
     assert out.returncode == 4
+
+
+def test_tol_near_the_gap_factor_cannot_decide(capsys):
+    # kept and dropped singular values must lie GAP_FACTOR * tol * max(s_max, 1)
+    # apart, so tol = 0.09 cannot separate 1 from 0 (README: the --tol ceiling)
+    assert cli.main(["analyze", "catalog:h3", "--tol", "0.09"]) == 4
+    assert "ambiguous singular value gap" in capsys.readouterr().err
+    assert cli.main(["tables", "--tol", "0.02"]) == 0
+
+
+def test_brute_degree_1_on_a_40_dim_algebra(tmp_path, capsys):
+    # 13 h3 + R: the sign tables stay C(n, k) x C(n, l), where a lookup over
+    # all 2^40 leg sets would not fit in memory
+    path = tmp_path / "h3x13+R.json"
+    alg = direct_sum([heisenberg(1)] * 13 + [euclidean(1)])
+    path.write_text(json.dumps(alg.to_json()))
+    argv = ["killing", str(path), "--method", "brute", "--degree", "1", "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["brute_dim"] == 14
 
 
 @pytest.mark.parametrize("coeff", [5e-9, 1e-11])

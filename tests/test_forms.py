@@ -1,4 +1,7 @@
 """Exterior algebra: wedge, contraction, derivations, differential, bigrading."""
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from nilkilling.errors import DegreeOverflow, NotSkew
 from nilkilling.forms import basis_tuples
 
 from helpers import (
+    perm_sign,
     random_form,
     random_skew,
     random_spd_metric,
@@ -160,23 +164,46 @@ def test_lie_diff_h3_center_dual():
     assert np.allclose(out.vec, -wedge(oneform(e(3, 0)), oneform(e(3, 1))).vec)
 
 
-def test_skew_extend_contracts_only_along_legs(monkeypatch):
-    # e_i -| e^t vanishes unless i is a leg of t: k contractions, not n
-    rng = np.random.default_rng(21)
-    n = 6
-    f = random_skew(n, rng)
-    calls = []
-    contract_ = forms.contract
+def test_perm_sign_is_the_permutation_determinant():
+    for perm in itertools.permutations(range(5)):
+        assert perm_sign(perm) == round(np.linalg.det(np.eye(5)[list(perm)]))
+    assert perm_sign((3, 1, 3)) == 0
 
-    def counting(x, omega):
-        calls.append(x)
-        return contract_(x, omega)
 
-    monkeypatch.setattr(forms, "contract", counting)
-    for t in ((2,), (0, 4), (1, 2, 5), (0, 1, 3, 4)):
-        calls.clear()
-        skew_extend(f, Form.basis(n, len(t), t))
-        assert len(calls) == len(t), t
+@pytest.mark.parametrize("k, l", [(k, l) for k in range(7) for l in range(7 - k)])
+def test_wedge_table_matches_perm_sign(k, l):
+    # every entry: e^s ^ e^t = perm_sign(s + t) e^sorted(s + t)
+    target, sign = forms._wedge_table(6, k, l)
+    assert target.shape == sign.shape == (comb(6, k), comb(6, l))
+    assert not target.flags.writeable and not sign.flags.writeable
+    merged = basis_tuples(6, k + l)
+    for a, s in enumerate(basis_tuples(6, k)):
+        for b, t in enumerate(basis_tuples(6, l)):
+            assert sign[a, b] == perm_sign(s + t), (s, t)
+            if sign[a, b]:
+                assert merged[target[a, b]] == tuple(sorted(s + t)), (s, t)
+
+
+@pytest.mark.parametrize("legs", [(2, 0), (3, 1, 0), (1, 3, 0, 2), (4, 2, 0, 3, 1),
+                                  (1, 1), (0, 2, 0), (3, 1, 2, 1)])
+def test_basis_and_coeff_follow_perm_sign(legs):
+    n, k = 5, len(legs)
+    sign = perm_sign(legs)
+    unit = np.zeros(comb(n, k))
+    if sign:
+        unit[basis_tuples(n, k).index(tuple(sorted(legs)))] = sign
+    assert np.array_equal(Form.basis(n, k, legs).vec, unit)
+    w = random_form(n, k, np.random.default_rng(k))
+    assert w.coeff(legs) == unit @ w.vec
+    for perm in itertools.permutations(legs):
+        assert w.coeff(perm) == perm_sign(perm) * sign * w.coeff(legs)
+
+
+@pytest.mark.parametrize("legs", [(0, 5), (-1, 2), (1,), (0, 1, 2)])
+def test_basis_rejects_bad_legs(legs):
+    # a negative leg must not wrap around to the last frame index
+    with pytest.raises(ValueError, match="legs"):
+        Form.basis(5, 2, legs)
 
 
 def test_degree_zero_derivations_vanish():
