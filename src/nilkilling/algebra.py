@@ -60,13 +60,9 @@ class MetricLieAlgebra:
         return self.structure_constants[i].T
 
     def to_json(self):
-        brackets = []
         c = self.structure_constants
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if c[i, j, k] != 0.0:
-                        brackets.append([i, j, k, float(c[i, j, k])])
+        brackets = [[int(i), int(j), int(k), float(c[i, j, k])]
+                    for i, j, k in zip(*np.nonzero(c)) if i < j]
         out = {
             "name": self.name,
             "dim": self.dim,

@@ -127,9 +127,7 @@ def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:
     c = np.zeros((n, n, n))
     # g([x,y], w_s) = (rho_s)_{ba} pins the z components of [e_a, e_b]
     ginv = np.linalg.inv(gram_z)
-    for a in range(nv):
-        for b in range(nv):
-            c[a, b, nv:] = ginv @ mats[:, b, a]
+    c[:nv, :nv, nv:] = np.einsum("ts,sba->abt", ginv, mats)
     gram = np.zeros((n, n))
     gram[:nv, :nv] = np.eye(nv)
     gram[nv:, nv:] = gram_z

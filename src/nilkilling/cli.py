@@ -3,15 +3,17 @@
 Commands: analyze, killing, decompose, catalog list|show, tables.
 Inputs are either algebra JSON files or the pseudo-path catalog:<name>.
 
-Exit codes: 0 ok, 2 parse error, 3 validation failure (InvalidAlgebra,
-raised by the one gate `adapted_frame`), 4 numerical failure
-(NumericalRankFailure, DecompositionAmbiguous, InternalInvariantViolation,
-NotSkew), 5 oracle/table mismatch.
+Exit codes: 0 ok, 1 stdout closed by its reader, 2 parse error (an
+algebra too large to allocate included), 3 validation failure
+(InvalidAlgebra, raised by the one gate `adapted_frame`), 4 numerical
+failure (NumericalRankFailure, DecompositionAmbiguous,
+InternalInvariantViolation, NotSkew), 5 oracle/table mismatch.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -32,6 +34,7 @@ from .structure import decompose, killing_dimensions
 
 SCHEMA = 1
 
+EXIT_CLOSED_PIPE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_NUMERICAL = 4
@@ -47,7 +50,7 @@ class CliError(Exception):
 def _build_catalog(name, lam, l, d):
     try:
         alg = cat.build(name, lam=lam, l=l, d=d)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, MemoryError) as exc:
         raise CliError(EXIT_PARSE, str(exc))
     if alg.dim == 0:
         raise CliError(EXIT_PARSE, "algebra dimension must be positive")
@@ -59,7 +62,8 @@ def load_algebra(spec, lam=1.0, l=1, d=1):
         return _build_catalog(spec.split(":", 1)[1], lam, l, d)
     try:
         return MetricLieAlgebra.load(spec)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, IndexError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, IndexError,
+            MemoryError) as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}")
 
 
@@ -320,6 +324,20 @@ def build_parser():
 
 
 def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()      # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: point fd 1 at devnull, so the flush at
+        # interpreter exit cannot fail again (the recipe in the Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
+
+
+def _run(argv):
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:    # a rejected flag (2) or --help (0)

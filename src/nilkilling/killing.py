@@ -18,8 +18,9 @@ from .algebra import AdaptedFrame, MetricLieAlgebra, nabla_matrix
 from .errors import InternalInvariantViolation
 from .forms import (
     Form,
+    _contractions,
+    _legs,
     basis_tuples,
-    bigrade,
     contract,
     lie_diff,
     skew_extend,
@@ -62,32 +63,14 @@ def _connections(F: AdaptedFrame):
     return [nabla_matrix(F, eye[:, a]) for a in range(F.n)]
 
 
-def _differential(L, F: AdaptedFrame, omega: Form):
-    """d omega, or None for a top-degree form, whose differential is zero."""
-    return lie_diff(L, F, omega) if omega.degree < F.n else None
-
-
-def _killing_terms(nmat, x, omega: Form, d_omega):
-    """The Killing equation of omega in the frame direction x.
-
-    Returns nabla_x omega and the defect nabla_x omega - (x -| d omega)/(k+1),
-    for the connection matrix `nmat` of x and `d_omega` from `_differential`.
-    """
-    nab = skew_extend(nmat, omega)
-    if d_omega is None:
-        return nab, nab
-    return nab, nab - (1.0 / (omega.degree + 1)) * contract(x, d_omega)
-
-
 def _polarized(nablas):
-    """P(e_a, e_b) = e_a -| nabla_{e_b} omega + e_b -| nabla_{e_a} omega, a <= b.
+    """P[a, b] = e_a -| nabla_{e_b} omega + e_b -| nabla_{e_a} omega, (n, n, C(n, k-1)).
 
     `nablas` are the n forms nabla_{e_a} omega; P vanishes exactly when
     nabla omega is totally skew, i.e. when omega is Killing.
     """
-    eye = np.eye(len(nablas))
-    return {(a, b): contract(eye[:, a], nablas[b]) + contract(eye[:, b], nablas[a])
-            for a in range(len(nablas)) for b in range(a, len(nablas))}
+    half = np.array([_contractions(nab) for nab in nablas])   # [b, a] = e_a -| nabla_b
+    return half + half.transpose(1, 0, 2)
 
 
 def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
@@ -97,39 +80,41 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     contraction of the differential) and the polarized self-contraction
     residual, and checks that the two verdicts agree.
     """
-    eye = np.eye(F.n)
-    d_omega = _differential(L, F, omega)
-    nablas, defects = zip(*(_killing_terms(m, eye[:, a], omega, d_omega)
-                            for a, m in enumerate(_connections(F))))
-    res1 = max(dft.norm() for dft in defects)
-    res2 = max(p.norm() for p in _polarized(nablas).values())
+    nablas = [skew_extend(m, omega) for m in _connections(F)]
+    defects = np.array([nab.vec for nab in nablas])
+    if omega.degree < F.n:      # d of a top-degree form is zero
+        defects -= (1.0 / (omega.degree + 1)) * _contractions(lie_diff(L, F, omega))
+    res1 = np.linalg.norm(defects, axis=1).max()
+    res2 = np.linalg.norm(_polarized(nablas), axis=2).max()
     # both residuals are bilinear in the constants and omega
     thresh = tol * np.abs(F.constants).max() * omega.norm()
     if (res1 <= thresh) != (res2 <= 10 * thresh):
         raise InternalInvariantViolation(
             "Killing verdicts disagree: residuals %.3e vs %.3e" % (res1, res2)
         )
-    return res1
+    return float(res1)
 
 
 def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSpace:
     """Nullspace of the stacked Killing operator; oracle for any degree.
 
     The operator stacks one C(n,k) x C(n,k) block per frame direction, the
-    defects of the basis k-forms.  Each block is folded into a running
-    triangular factor R of the stack (row-blocked QR), so the stack itself
-    never exists; R has its singular values, so the rank decision on R is
-    the decision on the operator.
+    defects nabla_a e^t - (e_a -| d e^t)/(k+1) of the basis k-forms.  Each
+    block is folded into a running triangular factor R of the stack
+    (row-blocked QR), so the stack itself never exists; R has its singular
+    values, so the rank decision on R is the decision on the operator.
     """
     n = F.n
     eye = np.eye(n)
     forms = [Form.basis(n, k, t) for t in basis_tuples(n, k)]
-    diffs = [_differential(L, F, w) for w in forms]
+    # d of a top-degree form is zero
+    diffs = [(1.0 / (k + 1)) * lie_diff(L, F, w) for w in forms] if k < n else []
     scale = np.abs(F.constants).max()
     r = np.zeros((0, len(forms)))
     for a, nmat in enumerate(_connections(F)):
-        block = np.array([_killing_terms(nmat, eye[:, a], w, dw)[1].vec
-                          for w, dw in zip(forms, diffs)]).T
+        block = np.array([skew_extend(nmat, w).vec for w in forms]).T
+        if diffs:
+            block -= np.array([contract(eye[:, a], dw).vec for dw in diffs]).T
         if scale:
             block /= scale      # unit-scaled in place (see linalg), linear in c
         r = np.linalg.qr(np.vstack([r, block]), mode="r")
@@ -149,20 +134,19 @@ def killgen_residuals(F: AdaptedFrame, omega: Form):
     is Killing.
     """
     pol = _polarized([skew_extend(m, omega) for m in _connections(F)])
-    v, z = range(F.nv), range(F.nv, F.n)
-    families = {
-        "pp1": [pol[a, b] for a in v for b in v if a <= b],
-        "pp2": [pol[s, t] for s in z for t in z if s <= t],
-        "pp3": [2.0 * pol[a, t] for a in v for t in z],
-    }
-    return {(name, l): max((bigrade(F, p, l).norm() for p in forms), default=0.0)
-            for l in range(omega.degree) for name, forms in families.items()}
+    v, z = slice(0, F.nv), slice(F.nv, F.n)
+    families = {"pp1": pol[v, v], "pp2": pol[z, z], "pp3": 2.0 * pol[v, z]}
+    # v-legs of each (k-1)-tuple; a 0-form has no families, and P one column
+    vlegs = (_legs(F.n, max(omega.degree - 1, 0)) < F.nv).sum(axis=1)
+    return {(name, l): float(np.linalg.norm(p[..., vlegs == l], axis=2).max(initial=0.0))
+            for l in range(omega.degree) for name, p in families.items()}
 
 
 def is_parallel(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
-    worst = max(skew_extend(m, omega).norm() for m in _connections(F))
-    return worst <= tol * np.abs(F.constants).max() * omega.norm()
+    nablas = np.array([skew_extend(m, omega).vec for m in _connections(F)])
+    worst = np.linalg.norm(nablas, axis=1).max()
+    return bool(worst <= tol * np.abs(F.constants).max() * omega.norm())
 
 
 def _form_from_tensor(tensor) -> Form:

@@ -140,16 +140,11 @@ def _pick_splitting_element(mats, p):
 
 
 def _cluster(eigvals, tol):
-    """Group sorted eigenvalues into clusters separated by a gap threshold."""
+    """Indices of the eigenvalues in ascending order, split into clusters
+    wherever two consecutive values are more than the gap threshold apart."""
     order = np.argsort(eigvals)
     gap = 10.0 * tol * np.abs(eigvals).max()
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if eigvals[idx] - eigvals[clusters[-1][-1]] > gap:
-            clusters.append([idx])
-        else:
-            clusters[-1].append(idx)
-    return clusters
+    return np.split(order, np.flatnonzero(np.diff(eigvals[order]) > gap) + 1)
 
 
 def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):

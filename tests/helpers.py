@@ -4,11 +4,13 @@ Everything here is deliberately independent of the library's own code
 paths: the Koszul-formula connection is evaluated from its raw definition
 and gives a second differential through the torsion-free formula, with
 its shuffle signs from `perm_sign` (permutation parity by cycles) and its
-own index lookup, the component-equation checks for Killing 2- and
-3-forms extract the matrices straight out of the coefficient tables, the
-intertwiner reference solves the full bracket system, and the brute-oracle
-reference takes the nullspace of the full stacked Killing operator (both
-sharing only the rank policy of `nullspace`).  The representation ladder
+own index lookup, the polarized Killing equation is tabulated pair by
+pair from that connection and a `perm_sign` contraction, the
+component-equation checks for Killing 2- and 3-forms extract the
+matrices straight out of the coefficient tables, the intertwiner
+reference solves the full bracket system, and the brute-oracle reference
+takes the nullspace of the full stacked Killing operator (both sharing
+only the rank policy of `nullspace`).  The representation ladder
 (Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
 library's `from_representation`.
 """
@@ -89,6 +91,27 @@ def torsion_free_d(F, omega):
             pos, sign = _signed_index(n, (i,) + t)
             out.vec[pos] += sign * c
     return out
+
+
+def contract_reference(i, omega):
+    """e_i -| omega with the signs of `perm_sign`:
+    (e_i -| omega)_t = omega(e_i, e_t1, ..., e_t(k-1))."""
+    n = omega.n
+    vec = []
+    for t in basis_tuples(n, omega.degree - 1):
+        pos, sign = _signed_index(n, (i,) + t)
+        vec.append(sign * omega.vec[pos])
+    return Form(n, omega.degree - 1, vec)
+
+
+def polarized_reference(F, omega):
+    """The polarized equation pair by pair: {(a, b): P(e_a, e_b)} for a <= b,
+    P(x, y) = x -| nabla_y omega + y -| nabla_x omega, with nabla from
+    `koszul_covariant` and the contraction from `contract_reference`."""
+    n = F.n
+    nablas = [koszul_covariant(F, x, omega) for x in np.eye(n)]
+    return {(a, b): contract_reference(a, nablas[b]) + contract_reference(b, nablas[a])
+            for a in range(n) for b in range(a, n)}
 
 
 def random_spd_metric(n, rng, shift=0.5):

@@ -211,6 +211,43 @@ def test_brute_degree_1_on_a_40_dim_algebra(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["brute_dim"] == 14
 
 
+@pytest.mark.parametrize("argv, first_bytes", [
+    # 2.3 kB, which a pipe buffers whole: the reader is gone before the
+    # first write, so a 300-byte read could race the last one
+    (["killing", "<n40>", "--method", "brute", "--degree", "1", "--json"], 0),
+    # 97 kB, more than a pipe buffers: the reader leaves mid-write
+    (["killing", "catalog:euclidean", "--d", "11", "--degree", "5",
+      "--method", "brute", "--json"], 300),
+])
+def test_closed_stdout_ends_quietly(tmp_path, argv, first_bytes):
+    path = tmp_path / "n40.json"
+    path.write_text(json.dumps(
+        direct_sum([heisenberg(1)] * 13 + [euclidean(1)]).to_json()))
+    argv = [str(path) if arg == "<n40>" else arg for arg in argv]
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "nilkilling.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=err)
+        assert len(proc.stdout.read(first_bytes)) == first_bytes
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in (tmp_path / "stderr").read_text()
+    assert code == cli.EXIT_CLOSED_PIPE == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "<dim 100000>"],
+    ["analyze", "catalog:heisenberg", "--l", "100000"],
+    ["catalog", "show", "euclidean", "--d", "1000000"],
+])
+def test_algebra_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
+    # each n^3 structure table is petabytes or more: refused at once
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 100000}')
+    argv = [str(path) if arg == "<dim 100000>" else arg for arg in argv]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert "allocate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coeff", [5e-9, 1e-11])
 def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff):
     # a bracket rescaling is a homothety: the answers of h3 do not change

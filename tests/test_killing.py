@@ -24,6 +24,7 @@ from nilkilling import (
     solve_killing2,
     solve_killing3,
     structured_killing,
+    transform,
     wedge,
 )
 from nilkilling import killing
@@ -32,11 +33,16 @@ from nilkilling.linalg import DEFAULT_TOL, span_distance
 
 from helpers import (
     brute_reference,
+    contract_reference,
     killing_operator_reference,
+    koszul_covariant,
+    polarized_reference,
     quaternionic_heisenberg,
+    random_form,
     random_spd_metric,
     spin1_spin2_algebra,
     spin2_algebra,
+    torsion_free_d,
     with_metric,
 )
 
@@ -372,6 +378,46 @@ def test_killing_operator_splits_by_v_leg_parity(name):
         rows = np.tile(legs, n) + np.repeat(np.arange(n) < F.nv, len(legs))
         cross = (rows[:, None] - legs[None, :]) % 2 == 1
         assert np.abs(op[cross]).max() <= 1e-12 * np.abs(op).max(), (name, k)
+
+
+def _killgen_reference(F, omega):
+    """killgen_residuals read off `polarized_reference`, bigrade by counting legs."""
+    pol = polarized_reference(F, omega)
+    v, z = range(F.nv), range(F.nv, F.n)
+    families = {"pp1": [pol[a, b] for a in v for b in v if a <= b],
+                "pp2": [pol[s, t] for s in z for t in z if s <= t],
+                "pp3": [2.0 * pol[a, t] for a in v for t in z]}
+    vlegs = np.array([sum(i < F.nv for i in t)
+                      for t in basis_tuples(F.n, omega.degree - 1)])
+    return {(name, l): max((np.linalg.norm(p.vec[vlegs == l]) for p in ps), default=0.0)
+            for l in range(omega.degree) for name, ps in families.items()}
+
+
+@pytest.mark.parametrize("name", list(PARITY_CASES))
+def test_killing_checks_match_the_per_pair_polarized_reference(name):
+    # random forms of degree 1-4 and, where the abelian block has room,
+    # pullbacks of forms on it, which are parallel; every residual is
+    # bilinear in the constants and omega, which sets the relative scale
+    L = PARITY_CASES[name]
+    dec = decompose(L)
+    F = dec.frame
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 3, 4):
+        cases = [(random_form(F.n, k, rng), False)]
+        if k <= dec.d:
+            cases.append((transform(random_form(dec.d, k, rng), dec.abelian.T), True))
+        for w, parallel in cases:
+            scale = np.abs(F.constants).max() * w.norm()
+            table, ref = killgen_residuals(F, w), _killgen_reference(F, w)
+            assert list(table) == list(ref)
+            assert all(abs(table[key] - ref[key]) <= 1e-12 * scale for key in ref), k
+            nablas = [koszul_covariant(F, x, w) for x in np.eye(F.n)]
+            d_w = torsion_free_d(F, w)
+            defect = max((nab - (1.0 / (k + 1)) * contract_reference(a, d_w)).norm()
+                         for a, nab in enumerate(nablas))
+            assert abs(killing_residual(L, F, w) - defect) <= 1e-12 * scale, k
+            worst = max(nab.norm() for nab in nablas)
+            assert is_parallel(F, w) == parallel == (worst <= DEFAULT_TOL * scale), k
 
 
 def test_structured_forms_have_even_v_legs():

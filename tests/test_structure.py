@@ -367,3 +367,13 @@ def test_same_block_shapes_reuse_index_sets(monkeypatch):
     q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(8, 8)))
     decompose(change_user_basis(L, q))
     assert built == []
+
+
+def test_cluster_splits_only_at_consecutive_gaps():
+    # gap = 10 * tol * max|value| = 0.05: the steps 0.96 -> 1.08 stay under
+    # it although the chain spans 0.12, the tie at 3.0 is one cluster, and
+    # the input order is not the sorted order
+    vals = np.array([5.0, 1.0, 1.04, 3.0, 0.96, 3.0, 1.08])
+    clusters = structure._cluster(vals, 1e-3)
+    assert [sorted(c.tolist()) for c in clusters] == [[1, 2, 4, 6], [3, 5], [0]]
+    assert vals[clusters[0]].tolist() == [0.96, 1.0, 1.04, 1.08]
