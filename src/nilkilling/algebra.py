@@ -169,6 +169,10 @@ class AdaptedFrame:
         return self.constants[:nv, :nv, nv:].transpose(2, 1, 0)
 
 
+# entries of the double-bracket table `validate` holds at once
+_DOUBLE_BRACKET_BLOCK = 2**18
+
+
 def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check finiteness, antisymmetry, 2-step nilpotency,
     positive-definiteness and the conditioning of the Gram matrix.
@@ -188,9 +192,15 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     scale = np.abs(c).max()
     if np.abs(c + c.transpose(1, 0, 2)).max() > tol * scale:
         violations.append("antisymmetry: c[i][j][k] != -c[j][i][k]")
-    # [[b_i, b_j], b_k] must vanish for all triples; subsumes Jacobi here
-    double = np.einsum("ijm,mkl->ijkl", c, c)
-    if np.abs(double).max() > tol * scale * scale:
+    # [[b_i, b_j], b_k] must vanish for all triples; subsumes Jacobi here.
+    # The n^4 table is read in row blocks of about _DOUBLE_BRACKET_BLOCK
+    # entries, so its working set does not grow like n^4
+    n = L.dim
+    brackets, ads = c.reshape(n * n, n), c.reshape(n, n * n)
+    step = _DOUBLE_BRACKET_BLOCK // (n * n) or 1        # rows per block
+    worst = max(np.abs(brackets[s:s + step] @ ads).max()
+                for s in range(0, n * n, step))
+    if worst > tol * scale * scale:
         violations.append("2-step: [[x,y],w] != 0 for some basis triple")
     if np.abs(g - g.T).max() > tol * np.abs(g).max():
         violations.append("gram not symmetric")
@@ -204,45 +214,43 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(violations)
 
 
-def _canonical_span_basis(cols, gram):
-    """g-orthonormal basis of span(cols) aligned with user axes when possible.
+def _canonical_span_basis(basis, gram):
+    """g-orthonormal basis of span(basis) aligned with user axes when possible.
 
-    Pivoted Gram-Schmidt on the g-orthogonal projections of the user basis
-    vectors: deterministic, and returns the user vectors themselves whenever
-    the span is axis-aligned and the metric is diagonal there.  A pivot whose
-    squared g-norm is below DEFAULT_TOL / 1000 of the Gram scale ends it.
+    `basis` is g-orthonormal.  Pivoted Gram-Schmidt on the g-orthogonal
+    projections of the user basis vectors, held as their coordinates
+    Y = basis^T gram in `basis`, so the g-norm of a projection is the
+    Euclidean norm of its column of Y: deterministic, and returns the user
+    vectors themselves whenever the span is axis-aligned and the metric is
+    diagonal there.  A pivot whose squared g-norm is below DEFAULT_TOL / 1000
+    of the Gram scale ends it, and `basis` is returned as it is.
     """
-    cols = np.asarray(cols, dtype=float)
-    p = cols.shape[1]
-    if p == 0:
-        return cols
-    c_on = gram_orthonormalize(cols, gram)
-    cands = c_on @ (c_on.T @ gram)      # projections of the user axes, as columns
+    p = basis.shape[1]
+    coords = basis.T @ gram
     cutoff = np.sqrt(DEFAULT_TOL / 1000 * np.abs(gram).max())
-    chosen = []
-    for _ in range(p):
-        g_cands = gram @ cands
-        norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", cands, g_cands), 0.0))
+    chosen = np.empty((p, p))
+    for i in range(p):
+        norms = np.linalg.norm(coords, axis=0)
         best = int(np.argmax(norms))
         if norms[best] <= cutoff:
-            break
-        u = cands[:, best] / norms[best]
-        chosen.append(u)
-        cands = cands - np.outer(u, u @ g_cands)
-    if len(chosen) != p:
-        return c_on
-    return np.array(chosen).T
+            return basis
+        u = coords[:, best] / norms[best]
+        chosen[:, i] = u
+        coords = coords - np.outer(u, u @ coords)
+    return basis @ chosen
 
 
 def rotate_constants(constants, cols, dual):
     """Constants c'[a,b,c] = cols[i,a] cols[j,b] constants[i,j,k] dual[k,c].
 
-    Contracted one index at a time in a fixed order, so no contraction
-    path is searched per call.
+    Three matrix products over reshaped operands, one index each, so no
+    contraction path is searched per call.
     """
-    out = np.tensordot(constants, dual, axes=(2, 0))        # i j c
-    out = np.tensordot(cols, out, axes=(0, 0))              # a j c
-    return np.tensordot(out, cols, axes=(1, 0)).transpose(0, 2, 1)
+    n, p = cols.shape
+    q = dual.shape[1]
+    out = constants.reshape(n * n, n) @ dual                  # (i j) c
+    out = cols.T @ out.reshape(n, n * q)                      # a (j c)
+    return cols.T @ out.reshape(p, n, q)                      # a b c
 
 
 def _frame_constants(L, frame):
@@ -291,8 +299,10 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     ker = nullspace(_unit_scaled(jmaps.reshape(nv * nv, nz)), tol)
     na = ker.shape[1]
     img = np.linalg.qr(ker, mode="complete")[0][:, na:]
-    frame = np.concatenate(
-        [_canonical_span_basis(cols, g) for cols in (v, z @ img, z @ ker)], axis=1)
+    # z is g-orthonormal and img, ker Euclidean-orthonormal in its
+    # coordinates, so only v needs orthonormalizing
+    spans = (gram_orthonormalize(v, g), z @ img, z @ ker)
+    frame = np.concatenate([_canonical_span_basis(b, g) for b in spans], axis=1)
     return frame_from_constants(frame, _frame_constants(L, frame), nv, na, tol)
 
 

@@ -60,13 +60,16 @@ def free_two_step_3() -> MetricLieAlgebra:
 
 
 def euclidean(d: int) -> MetricLieAlgebra:
-    """Abelian algebra of dimension d with the standard inner product."""
+    """Abelian algebra of dimension d with the standard inner product.
+
+    The d^3 structure table comes first, so a dimension too large to
+    allocate raises MemoryError before any per-dimension work.
+    """
     if d < 0:
         raise ValueError("dimension must be non-negative")
-    return MetricLieAlgebra(
-        d, [f"a{i + 1}" for i in range(d)], np.zeros((d, d, d)), np.eye(d),
-        name=f"R{d}",
-    )
+    c = np.zeros((d, d, d))
+    return MetricLieAlgebra(d, [f"a{i + 1}" for i in range(d)], c, np.eye(d),
+                            name=f"R{d}")
 
 
 def direct_sum(parts, name="") -> MetricLieAlgebra:

@@ -4,7 +4,8 @@ Commands: analyze, killing, decompose, catalog list|show, tables.
 Inputs are either algebra JSON files or the pseudo-path catalog:<name>.
 
 Exit codes: 0 ok, 1 stdout closed by its reader, 2 parse error (an
-algebra too large to allocate included), 3 validation failure
+algebra too large to allocate and a brute-force request past its memory
+budget, WorkingSetTooLarge, included), 3 validation failure
 (InvalidAlgebra, raised by the one gate `adapted_frame`), 4 numerical
 failure (NumericalRankFailure, DecompositionAmbiguous,
 InternalInvariantViolation, NotSkew), 5 oracle/table mismatch.
@@ -27,6 +28,7 @@ from .errors import (
     InvalidAlgebra,
     NotSkew,
     NumericalRankFailure,
+    WorkingSetTooLarge,
 )
 from .killing import killing_nullspace_brute, structured_killing
 from .linalg import DEFAULT_TOL, span_distance
@@ -356,6 +358,9 @@ def _run(argv):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except WorkingSetTooLarge as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_PARSE
     except InvalidAlgebra as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID

@@ -26,6 +26,11 @@ class DecompositionAmbiguous(NilkillingError):
     """Eigenvalue clusters in the splitting step are not clearly separated."""
 
 
+class WorkingSetTooLarge(NilkillingError, MemoryError):
+    """The estimated memory of a computation exceeds the package's fixed
+    budget; refused before anything is allocated."""
+
+
 class InternalInvariantViolation(NilkillingError):
     """A structural fact guaranteed by theory failed numerically."""
 

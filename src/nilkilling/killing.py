@@ -11,11 +11,12 @@ P(x, y) = x -| nabla_y omega + y -| nabla_x omega, one bigrade at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .algebra import AdaptedFrame, MetricLieAlgebra, nabla_matrix
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, WorkingSetTooLarge
 from .forms import (
     Form,
     _contractions,
@@ -28,6 +29,11 @@ from .forms import (
 )
 from .linalg import DEFAULT_TOL, nullspace
 from .structure import Decomposition, decompose
+
+
+# the brute oracle refuses a request whose estimated working set
+# (`_brute_bytes`) is larger than this
+BRUTE_BUDGET_BYTES = 4 * 2**30
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,15 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     return float(res1)
 
 
+def _brute_bytes(n, k):
+    """Estimated peak bytes of `killing_nullspace_brute` at dimension n and
+    degree k: measured peaks (h13 at k = 4, h15 at k = 4, 5) are about 5x
+    the C(n,k)^2 + C(n,k) C(n,k+1) floats of the basis forms and their
+    differentials."""
+    c = comb(n, k)
+    return 5 * 8 * (c * c + c * comb(n, k + 1))
+
+
 def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSpace:
     """Nullspace of the stacked Killing operator; oracle for any degree.
 
@@ -103,8 +118,16 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
     block is folded into a running triangular factor R of the stack
     (row-blocked QR), so the stack itself never exists; R has its singular
     values, so the rank decision on R is the decision on the operator.
+    A request whose estimated working set exceeds BRUTE_BUDGET_BYTES raises
+    WorkingSetTooLarge before anything is allocated.
     """
     n = F.n
+    need = _brute_bytes(n, k)
+    if need > BRUTE_BUDGET_BYTES:
+        raise WorkingSetTooLarge(
+            "brute-force working set of about %.3g GiB at n = %d, degree %d "
+            "exceeds the %.3g GiB budget"
+            % (need / 2**30, n, k, BRUTE_BUDGET_BYTES / 2**30))
     eye = np.eye(n)
     forms = [Form.basis(n, k, t) for t in basis_tuples(n, k)]
     # d of a top-degree form is zero

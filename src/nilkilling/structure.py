@@ -113,12 +113,16 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
     basis[params, rows, cols] = 1.0
     basis[params, cols, rows] = 1.0 if symmetric else -1.0
     basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    pz = p - pv
     c = _unit_scaled(constants[:pv, :pv, pv:])
-    # z-part of S[x,y] - [Sx,y] for x, y in v, one column per basis matrix
-    system = np.einsum("qsk,abk->qabs", basis[:, pv:, pv:], c)
-    system -= np.einsum("qca,cbs->qabs", basis[:, :pv, :pv], c)
-    null = nullspace(system.reshape(rows.size, -1).T, tol)
-    return list(np.einsum("qr,qij->rij", null, basis))
+    # z-part of S[x,y] - [Sx,y] for x, y in v, one row per basis matrix:
+    # [q, (a b), s] = S_q[s, k] c[a, b, k] and [q, a, (b s)] = S_q[c, a] c[c, b, s]
+    system = (c.reshape(pv * pv, pz) @ basis[:, pv:, pv:].transpose(0, 2, 1)
+              ).reshape(rows.size, -1)
+    system -= (basis[:, :pv, :pv].transpose(0, 2, 1) @ c.reshape(pv, pv * pz)
+               ).reshape(rows.size, -1)
+    null = nullspace(system.T, tol)
+    return list((null.T @ basis.reshape(rows.size, -1)).reshape(-1, p, p))
 
 
 def bracket_commutant(F: AdaptedFrame, tol=DEFAULT_TOL):
@@ -195,7 +199,7 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
     a = mats.reshape(m, -1).T
     scale = np.abs(a).max()
     # every commutator [J_s, J_t], solved for in the span of the J_u at once
-    prod = np.einsum("sab,tbc->stac", mats, mats)
+    prod = mats[:, None] @ mats[None]
     targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
     coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
     # the commutators are quadratic in the j-maps, the bracket linear
@@ -212,25 +216,31 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
 
     Works in frame coordinates: the kernel of j is split off first, then
     blocks are subdivided along eigenspaces of generic bracket-commutant
-    elements until every commutant is 1-dimensional.  An invalid algebra
-    raises InvalidAlgebra from `adapted_frame`.
+    elements.  Once ker j is split off, a symmetric S with S[x,y] = [Sx,y]
+    maps the v-part of each irreducible orthogonal ideal into itself (its
+    part in another ideal would be central there, and v meets no centre),
+    so it is a multiple of the identity on each factor: the commutant's
+    dimension is the number of factors.  A split into that many eigenvalue
+    clusters is therefore final, and only a block split into fewer is
+    solved again.  An invalid algebra raises InvalidAlgebra from
+    `adapted_frame`.
     """
     F = adapted_frame(L, tol)
-    v0, z0, abelian = np.split(np.eye(F.n), [F.nv, F.n - F.na], axis=1)
+    m = F.n - F.na
+    v0, z0, abelian = np.split(np.eye(F.n), [F.nv, m], axis=1)
     const = F.constants
 
-    blocks = [(v0, z0)] if v0.shape[1] else []
+    # the first block is spanned by the leading frame vectors
+    blocks = [(v0, z0, const[:m, :m, :m])] if v0.shape[1] else []
     final = []
     while blocks:
-        vc, zc = blocks.pop()
-        cols = np.concatenate([vc, zc], axis=1)
-        sub = rotate_constants(const, cols, cols)
+        vc, zc, sub = blocks.pop()
         pv = vc.shape[1]
         comm = _solve_intertwiners(sub, pv, tol, symmetric=True)
         if len(comm) <= 1:
             final.append((vc, zc, sub))
             continue
-        p = cols.shape[1]
+        p = sub.shape[0]
         # block-diagonal on v + z by construction of the commutant basis
         s_mat = _pick_splitting_element(comm, p)
         ev_v, u_v = np.linalg.eigh(s_mat[:pv, :pv])
@@ -242,6 +252,8 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                 "commutant is %d-dimensional but eigenvalue clusters are not "
                 "separated by the gap threshold" % len(comm)
             )
+        # one cluster per commutant dimension: each cluster is one factor
+        split_to = final if len(clusters) == len(comm) else blocks
         for cl in clusters:
             sel_v = [i for i in cl if i < pv]
             sel_z = [i - pv for i in cl if i >= pv]
@@ -249,7 +261,9 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                 raise DecompositionAmbiguous(
                     "eigenvalue cluster missing a v-part or z-part"
                 )
-            blocks.append((vc @ u_v[:, sel_v], zc @ u_z[:, sel_z]))
+            vs, zs = vc @ u_v[:, sel_v], zc @ u_z[:, sel_z]
+            cols = np.concatenate([vs, zs], axis=1)
+            split_to.append((vs, zs, rotate_constants(const, cols, cols)))
 
     # deterministic order: largest factors first, then lexicographic columns
     final.sort(key=lambda b: (-(b[0].shape[1] + b[1].shape[1]),

@@ -8,7 +8,8 @@ own index lookup, the polarized Killing equation is tabulated pair by
 pair from that connection and a `perm_sign` contraction, the
 component-equation checks for Killing 2- and 3-forms extract the
 matrices straight out of the coefficient tables, the intertwiner
-reference solves the full bracket system, and the brute-oracle reference
+references solve the full bracket system and tabulate the graded one
+bracket by bracket, and the brute-oracle reference
 takes the nullspace of the full stacked Killing operator (both sharing
 only the rank policy of `nullspace`).  The representation ladder
 (Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
@@ -168,6 +169,37 @@ def full_intertwiners(constants, tol, symmetric):
     system -= np.einsum("qca,cbp->qabp", basis, constants)
     null = nullspace(system.reshape(rows.size, -1).T, tol)
     return list(np.einsum("qr,qij->rij", null, basis))
+
+
+def commutant_system_reference(constants, pv, symmetric):
+    """Reference for the graded commutant system, bracket by bracket.
+
+    `constants` are those of an orthonormal frame whose first `pv` vectors
+    span v and the rest the centre z.  Over a Frobenius-orthonormal basis
+    of the symmetric (or skew) matrices that are block-diagonal on v + z,
+    column q holds the z-part of S_q[x,y] - [S_q x,y] for every pair of
+    frame vectors x, y in v.  Returns (system, basis).
+    """
+    p = constants.shape[0]
+    eye = np.eye(p)
+
+    def bracket(x, y):
+        return np.einsum("i,j,ijk->k", x, y, constants)
+
+    basis = []
+    for lo, hi in ((0, pv), (pv, p)):
+        for i in range(lo, hi):
+            for j in range(i if symmetric else i + 1, hi):
+                s = np.outer(eye[i], eye[j])
+                s = s + s.T if symmetric else s - s.T
+                basis.append(s / np.linalg.norm(s))
+    system = np.zeros((pv * pv * (p - pv), len(basis)))
+    for q, s in enumerate(basis):
+        rows = [(s @ bracket(x, y) - bracket(s @ x, y))[pv:]
+                for x in eye[:pv] for y in eye[:pv]]
+        if rows:
+            system[:, q] = np.concatenate(rows)
+    return system, basis
 
 
 def killing_operator_reference(L, F, k):

@@ -1,5 +1,6 @@
 """Validation, adapted frames, the j-map and the Levi-Civita connection."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def test_validate_three_step_violation():
     L = MetricLieAlgebra(4, ["e1", "e2", "e3", "e4"], c, np.eye(4))
     report = validate(L)
     assert any("2-step" in v for v in report.violations)
+
+
+def test_validate_reads_the_double_bracket_in_blocks():
+    # 20 h3 + R (n = 61): the whole n^4 double-bracket table would be
+    # 111 MB; the 3-step bracket [b60, b59] = b0 sits in the last block
+    L = direct_sum([heisenberg(1)] * 20 + [euclidean(1)])
+    tracemalloc.start()
+    try:
+        assert validate(L).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    c = L.structure_constants.copy()
+    c[60, 59, 0], c[59, 60, 0] = 1.0, -1.0
+    three_step = MetricLieAlgebra(61, L.basis_names, c, L.gram)
+    assert validate(three_step).violations == [
+        "2-step: [[x,y],w] != 0 for some basis triple"]
 
 
 @pytest.mark.parametrize("entry", [validate, adapted_frame, decompose])

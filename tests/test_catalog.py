@@ -1,4 +1,6 @@
 """Catalog constructors, the representation construction, classification lists."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,21 @@ def test_free_two_step_shape():
     F = adapted_frame(L)
     assert (F.nv, F.nz) == (3, 3)
     assert killing_dimensions(L)[:2] == (0, 1)
+
+
+def test_euclidean_refuses_an_unallocatable_size_at_once():
+    # the 10^18-entry table is refused before a million basis names exist;
+    # numpy reports the refused request itself to tracemalloc, so the peak
+    # is that request plus what was really allocated
+    refused = 8 * 10**18
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="allocate"):
+            euclidean(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - refused < 2**20
 
 
 def test_direct_sum_and_euclidean():

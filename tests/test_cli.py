@@ -3,6 +3,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,12 +63,21 @@ def test_analyze_invalid_algebra_exits_3(tmp_path):
     assert "2-step" in out.stderr
 
 
-def test_parse_errors_exit_2(tmp_path):
-    assert run_cli("analyze", str(tmp_path / "missing.json")).returncode == 2
+def _main_exit_code(capsys, *argv):
+    """cli.main in-process: its exit code, with no traceback on stderr (an
+    escaping exception fails the test just as a traceback would)."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_parse_errors_exit_2(tmp_path, capsys):
+    assert _main_exit_code(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 2
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    assert run_cli("analyze", str(bad)).returncode == 2
-    assert run_cli("analyze", "catalog:no_such_algebra").returncode == 2
+    assert _main_exit_code(capsys, "analyze", str(bad))[0] == 2
+    assert _main_exit_code(capsys, "analyze", "catalog:no_such_algebra")[0] == 2
     h3 = {"dim": 3, "brackets": [[0, 1, 2, 1.0]]}
     malformed = [
         {"dim": 3, "brackets": [[-1, 0, 1, 1.0]]},
@@ -84,9 +94,8 @@ def test_parse_errors_exit_2(tmp_path):
     for i, data in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(data))
-        out = run_cli("analyze", str(path))
-        assert out.returncode == 2, (data, out.stderr)
-        assert "Traceback" not in out.stderr
+        code, err = _main_exit_code(capsys, "analyze", str(path))
+        assert code == 2, (data, err)
 
 
 def test_analyze_file_input(tmp_path):
@@ -246,6 +255,24 @@ def test_algebra_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     argv = [str(path) if arg == "<dim 100000>" else arg for arg in argv]
     assert cli.main(argv) == cli.EXIT_PARSE
     assert "allocate" in capsys.readouterr().err
+
+
+def test_brute_past_the_memory_budget_exits_2(capsys):
+    # h19 at degree 6: C(19,6) = 27132 basis forms, an estimated 78.4 GiB,
+    # refused before the basis is built; the peak is the frame's (the n^4
+    # double bracket of validate is 1 MB)
+    tracemalloc.start()
+    try:
+        code, err = _main_exit_code(capsys, "killing", "catalog:heisenberg",
+                                    "--l", "9", "--degree", "6",
+                                    "--method", "brute")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_PARSE
+    assert err == ("brute-force working set of about 78.4 GiB at n = 19, "
+                   "degree 6 exceeds the 4 GiB budget\n")
+    assert peak < 2**23
 
 
 @pytest.mark.parametrize("coeff", [5e-9, 1e-11])

@@ -1,4 +1,5 @@
 """Killing equation: residuals, the brute-force oracle, structured solvers."""
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -28,6 +29,7 @@ from nilkilling import (
     wedge,
 )
 from nilkilling import killing
+from nilkilling.errors import WorkingSetTooLarge
 from nilkilling.forms import basis_tuples
 from nilkilling.linalg import DEFAULT_TOL, span_distance
 
@@ -337,6 +339,24 @@ def test_brute_working_set_is_one_block_pair(monkeypatch):
     assert len(seen["nullspace"]) == 1 and seen["qr"]
     cells = [int(np.prod(s)) for shapes in seen.values() for s in shapes]
     assert max(cells) <= 2 * 165 ** 2
+
+
+def test_brute_refuses_a_request_past_the_budget_before_allocating():
+    # h19 at degree 6: C(19,6) = 27132 basis forms; the estimate is 5x the
+    # C(n,k)^2 + C(n,k) C(n,k+1) floats of the forms and their differentials
+    L = heisenberg(9)
+    F = adapted_frame(L)
+    need = 5 * 8 * (comb(19, 6) ** 2 + comb(19, 6) * comb(19, 7))
+    assert need > killing.BRUTE_BUDGET_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkingSetTooLarge, match="78.4 GiB") as info:
+            killing_nullspace_brute(L, F, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(info.value, MemoryError)
+    assert peak < 2**16
 
 
 def test_structured_forms_are_normalized():

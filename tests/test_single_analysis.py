@@ -90,6 +90,24 @@ def test_tables_decomposes_each_algebra_once(calls, capsys):
     assert len(names) == 13
 
 
+def test_decompose_solves_one_symmetric_commutant(monkeypatch):
+    # R2+h3+h3: the 2-dimensional commutant of the top block splits it into
+    # two eigenvalue clusters, so each cluster is a factor and no factor's
+    # commutant is solved again
+    kinds = []
+    solve = structure._solve_intertwiners
+
+    def counting(constants, pv, tol, symmetric):
+        kinds.append(symmetric)
+        return solve(constants, pv, tol, symmetric)
+
+    monkeypatch.setattr(structure, "_solve_intertwiners", counting)
+    dec = structure.decompose(
+        direct_sum([euclidean(2), heisenberg(1), heisenberg(1)]))
+    assert [f.dim for f in dec.factors] == [3, 3]
+    assert kinds.count(True) == 1
+
+
 def test_structured_killing_degrees_two_and_three_only():
     dec = structure.decompose(_sum())
     dims = [structured_killing(dec, k).dim for k in (2, 3)]

@@ -22,11 +22,13 @@ from nilkilling import (
     transform,
 )
 from nilkilling import structure
+from nilkilling.catalog import build, catalog_names
 from nilkilling.errors import NotComplexStructure
-from nilkilling.linalg import span_distance
+from nilkilling.linalg import _unit_scaled, nullspace, span_distance
 
 from helpers import (
     change_user_basis,
+    commutant_system_reference,
     full_intertwiners,
     random_spd_metric,
     random_two_step,
@@ -147,6 +149,79 @@ def test_decompose_solves_graded_systems(monkeypatch):
     assert dec.killing_dimensions()[:2] == (3, 0)
     assert (256, 46) in shapes
     assert max(r * c for r, c in shapes) == 256 * 46
+
+
+def _top_block(F):
+    """Constants of the block ker j is split off from, and its v-dimension."""
+    m = F.n - F.na
+    return F.constants[:m, :m, :m], F.nv
+
+
+def assert_commutant_matches_reference(F):
+    """The graded solve on the top block spans the nullspace of the
+    bracket-by-bracket reference system, symmetric and skew."""
+    block, pv = _top_block(F)
+    for symmetric in (True, False):
+        solved = structure._solve_intertwiners(block, pv, 1e-9, symmetric)
+        system, basis = commutant_system_reference(block, pv, symmetric)
+        null = nullspace(_unit_scaled(system), 1e-9)
+        ref = np.array([b.ravel() for b in basis]).T @ null
+        assert len(solved) == ref.shape[1]
+        if solved:
+            flat = np.array([m.ravel() for m in solved]).T
+            assert span_distance(flat, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("parts", [((2, 1),), ((3, 2),), ((5, 3),),
+                                   ((4, 2), (2, 1)), ((3, 3), (3, 1))], ids=str)
+def test_commutant_matches_bracket_by_bracket_reference(parts):
+    rng = np.random.default_rng(43)
+    L = direct_sum([random_two_step(nv, nz, rng) for nv, nz in parts])
+    q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+    assert_commutant_matches_reference(adapted_frame(change_user_basis(L, q)))
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if n != "euclidean"])
+def test_catalog_commutants_match_bracket_by_bracket_reference(name):
+    assert_commutant_matches_reference(adapted_frame(build(name)))
+
+
+SWEEP_PARTS = {
+    "R1": lambda: euclidean(1), "R2": lambda: euclidean(2),
+    "R3": lambda: euclidean(3), "h3": lambda: heisenberg(1),
+    "h5": lambda: heisenberg(2), "h7": lambda: heisenberg(3),
+    "n32": free_two_step_3, "h3C(0.5)": lambda: complex_heisenberg(0.5),
+    "h3C(1)": lambda: complex_heisenberg(1.0),
+    "h3C(2)": lambda: complex_heisenberg(2.0),
+}
+# the distinct orthogonal sums of the benchmark's structure sweep (n 5..14)
+SWEEP_SUMS = [
+    "R2+h3", "R1+h5", "h3+h3", "R3+h3", "R1+h3C(1)", "R1+n32", "R2+h5",
+    "R2+h3C(2)", "h3+h5", "R2+n32", "R2+h3+h3", "R3+h3+h3", "h3+n32",
+    "R2+h7", "h3+h3C(0.5)", "R1+h3+h5", "h5+h5", "h3+h3+h5", "R3+n32+h3",
+    "R2+h5+h5", "R2+h3C(1)+h3C(2)",
+]
+
+
+@pytest.mark.parametrize("name", catalog_names() + SWEEP_SUMS)
+def test_commutant_dimension_is_factor_count(name):
+    """The certificate `decompose` relies on: once ker j is split off, the
+    symmetric commutant has one dimension per factor, and each factor's own
+    commutant is the identity line (the solve `decompose` skips)."""
+    rng = np.random.default_rng(47)
+    if name in SWEEP_SUMS:
+        L = direct_sum([SWEEP_PARTS[part]() for part in name.split("+")])
+    else:
+        L = build(name)
+    q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+    spd = with_metric(L, random_spd_metric(L.dim, rng))
+    for M in (change_user_basis(L, q), change_user_basis(spd, q)):
+        dec = decompose(M)
+        block, pv = _top_block(dec.frame)
+        comm = structure._solve_intertwiners(block, pv, 1e-9, symmetric=True)
+        assert len(comm) == len(dec.factors)
+        for factor in dec.factors:
+            assert len(bracket_commutant(factor.frame)) == 1
 
 
 def test_decompose_r2_h3():
