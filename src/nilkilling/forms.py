@@ -148,9 +148,14 @@ def wedge(omega: Form, eta: Form) -> Form:
     k, l = omega.degree, eta.degree
     if k + l > n:
         raise DegreeOverflow("wedge degree %d exceeds dimension %d" % (k + l, n))
+    return _product(n, k, l, np.outer(omega.vec, eta.vec))
+
+
+def _product(n, k, l, weights):
+    """The (k + l)-form sum_{s, t} weights[s, t] e^s ^ e^t, one scatter over
+    the wedge table; `weights` has shape (C(n, k), C(n, l))."""
     target, sign = _wedge_table(n, k, l)
-    weights = sign * np.outer(omega.vec, eta.vec)
-    return Form(n, k + l, np.bincount(target.ravel(), weights.ravel(),
+    return Form(n, k + l, np.bincount(target.ravel(), (sign * weights).ravel(),
                                       minlength=comb(n, k + l)))
 
 
@@ -174,15 +179,14 @@ def contract(x, omega: Form) -> Form:
 def _derive(images, degree, omega: Form) -> Form:
     """The derivation sum_i images[i] ^ (e_i -| omega).
 
-    `images[i]` is the coefficient vector of a `degree`-form; only the legs
-    i with a non-zero contraction and a non-zero image contribute.
+    `images[i]` is the coefficient vector of a `degree`-form.  The sum over
+    the legs i is one matrix product, images^T times the rows e_i -| omega,
+    scattered once over the (degree, k - 1) wedge table.
     """
     n, k = omega.n, omega.degree
-    out = Form(n, k + degree - 1)
-    rows = _contractions(omega)
-    for i in np.flatnonzero(rows.any(axis=1) & images.any(axis=1)):
-        out = out + wedge(Form(n, degree, images[i]), Form(n, k - 1, rows[i]))
-    return out
+    if k == 0:
+        return Form(n, degree - 1)
+    return _product(n, degree, k - 1, images.T @ _contractions(omega))
 
 
 def skew_extend(f, omega: Form) -> Form:

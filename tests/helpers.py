@@ -10,8 +10,11 @@ component-equation checks for Killing 2- and 3-forms extract the
 matrices straight out of the coefficient tables, the intertwiner
 references solve the full bracket system and tabulate the graded one
 bracket by bracket, and the brute-oracle reference
-takes the nullspace of the full stacked Killing operator (both sharing
-only the rank policy of `nullspace`).  The representation ladder
+assembles the full stacked Killing operator from `koszul_nabla` and
+`perm_sign` alone and takes its nullspace.  Those references share only
+the rank policy of `nullspace` with the library, and the brute reference
+also the `basis_tuples` order and the oracle's `_normalize` sign rule,
+no exterior-algebra kernel.  The representation ladder
 (Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
 library's `from_representation`.
 """
@@ -19,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from nilkilling import Form, MetricLieAlgebra, from_representation, nabla_matrix
-from nilkilling.forms import basis_tuples, contract, lie_diff, skew_extend
+from nilkilling import Form, MetricLieAlgebra, from_representation
+from nilkilling.forms import basis_tuples
 from nilkilling.killing import _normalize
 from nilkilling.linalg import nullspace
 
@@ -202,34 +205,51 @@ def commutant_system_reference(constants, pv, symmetric):
     return system, basis
 
 
-def killing_operator_reference(L, F, k):
+def killing_operator_reference(F, k):
     """The full stacked Killing operator, one column per basis k-form e^t.
 
     Row block a (frame direction e_a) holds the defects
     nabla_a e^t - (e_a -| d e^t)/(k+1), all n*C(n,k) rows at once; row
-    (a, s) is component s of direction a's defect.
+    (a, s) is component s of direction a's defect.  Built from
+    `koszul_nabla` and `perm_sign` alone: nabla_a e^t replaces one leg at a
+    time, by nabla_a e^m = -sum_b g(nabla_a e_b, e_m) e^b; d e^t is the
+    torsion-free sum_a e^a ^ nabla_a e^t; and the contraction is
+    (e_a -| eta)_s = perm_sign((a,) + s) eta_{sorted((a,) + s)}, read off
+    the terms of d e^t.  That is at most 2 n^2 k `perm_sign` calls per
+    column for nabla and d, and k + 1 per term of d e^t.
     """
     n = F.n
     eye = np.eye(n)
-    nmats = [nabla_matrix(F, eye[:, a]) for a in range(n)]
-    cols = []
-    for t in basis_tuples(n, k):
-        w = Form.basis(n, k, t)
-        dw = lie_diff(L, F, w) if k < n else None
-        col = []
+    # conn[a, m, b] = g(nabla_{e_a} e_b, e_m)
+    conn = np.array([[koszul_nabla(F, x, y) for y in eye] for x in eye])
+    conn = conn.transpose(0, 2, 1)
+    index = _positions(n, k)
+    op = np.zeros((n, len(index), len(index)))
+    for col, t in enumerate(basis_tuples(n, k)):
+        d = {}
         for a in range(n):
-            nab = skew_extend(nmats[a], w)
-            dp = contract(eye[:, a], dw) if dw is not None else Form(n, k)
-            col.append((nab - (1.0 / (k + 1)) * dp).vec)
-        cols.append(np.concatenate(col))
-    return np.array(cols).T
+            for j, m in enumerate(t):
+                for b in map(int, np.flatnonzero(conn[a, m])):
+                    legs = t[:j] + (b,) + t[j + 1:]
+                    c = -conn[a, m, b]
+                    pos, sign = _signed_index(n, legs)
+                    op[a, pos, col] += sign * c
+                    sign = perm_sign((a,) + legs)
+                    if sign:
+                        u = tuple(sorted((a,) + legs))
+                        d[u] = d.get(u, 0.0) + sign * c
+        for u, c in d.items():
+            for p, a in enumerate(u):
+                s = u[:p] + u[p + 1:]
+                op[a, index[s], col] -= perm_sign((a,) + s) * c / (k + 1)
+    return op.reshape(n * len(index), len(index))
 
 
-def brute_reference(L, F, k, tol):
+def brute_reference(F, k, tol):
     """Reference for the brute oracle: the nullspace of
     `killing_operator_reference`, unit-scaled by the largest frame
     constant, as the normalized forms the oracle reports."""
-    op = killing_operator_reference(L, F, k)
+    op = killing_operator_reference(F, k)
     scale = np.abs(F.constants).max()
     null = nullspace(op / scale if scale else op, tol)
     return [_normalize(Form(F.n, k, v)) for v in null.T]

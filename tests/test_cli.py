@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -19,16 +20,34 @@ from nilkilling import (
 from nilkilling.errors import InternalInvariantViolation, NotSkew
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "nilkilling.cli", *args],
-        capture_output=True, text=True,
-    )
+Run = namedtuple("Run", "returncode stdout stderr")
 
 
-def test_analyze_complex_heisenberg():
-    out = run_cli("analyze", "catalog:complex_heisenberg", "--lambda", "1",
-                  "--json")
+def run_cli(capsys, *argv):
+    """cli.main in-process: exit code and captured output, with no traceback
+    on stderr (an escaping exception fails the test just as a traceback
+    would)."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return Run(code, out, err)
+
+
+def test_module_entry_point_exits_with_main_code():
+    # `python -m nilkilling.cli` hands cli.main's return value to the process
+    for argv, code in ((["analyze", "catalog:h3", "--json"], 0),
+                       (["killing", "catalog:h5", "--bogus"], 2)):
+        out = subprocess.run([sys.executable, "-m", "nilkilling.cli", *argv],
+                             capture_output=True, text=True)
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stderr
+        if code == 0:
+            assert json.loads(out.stdout)["dimK3"] == 1
+
+
+def test_analyze_complex_heisenberg(capsys):
+    out = run_cli(capsys, "analyze", "catalog:complex_heisenberg",
+                  "--lambda", "1", "--json")
     assert out.returncode == 0
     rec = json.loads(out.stdout)
     assert rec["schema"] == 1
@@ -36,21 +55,21 @@ def test_analyze_complex_heisenberg():
     assert rec["factors"][0]["complex"] is True
 
 
-def test_analyze_heisenberg():
-    out = run_cli("analyze", "catalog:heisenberg", "--l", "1", "--json")
+def test_analyze_heisenberg(capsys):
+    out = run_cli(capsys, "analyze", "catalog:heisenberg", "--l", "1", "--json")
     rec = json.loads(out.stdout)
     assert (rec["dimK2"], rec["dimK3"]) == (0, 1)
     assert rec["factors"][0]["nat_reductive"] is True
 
 
-def test_text_and_json_agree():
-    js = json.loads(run_cli("analyze", "catalog:free_two_step_3",
+def test_text_and_json_agree(capsys):
+    js = json.loads(run_cli(capsys, "analyze", "catalog:free_two_step_3",
                             "--json").stdout)
-    txt = run_cli("analyze", "catalog:free_two_step_3").stdout
+    txt = run_cli(capsys, "analyze", "catalog:free_two_step_3").stdout
     assert f"dim K2 = {js['dimK2']}, dim K3 = {js['dimK3']}" in txt
 
 
-def test_analyze_invalid_algebra_exits_3(tmp_path):
+def test_analyze_invalid_algebra_exits_3(tmp_path, capsys):
     # 3-step brackets fail validation
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -58,26 +77,17 @@ def test_analyze_invalid_algebra_exits_3(tmp_path):
         "brackets": [[0, 1, 2, 1.0], [0, 2, 3, 1.0]],
         "metric": {"identity": True},
     }))
-    out = run_cli("analyze", str(path))
+    out = run_cli(capsys, "analyze", str(path))
     assert out.returncode == 3
     assert "2-step" in out.stderr
 
 
-def _main_exit_code(capsys, *argv):
-    """cli.main in-process: its exit code, with no traceback on stderr (an
-    escaping exception fails the test just as a traceback would)."""
-    code = cli.main(list(argv))
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    return code, err
-
-
 def test_parse_errors_exit_2(tmp_path, capsys):
-    assert _main_exit_code(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 2
+    assert run_cli(capsys, "analyze", str(tmp_path / "missing.json")).returncode == 2
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    assert _main_exit_code(capsys, "analyze", str(bad))[0] == 2
-    assert _main_exit_code(capsys, "analyze", "catalog:no_such_algebra")[0] == 2
+    assert run_cli(capsys, "analyze", str(bad)).returncode == 2
+    assert run_cli(capsys, "analyze", "catalog:no_such_algebra").returncode == 2
     h3 = {"dim": 3, "brackets": [[0, 1, 2, 1.0]]}
     malformed = [
         {"dim": 3, "brackets": [[-1, 0, 1, 1.0]]},
@@ -94,41 +104,41 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     for i, data in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(data))
-        code, err = _main_exit_code(capsys, "analyze", str(path))
+        code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2, (data, err)
 
 
-def test_analyze_file_input(tmp_path):
+def test_analyze_file_input(tmp_path, capsys):
     from nilkilling import complex_heisenberg
     path = tmp_path / "alg.json"
     complex_heisenberg(2.0).save(path)
-    rec = json.loads(run_cli("analyze", str(path), "--json").stdout)
+    rec = json.loads(run_cli(capsys, "analyze", str(path), "--json").stdout)
     assert (rec["dimK2"], rec["dimK3"]) == (1, 0)
 
 
-def test_killing_both_methods():
-    out = run_cli("killing", "catalog:free_two_step_3", "--degree", "3",
-                  "--method", "both", "--json")
+def test_killing_both_methods(capsys):
+    out = run_cli(capsys, "killing", "catalog:free_two_step_3", "--degree",
+                  "3", "--method", "both", "--json")
     assert out.returncode == 0
     rec = json.loads(out.stdout)
     assert rec["brute_dim"] == 1 and rec["structured_dim"] == 1
     assert rec["span_residual"] <= 1e-8
 
 
-def test_killing_h5_degree_2():
-    rec = json.loads(run_cli("killing", "catalog:heisenberg", "--l", "2",
-                             "--degree", "2", "--json").stdout)
+def test_killing_h5_degree_2(capsys):
+    rec = json.loads(run_cli(capsys, "killing", "catalog:heisenberg", "--l",
+                             "2", "--degree", "2", "--json").stdout)
     assert rec["dim"] == 0
 
 
-def test_killing_euclidean_degree_3():
-    rec = json.loads(run_cli("killing", "catalog:euclidean", "--d", "4",
-                             "--degree", "3", "--json").stdout)
+def test_killing_euclidean_degree_3(capsys):
+    rec = json.loads(run_cli(capsys, "killing", "catalog:euclidean", "--d",
+                             "4", "--degree", "3", "--json").stdout)
     assert rec["dim"] == 4
 
 
-def test_killing_structured_degree_4_rejected():
-    out = run_cli("killing", "catalog:heisenberg", "--degree", "4",
+def test_killing_structured_degree_4_rejected(capsys):
+    out = run_cli(capsys, "killing", "catalog:heisenberg", "--degree", "4",
                   "--method", "structured")
     assert out.returncode == 2
 
@@ -144,35 +154,36 @@ def test_structured_degree_refused_before_brute(monkeypatch, capsys, degree):
     assert "degrees 2 and 3 only" in capsys.readouterr().err
 
 
-def test_killing_forms_serialized():
-    rec = json.loads(run_cli("killing", "catalog:heisenberg", "--degree", "3",
-                             "--json").stdout)
+def test_killing_forms_serialized(capsys):
+    rec = json.loads(run_cli(capsys, "killing", "catalog:heisenberg",
+                             "--degree", "3", "--json").stdout)
     assert len(rec["forms"]) == 1
     assert rec["forms"][0]["degree"] == 3
 
 
-def test_decompose_command():
-    rec = json.loads(run_cli("decompose", "catalog:R3+h3", "--json").stdout)
+def test_decompose_command(capsys):
+    rec = json.loads(run_cli(capsys, "decompose", "catalog:R3+h3",
+                             "--json").stdout)
     assert rec["d"] == 3
     assert [f["dim"] for f in rec["factors"]] == [3]
     assert (rec["dimK2"], rec["dimK3"]) == (3, 2)
 
 
-def test_catalog_list_and_show():
-    out = run_cli("catalog", "list")
+def test_catalog_list_and_show(capsys):
+    out = run_cli(capsys, "catalog", "list")
     assert out.returncode == 0
     names = out.stdout.split()
     for expected in ("heisenberg", "complex_heisenberg", "free_two_step_3",
                      "euclidean"):
         assert expected in names
-    shown = json.loads(run_cli("catalog", "show", "complex_heisenberg",
-                               "--lambda", "2").stdout)
+    shown = json.loads(run_cli(capsys, "catalog", "show",
+                               "complex_heisenberg", "--lambda", "2").stdout)
     alg = MetricLieAlgebra.from_json(shown)
     assert np.allclose(alg.gram[4:, 4:], 4.0 * np.eye(2))
 
 
-def test_tables_pass():
-    out = run_cli("tables", "--json")
+def test_tables_pass(capsys):
+    out = run_cli(capsys, "tables", "--json")
     assert out.returncode == 0
     rec = json.loads(out.stdout)
     assert {t["degree"] for t in rec["tables"]} == {2, 3}
@@ -181,13 +192,14 @@ def test_tables_pass():
             assert row.get("skipped") or row["ok"]
 
 
-def test_tables_tolerance_sweep():
-    base = json.loads(run_cli("tables", "--json").stdout)
-    loose = json.loads(run_cli("tables", "--json", "--tol", "1e-6").stdout)
+def test_tables_tolerance_sweep(capsys):
+    base = json.loads(run_cli(capsys, "tables", "--json").stdout)
+    loose = json.loads(run_cli(capsys, "tables", "--json", "--tol",
+                               "1e-6").stdout)
     assert base == loose
 
 
-def test_numerical_ambiguity_exits_4(tmp_path):
+def test_numerical_ambiguity_exits_4(tmp_path, capsys):
     # h3 + 5e-9 * h3: the second bracket sits right at the rank threshold
     # relative to the first, so the singular-value gap check must refuse to
     # decide instead of guessing
@@ -197,7 +209,7 @@ def test_numerical_ambiguity_exits_4(tmp_path):
         "brackets": [[0, 1, 2, 1.0], [3, 4, 5, 5e-9]],
         "metric": {"identity": True},
     }))
-    out = run_cli("analyze", str(path))
+    out = run_cli(capsys, "analyze", str(path))
     assert out.returncode == 4
 
 
@@ -263,9 +275,8 @@ def test_brute_past_the_memory_budget_exits_2(capsys):
     # double bracket of validate is 1 MB)
     tracemalloc.start()
     try:
-        code, err = _main_exit_code(capsys, "killing", "catalog:heisenberg",
-                                    "--l", "9", "--degree", "6",
-                                    "--method", "brute")
+        code, _, err = run_cli(capsys, "killing", "catalog:heisenberg",
+                               "--l", "9", "--degree", "6", "--method", "brute")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,15 +287,15 @@ def test_brute_past_the_memory_budget_exits_2(capsys):
 
 
 @pytest.mark.parametrize("coeff", [5e-9, 1e-11])
-def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff):
+def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff, capsys):
     # a bracket rescaling is a homothety: the answers of h3 do not change
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps({"dim": 3, "brackets": [[0, 1, 2, coeff]]}))
-    out = run_cli("analyze", str(path))
+    out = run_cli(capsys, "analyze", str(path))
     assert out.returncode == 0, out.stderr
     assert "dim K2 = 0, dim K3 = 1" in out.stdout
-    out = run_cli("killing", str(path), "--method", "both", "--degree", "2",
-                  "--json")
+    out = run_cli(capsys, "killing", str(path), "--method", "both",
+                  "--degree", "2", "--json")
     assert out.returncode == 0, out.stderr
     rec = json.loads(out.stdout)
     assert (rec["brute_dim"], rec["structured_dim"]) == (0, 0)
@@ -300,10 +311,12 @@ def test_library_invariant_failure_exits_4(monkeypatch, capsys, error):
     assert capsys.readouterr().err == "invariant broken\n"
 
 
-def test_bad_flags_exit_2():
-    assert run_cli("killing", "catalog:heisenberg", "--degree", "0").returncode == 2
+def test_bad_flags_exit_2(capsys):
+    out = run_cli(capsys, "killing", "catalog:heisenberg", "--degree", "0")
+    assert out.returncode == 2
     for tol in ("-1", "0", "1", "2", "nan", "inf", "-inf"):
-        out = run_cli("analyze", "catalog:heisenberg", f"--tol={tol}", "--json")
+        out = run_cli(capsys, "analyze", "catalog:heisenberg", f"--tol={tol}",
+                      "--json")
         assert out.returncode == 2, (tol, out.stdout)
         assert "tol must be" in out.stderr
     # a zero-dimensional catalog algebra is a parse error, not a traceback
@@ -311,18 +324,19 @@ def test_bad_flags_exit_2():
                     ("killing", "catalog:euclidean"),
                     ("decompose", "catalog:euclidean"),
                     ("catalog", "show", "euclidean")):
-        out = run_cli(*command, "--d", "0")
+        out = run_cli(capsys, *command, "--d", "0")
         assert out.returncode == 2, (command, out.stderr)
         assert "Traceback" not in out.stderr
 
 
-def test_bad_lambda_exits_2():
+def test_bad_lambda_exits_2(capsys):
     # a non-finite lambda is refused before any algebra is built, and one
     # whose square overflows by the builder
     for lam, message in (("nan", "lambda must be a finite number"),
                          ("inf", "lambda must be a finite number"),
                          ("1e300", "lambda squared is not finite")):
-        out = run_cli("analyze", "catalog:complex_heisenberg", "--lambda", lam)
+        out = run_cli(capsys, "analyze", "catalog:complex_heisenberg",
+                      "--lambda", lam)
         assert out.returncode == 2, (lam, out.stderr)
         assert message in out.stderr
 
@@ -346,9 +360,9 @@ def test_main_returns_parser_exit_codes(capsys):
     assert "usage: nilkilling" in capsys.readouterr().out
 
 
-def test_flags_a_command_does_not_read_exit_2():
-    assert run_cli("tables", "--l", "2").returncode == 2
-    assert run_cli("catalog", "list", "--tol", "1e-6").returncode == 2
+def test_flags_a_command_does_not_read_exit_2(capsys):
+    assert run_cli(capsys, "tables", "--l", "2").returncode == 2
+    assert run_cli(capsys, "catalog", "list", "--tol", "1e-6").returncode == 2
 
 
 def test_main_builds_parser_once(monkeypatch, capsys):
@@ -367,10 +381,6 @@ def test_main_builds_parser_once(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines().count("heisenberg") == 3
 
 
-def _main_in_process(argv, capsys):
-    return cli.main(argv), capsys.readouterr().out
-
-
 def test_reused_parser_keeps_no_state_between_calls(capsys):
     calls = [
         ["killing", "catalog:h5", "--degree", "3", "--json"],
@@ -380,11 +390,11 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
         ["killing", "catalog:h5", "--bogus"],
         ["killing", "catalog:h5", "--json"],
     ]
-    reused = [_main_in_process(argv, capsys) for argv in calls]
+    reused = [run_cli(capsys, *argv)[:2] for argv in calls]
     fresh = []
     for argv in calls:
         cli.build_parser.cache_clear()
-        fresh.append(_main_in_process(argv, capsys))
+        fresh.append(run_cli(capsys, *argv)[:2])
     assert reused == fresh
     assert [code for code, _ in reused] == [0, 0, 0, 0, 2, 0]
     assert json.loads(reused[1][1])["degree"] == 2

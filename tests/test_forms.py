@@ -157,6 +157,49 @@ def test_skew_extend_derivation_and_commutator():
     assert (lhs2 - rhs2).norm() < 1e-9
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_skew_extend_matches_perm_sign_reference(n):
+    # (f omega)_t = sum_j sum_b f[t_j, b] omega(t with leg j replaced by b),
+    # omega(legs) = perm_sign(legs) omega_sorted(legs), at every degree
+    rng = np.random.default_rng(n)
+    f = random_skew(n, rng)
+    for k in range(n + 1):
+        omega = random_form(n, k, rng)
+        index = {t: i for i, t in enumerate(basis_tuples(n, k))}
+
+        def value(legs):
+            sign = perm_sign(legs)
+            return sign * omega.vec[index[tuple(sorted(legs))]] if sign else 0.0
+
+        want = [sum(f[m, b] * value(t[:j] + (b,) + t[j + 1:])
+                    for j, m in enumerate(t) for b in range(n))
+                for t in basis_tuples(n, k)]
+        err = np.abs(skew_extend(f, omega).vec - want).max()
+        assert err <= 1e-12 * np.abs(f).max() * omega.norm(), (k, err)
+
+
+def test_derivations_make_no_wedge_call(monkeypatch):
+    # skew_extend and lie_diff are one product over the wedge table each,
+    # not one wedge per leg
+    L = heisenberg(2)
+    F = adapted_frame(L)
+    rng = np.random.default_rng(31)
+    calls = []
+    wedge_once = forms.wedge
+
+    def counted(*args):
+        calls.append(args)
+        return wedge_once(*args)
+
+    monkeypatch.setattr(forms, "wedge", counted)
+    for k in range(6):
+        omega = random_form(5, k, rng)
+        skew_extend(random_skew(5, rng), omega)
+        if k < 5:
+            lie_diff(L, F, omega)
+    assert calls == []
+
+
 def test_lie_diff_h3_center_dual():
     L = heisenberg(1)
     F = adapted_frame(L)

@@ -310,7 +310,7 @@ def test_brute_matches_full_operator_reference(name):
     F = adapted_frame(L)
     for k in range(1, min(L.dim, 4 if L.dim <= 9 else 3) + 1):
         got = killing_nullspace_brute(L, F, k)
-        want = brute_reference(L, F, k, DEFAULT_TOL)
+        want = brute_reference(F, k, DEFAULT_TOL)
         assert got.dim == len(want), (name, k)
         if got.dim:
             qa, _ = np.linalg.qr(got.matrix())
@@ -393,7 +393,7 @@ def test_killing_operator_splits_by_v_leg_parity(name):
     F = adapted_frame(L)
     n = F.n
     for k in (2, 3, 4):
-        op = killing_operator_reference(L, F, k)
+        op = killing_operator_reference(F, k)
         legs = (np.array(basis_tuples(n, k)) < F.nv).sum(axis=1)
         rows = np.tile(legs, n) + np.repeat(np.arange(n) < F.nv, len(legs))
         cross = (rows[:, None] - legs[None, :]) % 2 == 1
