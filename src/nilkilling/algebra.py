@@ -306,17 +306,28 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     return frame_from_constants(frame, _frame_constants(L, frame), nv, na, tol)
 
 
-def nabla_matrix(F: AdaptedFrame, y):
-    """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates.
+def connection(F: AdaptedFrame):
+    """The (n, n, n) connection array: slice a is the matrix of the skew
+    endomorphism u -> nabla_{e_a} u in frame coordinates.
 
     Koszul formula in the orthonormal frame: with c the frame constants,
-    g(nabla_a e_b, e_c) = 1/2 (c_abc - c_bca + c_cab).  Returned as the skew
-    part of that sum, so it is exactly skew even where it is pure round-off
-    (an abelian direction), as the relative check of `skew_extend` needs.
+    g(nabla_a e_b, e_c) = 1/2 (c_abc - c_bca + c_cab).  Each slice is the
+    skew part of that sum, so it is exactly skew even where it is pure
+    round-off (an abelian direction), as the relative check of `skew_extend`
+    needs.
     """
     c = F.constants
-    koszul = 0.5 * (c - np.einsum("bca->abc", c) + np.einsum("cab->abc", c))
-    m = np.einsum("a,abc->cb", y, koszul)
+    koszul = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))   # [a, b, c]
+    return 0.5 * (koszul.transpose(0, 2, 1) - koszul)
+
+
+def nabla_matrix(F: AdaptedFrame, y):
+    """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates:
+    y contracted with `connection(F)`, kept exactly skew."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (F.n,):
+        raise ValueError("vector must have shape (%d,), got %s" % (F.n, y.shape))
+    m = np.tensordot(y, connection(F), axes=1)
     return 0.5 * (m - m.T)
 
 

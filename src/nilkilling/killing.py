@@ -15,14 +15,14 @@ from math import comb
 
 import numpy as np
 
-from .algebra import AdaptedFrame, MetricLieAlgebra, nabla_matrix
+from .algebra import AdaptedFrame, MetricLieAlgebra, connection
 from .errors import InternalInvariantViolation, WorkingSetTooLarge
 from .forms import (
     Form,
     _contractions,
     _legs,
+    _wedge_table,
     basis_tuples,
-    contract,
     lie_diff,
     skew_extend,
     transform,
@@ -63,10 +63,9 @@ def _normalize(form: Form) -> Form:
     return out
 
 
-def _connections(F: AdaptedFrame):
-    """The n connection matrices nabla_{e_a}, one per frame direction."""
-    eye = np.eye(F.n)
-    return [nabla_matrix(F, eye[:, a]) for a in range(F.n)]
+def _nablas(F: AdaptedFrame, omega: Form):
+    """The n forms nabla_{e_a} omega, one per frame direction."""
+    return [skew_extend(m, omega) for m in connection(F)]
 
 
 def _polarized(nablas):
@@ -86,7 +85,7 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     contraction of the differential) and the polarized self-contraction
     residual, and checks that the two verdicts agree.
     """
-    nablas = [skew_extend(m, omega) for m in _connections(F)]
+    nablas = _nablas(F, omega)
     defects = np.array([nab.vec for nab in nablas])
     if omega.degree < F.n:      # d of a top-degree form is zero
         defects -= (1.0 / (omega.degree + 1)) * _contractions(lie_diff(L, F, omega))
@@ -103,9 +102,9 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
 
 def _brute_bytes(n, k):
     """Estimated peak bytes of `killing_nullspace_brute` at dimension n and
-    degree k: measured peaks (h13 at k = 4, h15 at k = 4, 5) are about 5x
-    the C(n,k)^2 + C(n,k) C(n,k+1) floats of the basis forms and their
-    differentials."""
+    degree k: measured peaks above the interpreter baseline (h13 at k = 4,
+    h15 at k = 4, 5) are 4.5x to 5.0x the C(n,k)^2 + C(n,k) C(n,k+1)
+    floats of the basis forms and their differentials."""
     c = comb(n, k)
     return 5 * 8 * (c * c + c * comb(n, k + 1))
 
@@ -114,12 +113,15 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
     """Nullspace of the stacked Killing operator; oracle for any degree.
 
     The operator stacks one C(n,k) x C(n,k) block per frame direction, the
-    defects nabla_a e^t - (e_a -| d e^t)/(k+1) of the basis k-forms.  Each
-    block is folded into a running triangular factor R of the stack
-    (row-blocked QR), so the stack itself never exists; R has its singular
-    values, so the rank decision on R is the decision on the operator.
-    A request whose estimated working set exceeds BRUTE_BUDGET_BYTES raises
-    WorkingSetTooLarge before anything is allocated.
+    defects nabla_a e^t - (e_a -| d e^t)/(k+1) of the basis k-forms e^t,
+    the rows of the identity.  Their differentials, scaled by 1/(k+1), are
+    the columns of one C(n,k+1) x C(n,k) matrix, and e_a -| of it is one
+    gather over the (1, k) wedge table.  Each block is folded into a
+    running triangular factor R of the stack (row-blocked QR), so the stack
+    itself never exists; R has its singular values, so the rank decision on
+    R is the decision on the operator.  A request whose estimated working
+    set exceeds BRUTE_BUDGET_BYTES raises WorkingSetTooLarge before
+    anything is allocated.
     """
     n = F.n
     need = _brute_bytes(n, k)
@@ -128,16 +130,19 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
             "brute-force working set of about %.3g GiB at n = %d, degree %d "
             "exceeds the %.3g GiB budget"
             % (need / 2**30, n, k, BRUTE_BUDGET_BYTES / 2**30))
-    eye = np.eye(n)
-    forms = [Form.basis(n, k, t) for t in basis_tuples(n, k)]
-    # d of a top-degree form is zero
-    diffs = [(1.0 / (k + 1)) * lie_diff(L, F, w) for w in forms] if k < n else []
+    c = comb(n, k)
+    forms = [Form(n, k, row) for row in np.eye(c)]
+    if k < n:       # d of a top-degree form is zero
+        dmat = np.array([lie_diff(L, F, w).vec for w in forms]).T
+        dmat *= 1.0 / (k + 1)
+        target, sign = _wedge_table(n, 1, k)
     scale = np.abs(F.constants).max()
-    r = np.zeros((0, len(forms)))
-    for a, nmat in enumerate(_connections(F)):
-        block = np.array([skew_extend(nmat, w).vec for w in forms]).T
-        if diffs:
-            block -= np.array([contract(eye[:, a], dw).vec for dw in diffs]).T
+    r = np.zeros((0, c))
+    for a, nmat in enumerate(connection(F)):
+        # reshaped so that k > n, with no basis forms, gives a 0 x 0 block
+        block = np.array([skew_extend(nmat, w).vec for w in forms]).reshape(c, c).T
+        if k < n:
+            block -= sign[a][:, None] * dmat[target[a]]
         if scale:
             block /= scale      # unit-scaled in place (see linalg), linear in c
         r = np.linalg.qr(np.vstack([r, block]), mode="r")
@@ -156,7 +161,7 @@ def killgen_residuals(F: AdaptedFrame, omega: Form):
     Every value of P is read, so the table is all zero exactly when omega
     is Killing.
     """
-    pol = _polarized([skew_extend(m, omega) for m in _connections(F)])
+    pol = _polarized(_nablas(F, omega))
     v, z = slice(0, F.nv), slice(F.nv, F.n)
     families = {"pp1": pol[v, v], "pp2": pol[z, z], "pp3": 2.0 * pol[v, z]}
     # v-legs of each (k-1)-tuple; a 0-form has no families, and P one column
@@ -167,7 +172,7 @@ def killgen_residuals(F: AdaptedFrame, omega: Form):
 
 def is_parallel(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
-    nablas = np.array([skew_extend(m, omega).vec for m in _connections(F)])
+    nablas = np.array([nab.vec for nab in _nablas(F, omega)])
     worst = np.linalg.norm(nablas, axis=1).max()
     return bool(worst <= tol * np.abs(F.constants).max() * omega.norm())
 
@@ -212,8 +217,8 @@ def structured_killing(dec: Decomposition, k) -> KillingSpace:
         raise ValueError(f"structured Killing forms exist for degrees 2 and 3, not {k}")
     factor_part = _killing2_part if k == 2 else _killing3_part
     d = dec.d
-    basis = [_normalize(transform(Form.basis(d, k, t), dec.abelian.T))
-             for t in basis_tuples(d, k)]
+    basis = [_normalize(transform(Form(d, k, row), dec.abelian.T))
+             for row in np.eye(comb(d, k))]
     for factor in dec.factors:
         form_f = factor_part(factor)
         if form_f is not None:

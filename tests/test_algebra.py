@@ -7,6 +7,7 @@ import pytest
 
 from nilkilling import (
     AdaptedFrame,
+    Form,
     MetricLieAlgebra,
     adapted_frame,
     complex_heisenberg,
@@ -16,15 +17,16 @@ from nilkilling import (
     heisenberg,
     j_trace_form,
     levi_civita,
+    nabla_form,
     nabla_matrix,
     decompose,
     validate,
 )
 from nilkilling import algebra
-from nilkilling.algebra import rotate_constants
+from nilkilling.algebra import connection, rotate_constants
 from nilkilling.errors import InvalidAlgebra
 
-from helpers import koszul_nabla
+from helpers import change_user_basis, koszul_nabla, random_spd_metric, with_metric
 
 CATALOG = [
     heisenberg(1),
@@ -265,15 +267,31 @@ def test_levi_civita_h3_table():
     assert np.allclose(levi_civita(F, e[:, 2], e[:, 2]), [0, 0, 0])
 
 
+def _scrambled_r2_h3():
+    """R^2 + h3 in a rotated user basis with an SPD metric: the frame
+    constants of its abelian directions are pure round-off."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    L = change_user_basis(direct_sum([euclidean(2), heisenberg(1)]), q)
+    return with_metric(L, random_spd_metric(5, rng))
+
+
+CONNECTION_CASES = CATALOG + [_scrambled_r2_h3()]
+
+
 def test_levi_civita_matches_raw_koszul():
     rng = np.random.default_rng(7)
-    for L in CATALOG:
+    for L in CONNECTION_CASES:
         F = adapted_frame(L)
         for _ in range(100):
             x = rng.normal(size=L.dim)
             y = rng.normal(size=L.dim)
             assert np.allclose(levi_civita(F, x, y), koszul_nabla(F, x, y),
                                atol=1e-12)
+        eye = np.eye(L.dim)
+        for a, slice_a in enumerate(connection(F)):
+            want = np.array([koszul_nabla(F, eye[a], eye[b]) for b in range(L.dim)]).T
+            assert np.allclose(slice_a, want, atol=1e-12)
 
 
 def test_connection_metric_compatible_and_torsion_free():
@@ -292,11 +310,23 @@ def test_connection_metric_compatible_and_torsion_free():
 
 def test_nabla_matrix_is_skew():
     rng = np.random.default_rng(3)
-    for L in CATALOG:
+    for L in CONNECTION_CASES:
         F = adapted_frame(L)
         y = rng.normal(size=L.dim)
         m = nabla_matrix(F, y)
         assert np.abs(m + m.T).max() < 1e-12
+        G = connection(F)
+        assert G.shape == (L.dim,) * 3
+        assert np.array_equal(G, -G.transpose(0, 2, 1))
+
+
+def test_nabla_matrix_refuses_a_vector_of_the_wrong_shape():
+    L = heisenberg(1)
+    F = adapted_frame(L)
+    with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(2,\)"):
+        nabla_form(L, F, np.ones(2), Form.basis(3, 2, (0, 1)))
+    with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(4,\)"):
+        levi_civita(F, np.ones(4), np.ones(3))
 
 
 def test_j_trace_form_h3():

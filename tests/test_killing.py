@@ -28,7 +28,7 @@ from nilkilling import (
     transform,
     wedge,
 )
-from nilkilling import killing
+from nilkilling import algebra, forms, killing
 from nilkilling.errors import WorkingSetTooLarge
 from nilkilling.forms import basis_tuples
 from nilkilling.linalg import DEFAULT_TOL, span_distance
@@ -88,8 +88,11 @@ def test_brute_h3_k2_empty():
 
 
 def test_brute_abelian_top_degree():
-    L = euclidean(3)
-    assert killing_nullspace_brute(L, adapted_frame(L), 3).dim == 1
+    # a 0-form and a top-degree form have one basis form, an identity row,
+    # and past the top degree there is none
+    for L, k, dim in [(euclidean(3), 3, 1), (heisenberg(1), 0, 1),
+                      (heisenberg(1), 3, 1), (heisenberg(1), 4, 0)]:
+        assert killing_nullspace_brute(L, adapted_frame(L), k).dim == dim, (L.name, k)
 
 
 def test_brute_basis_passes_residual():
@@ -260,31 +263,38 @@ def test_degree_one_killing_vector_condition():
             assert np.abs(proj - dual).max() < 1e-9
 
 
-def _count_calls(monkeypatch, module, name):
+def _count_calls(monkeypatch, name):
+    """Record the calls of `name` made through any nilkilling module."""
     calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
+    for module in (algebra, forms, killing):
+        if hasattr(module, name):
+            def counted(*args, _original=getattr(module, name), **kwargs):
+                calls.append(name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_differential_once_per_form_connection_once_per_direction(monkeypatch):
+def test_brute_reads_one_connection_and_one_differential_per_form(monkeypatch):
     L = heisenberg(2)
     F = adapted_frame(L)
-    diffs = _count_calls(monkeypatch, killing, "lie_diff")
-    conns = _count_calls(monkeypatch, killing, "nabla_matrix")
+    names = ("lie_diff", "connection", "nabla_matrix", "contract", "wedge")
+    calls = {name: _count_calls(monkeypatch, name) for name in names}
+
+    def counts():
+        got = tuple(len(calls[name]) for name in names)
+        for made in calls.values():
+            del made[:]
+        return got
+
+    omega = Form.basis(5, 3, (0, 1, 4))
+    counts()
     killing_nullspace_brute(L, F, 3)
-    assert (len(diffs), len(conns)) == (10, 5)    # C(5, 3) forms, 5 directions
-    del diffs[:], conns[:]
-    killing_residual(L, F, Form.basis(5, 3, (0, 1, 4)))
-    assert (len(diffs), len(conns)) == (1, 5)
-    del diffs[:], conns[:]
-    is_parallel(F, Form.basis(5, 3, (0, 1, 4)))
-    assert (len(diffs), len(conns)) == (0, 5)
+    assert counts() == (10, 1, 0, 0, 0)    # one d per C(5, 3) basis form
+    killing_residual(L, F, omega)
+    assert counts()[:2] == (1, 1)
+    is_parallel(F, omega)
+    assert counts()[:2] == (0, 1)
 
 
 def _reference_cases():
