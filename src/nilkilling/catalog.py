@@ -4,7 +4,7 @@ naturally-reductive-type algebras from compact Lie algebra representations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,15 +14,22 @@ from .errors import EmptySum, NotAdInvariant, TrivialSubrepresentation
 from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
+def _brackets(n, triples):
+    """The n^3 antisymmetric structure table with [e_i, e_j] = v e_k for
+    each (i, j, k, v)."""
+    c = np.zeros((n, n, n))
+    for i, j, k, v in triples:
+        c[i, j, k] = v
+        c[j, i, k] = -v
+    return c
+
+
 def heisenberg(l: int) -> MetricLieAlgebra:
     """Real Heisenberg algebra of dimension 2l+1, identity metric."""
     if l < 1:
         raise ValueError("l must be >= 1")
     n = 2 * l + 1
-    c = np.zeros((n, n, n))
-    for i in range(l):
-        c[2 * i, 2 * i + 1, n - 1] = 1.0
-        c[2 * i + 1, 2 * i, n - 1] = -1.0
+    c = _brackets(n, ((2 * i, 2 * i + 1, n - 1, 1.0) for i in range(l)))
     names = [f"e{i + 1}" for i in range(n - 1)] + ["z"]
     return MetricLieAlgebra(n, names, c, np.eye(n), name=f"h{n}")
 
@@ -39,10 +46,8 @@ def complex_heisenberg(lam: float = 1.0) -> MetricLieAlgebra:
     if not np.isfinite(lam2):
         raise ValueError(f"lambda squared is not finite: {lam!r}")
     n = 6
-    c = np.zeros((n, n, n))
-    for i, j, k, v in [(0, 2, 4, 1.0), (1, 3, 4, -1.0), (1, 2, 5, 1.0), (0, 3, 5, 1.0)]:
-        c[i, j, k] = v
-        c[j, i, k] = -v
+    c = _brackets(n, [(0, 2, 4, 1.0), (1, 3, 4, -1.0), (1, 2, 5, 1.0),
+                      (0, 3, 5, 1.0)])
     gram = np.diag([1.0, 1.0, 1.0, 1.0, lam2, lam2])
     names = ["e1", "e2", "e3", "e4", "z1", "z2"]
     return MetricLieAlgebra(n, names, c, gram, name=f"h3C(lam={lam:g})")
@@ -51,10 +56,7 @@ def complex_heisenberg(lam: float = 1.0) -> MetricLieAlgebra:
 def free_two_step_3() -> MetricLieAlgebra:
     """Free 2-step nilpotent algebra on 3 generators, identity metric."""
     n = 6
-    c = np.zeros((n, n, n))
-    for i, j, k in [(0, 1, 3), (0, 2, 4), (1, 2, 5)]:
-        c[i, j, k] = 1.0
-        c[j, i, k] = -1.0
+    c = _brackets(n, [(0, 1, 3, 1.0), (0, 2, 4, 1.0), (1, 2, 5, 1.0)])
     names = [f"e{i + 1}" for i in range(n)]
     return MetricLieAlgebra(n, names, c, np.eye(n), name="n32")
 
@@ -152,90 +154,71 @@ class CatalogEntry:
     def build(self):
         if self.builder is None:
             raise ValueError(f"{self.name}: no construction shipped")
-        alg = self.builder()
-        return MetricLieAlgebra(
-            alg.dim, list(alg.basis_names), alg.structure_constants, alg.gram,
-            name=self.name,
-        )
+        return replace(self.builder(), name=self.name)
 
 
-def _h3():
-    return heisenberg(1)
+# The classification algebras by name.  A placeholder, whose construction
+# the literature leaves to an external list of isomorphism classes, has no
+# builder.  A builder looks its constructors up in the module globals when it
+# runs, so a patched module attribute is the one called.
+_REGISTRY = {entry.name: entry for entry in (
+    CatalogEntry("R2+h3", 5, lambda: direct_sum([euclidean(2), heisenberg(1)]), (1, 1)),
+    CatalogEntry("R3+h3", 6, lambda: direct_sum([euclidean(3), heisenberg(1)]), (3, 2)),
+    CatalogEntry("h3C", 6, lambda: complex_heisenberg(), (1, 0)),
+    CatalogEntry("R+h3C", 7,
+                 lambda: direct_sum([euclidean(1), complex_heisenberg()]), (1, 0)),
+    CatalogEntry("R2+h5", 7, lambda: direct_sum([euclidean(2), heisenberg(2)]), (1, 1)),
+    CatalogEntry("R2+N5#2", 7, None), CatalogEntry("R2+N5#3", 7, None),
+    CatalogEntry("R2+(h3+h3)", 8,
+                 lambda: direct_sum([euclidean(2), heisenberg(1), heisenberg(1)]),
+                 (1, 2)),
+    CatalogEntry("R2+n32", 8,
+                 lambda: direct_sum([euclidean(2), free_two_step_3()]), (1, 1)),
+    CatalogEntry("R2+N6#3", 8, None), CatalogEntry("R2+N6#4", 8, None),
+    CatalogEntry("R2+N6#5", 8, None), CatalogEntry("R2+N6#6", 8, None),
+    CatalogEntry("R2+N6#7", 8, None),
+    CatalogEntry("h3", 3, lambda: heisenberg(1), (0, 1)),
+    CatalogEntry("R+h3", 4, lambda: direct_sum([euclidean(1), heisenberg(1)]), (0, 1)),
+    CatalogEntry("h5", 5, lambda: heisenberg(2), (0, 1)),
+    CatalogEntry("h3+h3", 6,
+                 lambda: direct_sum([heisenberg(1), heisenberg(1)]), (0, 2)),
+    CatalogEntry("R+h5", 6, lambda: direct_sum([euclidean(1), heisenberg(2)]), (0, 1)),
+    CatalogEntry("n32", 6, lambda: free_two_step_3(), (0, 1)),
+)}
 
+_LIST2 = ("R2+h3", "R3+h3", "h3C", "R+h3C", "R2+h5", "R2+N5#2", "R2+N5#3",
+          "R2+(h3+h3)", "R2+n32", "R2+N6#3", "R2+N6#4", "R2+N6#5", "R2+N6#6",
+          "R2+N6#7")
+_LIST3 = ("h3", "R+h3", "R2+h3", "h5", "R3+h3", "h3+h3", "R+h5", "n32")
 
-def _h5():
-    return heisenberg(2)
-
-
-def _sum(*builders):
-    def make():
-        return direct_sum([b() for b in builders])
-    return make
+_PARAMETRIC = {
+    "heisenberg": lambda lam, l, d: heisenberg(l),
+    "complex_heisenberg": lambda lam, l, d: complex_heisenberg(lam),
+    "free_two_step_3": lambda lam, l, d: free_two_step_3(),
+    "euclidean": lambda lam, l, d: euclidean(d),
+}
 
 
 def classification_lists():
-    """The two low-dimensional classification lists.
-
-    Entries whose construction the literature leaves to an external list of
-    isomorphism classes are emitted as placeholders with no builder.
-    """
-    r = euclidean
-    list2 = [
-        CatalogEntry("R2+h3", 5, _sum(lambda: r(2), _h3), expected=(1, 1)),
-        CatalogEntry("R3+h3", 6, _sum(lambda: r(3), _h3), expected=(3, 2)),
-        CatalogEntry("h3C", 6, complex_heisenberg, expected=(1, 0)),
-        CatalogEntry("R+h3C", 7, _sum(lambda: r(1), complex_heisenberg),
-                     expected=(1, 0)),
-        CatalogEntry("R2+h5", 7, _sum(lambda: r(2), _h5), expected=(1, 1)),
-        CatalogEntry("R2+N5#2", 7, None),
-        CatalogEntry("R2+N5#3", 7, None),
-        CatalogEntry("R2+(h3+h3)", 8, _sum(lambda: r(2), _h3, _h3),
-                     expected=(1, 2)),
-        CatalogEntry("R2+n32", 8, _sum(lambda: r(2), free_two_step_3),
-                     expected=(1, 1)),
-        CatalogEntry("R2+N6#3", 8, None),
-        CatalogEntry("R2+N6#4", 8, None),
-        CatalogEntry("R2+N6#5", 8, None),
-        CatalogEntry("R2+N6#6", 8, None),
-        CatalogEntry("R2+N6#7", 8, None),
-    ]
-    list3 = [
-        CatalogEntry("h3", 3, _h3, expected=(0, 1)),
-        CatalogEntry("R+h3", 4, _sum(lambda: r(1), _h3), expected=(0, 1)),
-        CatalogEntry("R2+h3", 5, _sum(lambda: r(2), _h3), expected=(1, 1)),
-        CatalogEntry("h5", 5, _h5, expected=(0, 1)),
-        CatalogEntry("R3+h3", 6, _sum(lambda: r(3), _h3), expected=(3, 2)),
-        CatalogEntry("h3+h3", 6, _sum(_h3, _h3), expected=(0, 2)),
-        CatalogEntry("R+h5", 6, _sum(lambda: r(1), _h5), expected=(0, 1)),
-        CatalogEntry("n32", 6, free_two_step_3, expected=(0, 1)),
-    ]
-    return list2, list3
+    """The two low-dimensional classification lists, for Killing 2-forms and
+    3-forms; an algebra on both lists is one shared entry."""
+    return [_REGISTRY[n] for n in _LIST2], [_REGISTRY[n] for n in _LIST3]
 
 
 def catalog_names():
     """All names resolvable through `build`, parametric builders included."""
-    names = ["heisenberg", "complex_heisenberg", "free_two_step_3", "euclidean"]
-    seen = set(names)
-    for lst in classification_lists():
-        for entry in lst:
-            if entry.buildable and entry.name not in seen:
-                names.append(entry.name)
-                seen.add(entry.name)
-    return names
+    return list(_PARAMETRIC) + [name for name, entry in _REGISTRY.items()
+                                if entry.buildable]
 
 
 def build(name, lam=1.0, l=1, d=1) -> MetricLieAlgebra:
-    """Resolve a catalog name (parametric builders honor lam / l / d)."""
-    if name == "heisenberg":
-        return heisenberg(l)
-    if name == "complex_heisenberg":
-        return complex_heisenberg(lam)
-    if name == "free_two_step_3":
-        return free_two_step_3()
-    if name == "euclidean":
-        return euclidean(d)
-    for lst in classification_lists():
-        for entry in lst:
-            if entry.name == name and entry.buildable:
-                return entry.build()
-    raise KeyError(f"unknown catalog name: {name}")
+    """Resolve a catalog name (parametric builders honor lam / l / d).
+
+    An unknown name raises KeyError, a placeholder ValueError.
+    """
+    if name in _PARAMETRIC:
+        return _PARAMETRIC[name](lam, l, d)
+    entry = _REGISTRY.get(name)
+    if entry is None:
+        raise KeyError(f"unknown catalog name: {name}")
+    return entry.build()

@@ -3,12 +3,9 @@
 Commands: analyze, killing, decompose, catalog list|show, tables.
 Inputs are either algebra JSON files or the pseudo-path catalog:<name>.
 
-Exit codes: 0 ok, 1 stdout closed by its reader, 2 parse error (an
-algebra too large to allocate and a brute-force request past its memory
-budget, WorkingSetTooLarge, included), 3 validation failure
-(InvalidAlgebra, raised by the one gate `adapted_frame`), 4 numerical
-failure (NumericalRankFailure, DecompositionAmbiguous,
-InternalInvariantViolation, NotSkew), 5 oracle/table mismatch.
+Exit codes: 0 ok, 1 stdout closed by its reader, 2 parse error, 3
+validation failure, 4 numerical failure, 5 oracle/table mismatch;
+`_EXIT_CODES` maps each library exception a command can raise to its code.
 """
 from __future__ import annotations
 
@@ -42,6 +39,15 @@ EXIT_INVALID = 3
 EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
 
+_EXIT_CODES = {
+    WorkingSetTooLarge: EXIT_PARSE,
+    InvalidAlgebra: EXIT_INVALID,
+    NumericalRankFailure: EXIT_NUMERICAL,
+    DecompositionAmbiguous: EXIT_NUMERICAL,
+    InternalInvariantViolation: EXIT_NUMERICAL,
+    NotSkew: EXIT_NUMERICAL,
+}
+
 
 class CliError(Exception):
     def __init__(self, code, message):
@@ -49,24 +55,23 @@ class CliError(Exception):
         self.code = code
 
 
-def _build_catalog(name, lam, l, d):
+def load_algebra(spec, lam=1.0, l=1, d=1):
+    """The algebra of a JSON file or a catalog:<name> pseudo-path; a spec
+    that does not resolve to an algebra of positive dimension exits 2."""
+    if not spec.startswith("catalog:"):
+        try:
+            return MetricLieAlgebra.load(spec)
+        except (OSError, KeyError, ValueError, IndexError, MemoryError) as exc:
+            raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}")
     try:
-        alg = cat.build(name, lam=lam, l=l, d=d)
-    except (KeyError, ValueError, MemoryError) as exc:
+        alg = cat.build(spec[len("catalog:"):], lam=lam, l=l, d=d)
+    except KeyError as exc:     # str() of a KeyError quotes its message
+        raise CliError(EXIT_PARSE, exc.args[0])
+    except (ValueError, MemoryError) as exc:
         raise CliError(EXIT_PARSE, str(exc))
     if alg.dim == 0:
         raise CliError(EXIT_PARSE, "algebra dimension must be positive")
     return alg
-
-
-def load_algebra(spec, lam=1.0, l=1, d=1):
-    if spec.startswith("catalog:"):
-        return _build_catalog(spec.split(":", 1)[1], lam, l, d)
-    try:
-        return MetricLieAlgebra.load(spec)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, IndexError,
-            MemoryError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}")
 
 
 def _decomposition_record(dec):
@@ -85,6 +90,16 @@ def _decomposition_record(dec):
         "dimK2": dim_k2,
         "dimK3": dim_k3,
     }
+
+
+def _decomposition_lines(r, indent):
+    """Text lines of the `_decomposition_record` fields of r."""
+    for i, f in enumerate(r["factors"]):
+        yield (
+            f"{indent}factor {i}: dim={f['dim']} (v={f['dims_vz'][0]}, z={f['dims_vz'][1]})"
+            f" complex={f['complex']} nat_reductive={f['nat_reductive']}"
+        )
+    yield f"dim K2 = {r['dimK2']}, dim K3 = {r['dimK3']}"
 
 
 def analyze_record(alg, tol):
@@ -118,12 +133,7 @@ def cmd_analyze(args):
     def lines(r):
         yield f"algebra {r['name'] or '<unnamed>'}: n={r['n']} (v={r['dim_v']}, z={r['dim_z']})"
         yield f"abelian factor d={r['d']}; {len(r['factors'])} irreducible factor(s)"
-        for i, f in enumerate(r["factors"]):
-            yield (
-                f"  factor {i}: dim={f['dim']} (v={f['dims_vz'][0]}, z={f['dims_vz'][1]})"
-                f" complex={f['complex']} nat_reductive={f['nat_reductive']}"
-            )
-        yield f"dim K2 = {r['dimK2']}, dim K3 = {r['dimK3']}"
+        yield from _decomposition_lines(r, "  ")
         yield "j-trace-form eigenvalues: " + ", ".join(
             "%.6g" % v for v in r["j_trace_eigenvalues"]
         )
@@ -203,12 +213,7 @@ def cmd_decompose(args):
 
     def lines(r):
         yield f"abelian dimension d = {r['d']}"
-        for i, f in enumerate(r["factors"]):
-            yield (
-                f"factor {i}: dim={f['dim']} (v={f['dims_vz'][0]}, z={f['dims_vz'][1]})"
-                f" complex={f['complex']} nat_reductive={f['nat_reductive']}"
-            )
-        yield f"dim K2 = {r['dimK2']}, dim K3 = {r['dimK3']}"
+        yield from _decomposition_lines(r, "")
 
     _emit(rec, args.json, lines)
     return 0
@@ -216,62 +221,46 @@ def cmd_decompose(args):
 
 def cmd_catalog(args):
     if args.action == "list":
-        names = cat.catalog_names()
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, "names": names}, indent=2))
-        else:
-            for name in names:
-                print(name)
+        _emit({"schema": SCHEMA, "names": cat.catalog_names()}, args.json,
+              lambda r: r["names"])
         return 0
-    alg = _build_catalog(args.name, args.lam, args.l, args.d)
+    alg = load_algebra("catalog:" + args.name, args.lam, args.l, args.d)
     print(json.dumps(alg.to_json(), indent=2))
     return 0
 
 
 def cmd_tables(args):
-    list2, list3 = cat.classification_lists()
-    mismatch = False
     tables = []
     dims = {}                   # (dimK2, dimK3) by name; the lists share entries
-    for degree, entries in ((2, list2), (3, list3)):
+    for degree, entries in zip((2, 3), cat.classification_lists()):
         rows = []
         for entry in entries:
-            if not entry.buildable:
-                rows.append({"name": entry.name, "dim": entry.dim, "skipped": True})
-                continue
-            if entry.name not in dims:
-                dims[entry.name] = killing_dimensions(entry.build(), args.tol)[:2]
-            computed = dims[entry.name][degree - 2]
-            expected = entry.expected[degree - 2] if entry.expected else None
-            ok = expected is None or computed == expected
-            mismatch = mismatch or not ok
-            rows.append(
-                {
-                    "name": entry.name,
-                    "dim": entry.dim,
-                    "computed": computed,
-                    "expected": expected,
-                    "ok": ok,
-                    "skipped": False,
-                }
-            )
+            row = {"name": entry.name, "dim": entry.dim}
+            if entry.buildable:
+                if entry.name not in dims:
+                    dims[entry.name] = killing_dimensions(entry.build(), args.tol)[:2]
+                computed = dims[entry.name][degree - 2]
+                expected = entry.expected[degree - 2]
+                row.update(computed=computed, expected=expected,
+                           ok=computed == expected)
+            rows.append({**row, "skipped": not entry.buildable})
         tables.append({"degree": degree, "rows": rows})
-    rec = {"schema": SCHEMA, "tables": tables}
-    if args.json:
-        print(json.dumps(rec, indent=2))
-    else:
-        for table in tables:
-            print(f"Killing {table['degree']}-forms:")
+
+    def lines(r):
+        for table in r["tables"]:
+            yield f"Killing {table['degree']}-forms:"
             for row in table["rows"]:
                 if row["skipped"]:
-                    print(f"  {row['name']:<14} p={row['dim']}  [skipped: external construction]")
+                    yield f"  {row['name']:<14} p={row['dim']}  [skipped: external construction]"
                 else:
                     status = "ok" if row["ok"] else "MISMATCH"
-                    print(
+                    yield (
                         f"  {row['name']:<14} p={row['dim']}  dimK={row['computed']}"
                         f" (expected {row['expected']})  {status}"
                     )
-    if mismatch:
+
+    _emit({"schema": SCHEMA, "tables": tables}, args.json, lines)
+    if not all(row.get("ok", True) for table in tables for row in table["rows"]):
         raise CliError(EXIT_MISMATCH, "computed table dimensions disagree")
     return 0
 
@@ -344,30 +333,20 @@ def _run(argv):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:    # a rejected flag (2) or --help (0)
         return exc.code
-    if getattr(args, "degree", 1) < 1:
-        print("degree must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if hasattr(args, "tol") and not 0 < args.tol < 1:
-        print("tol must be a finite number in (0, 1)", file=sys.stderr)
-        return EXIT_PARSE
-    if not np.isfinite(getattr(args, "lam", 1.0)):
-        print("lambda must be a finite number", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if getattr(args, "degree", 1) < 1:
+            raise CliError(EXIT_PARSE, "degree must be >= 1")
+        if hasattr(args, "tol") and not 0 < args.tol < 1:
+            raise CliError(EXIT_PARSE, "tol must be a finite number in (0, 1)")
+        if not np.isfinite(getattr(args, "lam", 1.0)):
+            raise CliError(EXIT_PARSE, "lambda must be a finite number")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *_EXIT_CODES) as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
-    except WorkingSetTooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidAlgebra as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except (NumericalRankFailure, DecompositionAmbiguous,
-            InternalInvariantViolation, NotSkew) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

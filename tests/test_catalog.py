@@ -7,6 +7,7 @@ import pytest
 from nilkilling import (
     MetricLieAlgebra,
     adapted_frame,
+    catalog,
     classification_lists,
     complex_heisenberg,
     decompose,
@@ -178,3 +179,60 @@ def test_catalog_json_round_trip():
               direct_sum([euclidean(2), heisenberg(1)])]:
         data = L.to_json()
         assert MetricLieAlgebra.from_json(data).to_json() == data
+
+
+def test_classification_lists_share_their_entries():
+    list2, list3 = classification_lists()
+    by_name = {entry.name: entry for entry in list2}
+    shared = [entry.name for entry in list3 if entry.name in by_name]
+    assert shared == ["R2+h3", "R3+h3"]
+    for entry in list3:
+        if entry.name in by_name:
+            assert entry is by_name[entry.name]
+    # each call hands out fresh lists of the same entries
+    again = classification_lists()
+    assert again[0] is not list2 and again[0] == list2
+    assert all(a is b for a, b in zip(again[1], list3))
+
+
+def test_catalog_names_pinned():
+    assert catalog.catalog_names() == [
+        "heisenberg", "complex_heisenberg", "free_two_step_3", "euclidean",
+        "R2+h3", "R3+h3", "h3C", "R+h3C", "R2+h5", "R2+(h3+h3)", "R2+n32",
+        "h3", "R+h3", "h5", "h3+h3", "R+h5", "n32",
+    ]
+
+
+def test_build_names_each_classification_algebra():
+    for entries in classification_lists():
+        for entry in entries:
+            if entry.buildable:
+                alg = catalog.build(entry.name)
+                assert (alg.name, alg.dim) == (entry.name, entry.dim)
+            else:
+                with pytest.raises(ValueError,
+                                   match="no construction shipped"):
+                    catalog.build(entry.name)
+    with pytest.raises(KeyError, match="unknown catalog name: nope"):
+        catalog.build("nope")
+
+
+def test_registry_builders_call_the_module_constructors(monkeypatch):
+    # a builder looks its constructors up when it runs, so a patched module
+    # attribute (as the benchmark tracer patches them) sees every call
+    calls = []
+    for fname in ("heisenberg", "complex_heisenberg", "free_two_step_3",
+                  "euclidean", "direct_sum"):
+        def counting(*args, _f=getattr(catalog, fname), _name=fname, **kw):
+            calls.append(_name)
+            return _f(*args, **kw)
+        monkeypatch.setattr(catalog, fname, counting)
+    for name, want in (("h3C", ["complex_heisenberg"]),
+                       ("R+h3C", ["euclidean", "complex_heisenberg",
+                                  "direct_sum"]),
+                       ("n32", ["free_two_step_3"]),
+                       ("R2+(h3+h3)", ["euclidean", "heisenberg",
+                                       "heisenberg", "direct_sum"])):
+        calls.clear()
+        assert catalog.build(name).name == name
+        assert calls == want, name

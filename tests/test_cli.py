@@ -11,13 +11,21 @@ import pytest
 
 from nilkilling import (
     MetricLieAlgebra,
+    classification_lists,
     cli,
     direct_sum,
     euclidean,
     heisenberg,
     structure,
 )
-from nilkilling.errors import InternalInvariantViolation, NotSkew
+from nilkilling.errors import (
+    DecompositionAmbiguous,
+    InternalInvariantViolation,
+    InvalidAlgebra,
+    NotSkew,
+    NumericalRankFailure,
+    WorkingSetTooLarge,
+)
 
 
 Run = namedtuple("Run", "returncode stdout stderr")
@@ -192,6 +200,35 @@ def test_tables_pass(capsys):
             assert row.get("skipped") or row["ok"]
 
 
+def test_tables_mismatch_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "killing_dimensions",
+                        lambda alg, tol: (9, 9, 0, 0, 0))
+    out = run_cli(capsys, "tables")
+    assert out.returncode == 5
+    assert "  R2+h3          p=5  dimK=9 (expected 1)  MISMATCH\n" in out.stdout
+    assert "[skipped: external construction]" in out.stdout
+    assert out.stderr == "computed table dimensions disagree\n"
+
+
+def test_unknown_catalog_name_exits_2(capsys):
+    for argv in (("analyze", "catalog:nope"), ("catalog", "show", "nope")):
+        out = run_cli(capsys, *argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "unknown catalog name: nope\n"
+
+
+PLACEHOLDERS = sorted({entry.name for entries in classification_lists()
+                       for entry in entries if not entry.buildable})
+
+
+@pytest.mark.parametrize("name", PLACEHOLDERS)
+def test_placeholder_has_no_construction(capsys, name):
+    for argv in (("analyze", f"catalog:{name}"), ("catalog", "show", name)):
+        out = run_cli(capsys, *argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"{name}: no construction shipped\n"
+
+
 def test_tables_tolerance_sweep(capsys):
     base = json.loads(run_cli(capsys, "tables", "--json").stdout)
     loose = json.loads(run_cli(capsys, "tables", "--json", "--tol",
@@ -301,14 +338,21 @@ def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff, capsys):
     assert (rec["brute_dim"], rec["structured_dim"]) == (0, 0)
 
 
-@pytest.mark.parametrize("error", [InternalInvariantViolation, NotSkew])
-def test_library_invariant_failure_exits_4(monkeypatch, capsys, error):
+EXIT_TABLE = [(WorkingSetTooLarge, 2), (InvalidAlgebra, 3),
+              (NumericalRankFailure, 4), (DecompositionAmbiguous, 4),
+              (InternalInvariantViolation, 4), (NotSkew, 4)]
+
+
+@pytest.mark.parametrize("error, code", EXIT_TABLE,
+                         ids=[error.__name__ for error, _ in EXIT_TABLE])
+def test_library_invariant_failure_exits_4(monkeypatch, capsys, error, code):
+    # each library exception a command can raise exits with its own code
     def broken(*args, **kwargs):
         raise error("invariant broken")
 
     monkeypatch.setattr(structure, "find_complex_structure", broken)
-    assert cli.main(["analyze", "catalog:heisenberg"]) == 4
-    assert capsys.readouterr().err == "invariant broken\n"
+    assert cli.main(["analyze", "catalog:heisenberg"]) == code
+    assert capsys.readouterr() == ("", "invariant broken\n")
 
 
 def test_bad_flags_exit_2(capsys):
