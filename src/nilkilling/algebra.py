@@ -40,6 +40,8 @@ class MetricLieAlgebra:
     name: str = ""
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("algebra dimension must be positive")
         c = np.asarray(self.structure_constants, dtype=float)
         g = np.asarray(self.gram, dtype=float)
         if c.shape != (self.dim,) * 3:
@@ -80,6 +82,8 @@ class MetricLieAlgebra:
         """Parse the JSON layout of `to_json`; malformed input raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("algebra JSON must be an object")
+        if "dim" not in data:
+            raise ValueError("missing required field: dim")
         n = data["dim"]
         if not _is_int(n) or n < 1:
             raise ValueError(f"dim must be a positive integer: {n!r}")
@@ -110,12 +114,16 @@ class MetricLieAlgebra:
         if metric.get("identity"):
             gram = np.eye(n)
         else:
+            if "gram" not in metric:
+                raise ValueError("missing required field: gram")
             rows = metric["gram"]
             if not isinstance(rows, list) or not all(
                 isinstance(row, list) and all(map(_is_finite_number, row))
                 for row in rows
             ):
                 raise ValueError("gram entries must be finite numbers")
+            if any(len(row) != n for row in rows):      # a ragged gram included
+                raise ValueError("gram matrix has wrong shape")
             gram = np.asarray(rows, dtype=float)
         return cls(n, basis, c, gram, name=data.get("name", ""))
 
@@ -178,11 +186,8 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     positive-definiteness and the conditioning of the Gram matrix.
 
     A non-finite entry is the only violation reported, since no other check
-    is meaningful on it.  A zero-dimensional algebra, which has no frame or
-    constants, raises ValueError.
+    is meaningful on it.
     """
-    if L.dim < 1:
-        raise ValueError("algebra dimension must be positive")
     c, g = L.structure_constants, L.gram
     violations = [f"{what} has a non-finite entry"
                   for what, a in (("structure constants", c), ("gram", g))
@@ -277,14 +282,14 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     """Build a g-orthonormal frame split into v-part and z-part.
 
     The one gate of the package: an algebra that fails `validate` raises
-    InvalidAlgebra, a zero-dimensional one ValueError.  It makes two rank
-    decisions: the center z is the SVD nullspace of the stacked ad
-    matrices, and ker j is the SVD nullspace of the stacked j-maps in a
-    g-orthonormal basis of z.  v is the g-orthogonal complement of z and
-    the image of j the orthogonal complement of ker j, both read off a
-    complete QR.  v, the image and ker j are each made g-orthonormal and
-    aligned with the user axes where possible, ker j spanning the trailing
-    frame vectors.  Works for abelian input too (v empty).
+    InvalidAlgebra.  It makes two rank decisions: the center z is the SVD
+    nullspace of the stacked ad matrices, and ker j is the SVD nullspace of
+    the stacked j-maps in a g-orthonormal basis of z.  v is the
+    g-orthogonal complement of z and the image of j the orthogonal
+    complement of ker j, both read off a complete QR.  v, the image and
+    ker j are each made g-orthonormal and aligned with the user axes where
+    possible, ker j spanning the trailing frame vectors.  Works for abelian
+    input too (v empty).
     """
     report = validate(L, tol)
     if not report.ok:

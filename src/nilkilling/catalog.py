@@ -10,7 +10,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import MetricLieAlgebra
-from .errors import EmptySum, NotAdInvariant, TrivialSubrepresentation
 from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
@@ -78,7 +77,7 @@ def direct_sum(parts, name="") -> MetricLieAlgebra:
     """Block-diagonal direct sum of metric Lie algebras."""
     parts = list(parts)
     if not parts:
-        raise EmptySum("direct sum of no algebras")
+        raise ValueError("direct sum of no algebras")
     n = sum(p.dim for p in parts)
     c = np.zeros((n, n, n))
     gram = np.zeros((n, n))
@@ -122,12 +121,12 @@ def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:
     if residual > DEFAULT_TOL * scale ** 2:
         raise ValueError("rho is not a representation of the bracket on z")
     if nullspace(_unit_scaled(mats.reshape(-1, nv))).shape[1] > 0:
-        raise TrivialSubrepresentation("representation matrices share a kernel")
+        raise ValueError("representation matrices share a kernel")
     # ad-invariance of gram_z: <[[u,v]],w> + <v,[[u,w]]> = 0
     ad_pair = np.einsum("stu,uw->stw", z_bracket, gram_z)
     if (np.abs(ad_pair + ad_pair.transpose(0, 2, 1)).max()
             > DEFAULT_TOL * np.abs(ad_pair).max()):
-        raise NotAdInvariant("inner product on z is not ad-invariant")
+        raise ValueError("inner product on z is not ad-invariant")
     n = nv + m
     c = np.zeros((n, n, n))
     # g([x,y], w_s) = (rho_s)_{ba} pins the z components of [e_a, e_b]

@@ -57,21 +57,18 @@ class CliError(Exception):
 
 def load_algebra(spec, lam=1.0, l=1, d=1):
     """The algebra of a JSON file or a catalog:<name> pseudo-path; a spec
-    that does not resolve to an algebra of positive dimension exits 2."""
+    that does not resolve to an algebra exits 2."""
     if not spec.startswith("catalog:"):
         try:
             return MetricLieAlgebra.load(spec)
-        except (OSError, KeyError, ValueError, IndexError, MemoryError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}")
     try:
-        alg = cat.build(spec[len("catalog:"):], lam=lam, l=l, d=d)
+        return cat.build(spec[len("catalog:"):], lam=lam, l=l, d=d)
     except KeyError as exc:     # str() of a KeyError quotes its message
         raise CliError(EXIT_PARSE, exc.args[0])
     except (ValueError, MemoryError) as exc:
         raise CliError(EXIT_PARSE, str(exc))
-    if alg.dim == 0:
-        raise CliError(EXIT_PARSE, "algebra dimension must be positive")
-    return alg
 
 
 def _decomposition_record(dec):
@@ -303,10 +300,12 @@ def build_parser():
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("catalog", help="list or show built-in algebras")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?", default="")
-    _add_common(p, with_input=False, tol=False)
     p.set_defaults(func=cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    _add_common(actions.add_parser("list"), with_input=False, tol=False)
+    p = actions.add_parser("show")
+    p.add_argument("name")
+    _add_common(p, with_input=False, tol=False)
 
     p = sub.add_parser("tables", help="regenerate the classification tables")
     _add_common(p, with_input=False, catalog_params=False)

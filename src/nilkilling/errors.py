@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The package's refusals; the command line maps each to an exit code."""
 
 
 class NilkillingError(Exception):
@@ -14,12 +14,8 @@ class NumericalRankFailure(NilkillingError):
     """A rank decision could not be made: the singular value gap is too small."""
 
 
-class DegreeOverflow(NilkillingError):
-    """Result of a wedge product would exceed the dimension of the algebra."""
-
-
 class NotSkew(NilkillingError):
-    """A matrix expected to be skew-symmetric is not."""
+    """The j-maps of an adapted frame are not skew: inconsistent input."""
 
 
 class DecompositionAmbiguous(NilkillingError):
@@ -33,19 +29,3 @@ class WorkingSetTooLarge(NilkillingError, MemoryError):
 
 class InternalInvariantViolation(NilkillingError):
     """A structural fact guaranteed by theory failed numerically."""
-
-
-class NotComplexStructure(NilkillingError):
-    """The given endomorphism is not a bi-invariant complex structure."""
-
-
-class TrivialSubrepresentation(NilkillingError):
-    """The representation matrices have a common kernel."""
-
-
-class NotAdInvariant(NilkillingError):
-    """The inner product is not ad-invariant for the given bracket."""
-
-
-class EmptySum(NilkillingError):
-    """A direct sum of zero algebras was requested."""

@@ -17,7 +17,6 @@ from math import comb
 import numpy as np
 
 from .algebra import AdaptedFrame, MetricLieAlgebra, nabla_matrix
-from .errors import DegreeOverflow, NotSkew
 from .linalg import DEFAULT_TOL
 
 
@@ -147,7 +146,7 @@ def wedge(omega: Form, eta: Form) -> Form:
     n = omega.n
     k, l = omega.degree, eta.degree
     if k + l > n:
-        raise DegreeOverflow("wedge degree %d exceeds dimension %d" % (k + l, n))
+        raise ValueError("wedge degree %d exceeds dimension %d" % (k + l, n))
     return _product(n, k, l, np.outer(omega.vec, eta.vec))
 
 
@@ -200,7 +199,7 @@ def skew_extend(f, omega: Form) -> Form:
         raise ValueError("endomorphism must have shape (%d, %d), got %s"
                          % (omega.n, omega.n, f.shape))
     if f.size and np.abs(f + f.T).max() > DEFAULT_TOL * np.abs(f).max():
-        raise NotSkew("endomorphism is not skew-symmetric")
+        raise ValueError("endomorphism is not skew-symmetric")
     return _derive(f.T, 1, omega)
 
 
@@ -212,7 +211,7 @@ def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:
     """
     n = F.n
     if omega.degree >= n:
-        raise DegreeOverflow("differential of a top-degree form")
+        raise ValueError("differential of a top-degree form")
     d_frame = -F.constants[np.triu_indices(n, 1)]    # rows in basis_tuples(n, 2) order
     return _derive(d_frame.T, 2, omega)
 

@@ -210,15 +210,18 @@ def structured_killing(dec: Decomposition, k) -> KillingSpace:
     plus one form per factor carrying one: for k = 2 a factor with a
     bi-invariant orthogonal complex structure J (alpha2 = J|_v, alpha0 =
     3 J|_z), for k = 3 a naturally reductive one (the j-map plus twice its
-    `compact_bracket`).  Each is pulled back to the ambient frame and
-    normalized.
+    `compact_bracket`).  The abelian block is the last d frame vectors, so
+    its k-wedges are the unit forms whose legs all lie there; each factor
+    form is pulled back to the ambient frame and normalized.
     """
     if k not in (2, 3):
         raise ValueError(f"structured Killing forms exist for degrees 2 and 3, not {k}")
     factor_part = _killing2_part if k == 2 else _killing3_part
-    d = dec.d
-    basis = [_normalize(transform(Form(d, k, row), dec.abelian.T))
-             for row in np.eye(comb(d, k))]
+    n = dec.frame.n
+    abelian = np.flatnonzero((_legs(n, k) >= n - dec.d).all(axis=1))
+    units = np.zeros((abelian.size, comb(n, k)))
+    units[np.arange(abelian.size), abelian] = 1.0
+    basis = [Form(n, k, row) for row in units]
     for factor in dec.factors:
         form_f = factor_part(factor)
         if form_f is not None:

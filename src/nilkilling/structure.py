@@ -21,11 +21,7 @@ from .algebra import (
     frame_from_constants,
     rotate_constants,
 )
-from .errors import (
-    DecompositionAmbiguous,
-    InternalInvariantViolation,
-    NotComplexStructure,
-)
+from .errors import DecompositionAmbiguous, InternalInvariantViolation
 from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
@@ -311,12 +307,12 @@ def compatible_metric(H: MetricLieAlgebra, J, h) -> MetricLieAlgebra:
     n = H.dim
     j_scale = np.abs(J).max()
     if np.abs(J @ J + np.eye(n)).max() > 10 * DEFAULT_TOL * j_scale ** 2:
-        raise NotComplexStructure("J^2 != -Id")
+        raise ValueError("J^2 != -Id")
     c = H.structure_constants
     lhs = np.einsum("ijm,km->ijk", c, J)
     rhs = np.einsum("mi,mjk->ijk", J, c)
     if np.abs(lhs - rhs).max() > 10 * DEFAULT_TOL * np.abs(c).max() * j_scale:
-        raise NotComplexStructure("J is not bi-invariant")
+        raise ValueError("J is not bi-invariant")
     gram = h + J.T @ h @ J
     return MetricLieAlgebra(
         n, list(H.basis_names), c, gram,

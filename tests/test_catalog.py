@@ -20,7 +20,6 @@ from nilkilling import (
     killing_dimensions,
     validate,
 )
-from nilkilling.errors import EmptySum, NotAdInvariant, TrivialSubrepresentation
 
 from helpers import so3_bracket, so3_matrices, spin2_matrices
 
@@ -86,7 +85,7 @@ def test_direct_sum_and_euclidean():
     L = direct_sum([euclidean(3), heisenberg(1)])
     assert L.dim == 6 and validate(L).ok
     assert decompose(L).d == 3
-    with pytest.raises(EmptySum):
+    with pytest.raises(ValueError, match="direct sum of no algebras"):
         direct_sum([])
 
 
@@ -141,12 +140,12 @@ def test_from_representation_rejects_transposed_spin2():
 def test_from_representation_rejects_trivial_subrep():
     rho1 = np.zeros((4, 4)); rho1[:2, :2] = ROT
     rho2 = np.zeros((4, 4)); rho2[:2, :2] = 2.0 * ROT
-    with pytest.raises(TrivialSubrepresentation):
+    with pytest.raises(ValueError, match="representation matrices share a kernel"):
         from_representation(np.zeros((2, 2, 2)), [rho1, rho2], np.eye(2))
 
 
 def test_from_representation_rejects_non_invariant_metric():
-    with pytest.raises(NotAdInvariant):
+    with pytest.raises(ValueError, match="inner product on z is not ad-invariant"):
         from_representation(so3_bracket(), so3_matrices(),
                             np.diag([1.0, 2.0, 3.0]))
 

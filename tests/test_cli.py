@@ -22,6 +22,7 @@ from nilkilling.errors import (
     DecompositionAmbiguous,
     InternalInvariantViolation,
     InvalidAlgebra,
+    NilkillingError,
     NotSkew,
     NumericalRankFailure,
     WorkingSetTooLarge,
@@ -116,6 +117,19 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert code == 2, (data, err)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({}, "missing required field: dim"),
+    ({"dim": 3, "metric": {}}, "missing required field: gram"),
+    ({"dim": 3, "metric": {"gram": [[1, 0, 0], [0, 1], [0, 0, 1]]}},
+     "gram matrix has wrong shape"),
+], ids=["no-dim", "no-gram", "ragged-gram"])
+def test_missing_or_ragged_json_field_is_named(tmp_path, capsys, data, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "analyze", str(path)) == (
+        2, "", f"cannot parse {path}: {message}\n")
+
+
 def test_analyze_file_input(tmp_path, capsys):
     from nilkilling import complex_heisenberg
     path = tmp_path / "alg.json"
@@ -208,6 +222,18 @@ def test_tables_mismatch_exits_5(monkeypatch, capsys):
     assert "  R2+h3          p=5  dimK=9 (expected 1)  MISMATCH\n" in out.stdout
     assert "[skipped: external construction]" in out.stdout
     assert out.stderr == "computed table dimensions disagree\n"
+
+
+def test_catalog_show_needs_a_name(capsys):
+    code, out, err = run_cli(capsys, "catalog", "show")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: name\n")
+
+
+def test_catalog_list_takes_no_name(capsys):
+    code, out, err = run_cli(capsys, "catalog", "list", "h3")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: h3\n")
 
 
 def test_unknown_catalog_name_exits_2(capsys):
@@ -341,6 +367,12 @@ def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff, capsys):
 EXIT_TABLE = [(WorkingSetTooLarge, 2), (InvalidAlgebra, 3),
               (NumericalRankFailure, 4), (DecompositionAmbiguous, 4),
               (InternalInvariantViolation, 4), (NotSkew, 4)]
+
+
+def test_every_package_error_has_an_exit_code():
+    # a bad argument is a ValueError; a NilkillingError is a refusal the
+    # command line maps
+    assert set(NilkillingError.__subclasses__()) == set(cli._EXIT_CODES)
 
 
 @pytest.mark.parametrize("error, code", EXIT_TABLE,

@@ -24,7 +24,6 @@ from nilkilling import (
 )
 from nilkilling import forms
 from nilkilling.catalog import build, catalog_names
-from nilkilling.errors import DegreeOverflow, NotSkew
 from nilkilling.forms import basis_tuples
 
 from helpers import (
@@ -72,9 +71,15 @@ def test_wedge_graded_anticommutes():
 
 
 def test_wedge_degree_overflow():
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(ValueError, match="wedge degree 4 exceeds dimension 3"):
         wedge(random_form(3, 2, np.random.default_rng(0)),
               random_form(3, 2, np.random.default_rng(1)))
+
+
+def test_lie_diff_refuses_a_top_degree_form():
+    L = heisenberg(1)
+    with pytest.raises(ValueError, match="differential of a top-degree form"):
+        lie_diff(L, adapted_frame(L), Form.basis(3, 3, (0, 1, 2)))
 
 
 def test_contract_basics():
@@ -132,7 +137,7 @@ def test_skew_extend_zero_map():
 
 
 def test_skew_extend_rejects_non_skew():
-    with pytest.raises(NotSkew):
+    with pytest.raises(ValueError, match="endomorphism is not skew-symmetric"):
         skew_extend(np.eye(3), oneform(e(3, 0)))
 
 
