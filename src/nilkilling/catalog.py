@@ -39,6 +39,8 @@ def complex_heisenberg(lam: float = 1.0) -> MetricLieAlgebra:
     Brackets [e1,e3] = z1 = -[e2,e4], [e2,e3] = z2 = [e1,e4]; the metric
     makes {e1..e4, z1/lam, z2/lam} orthonormal.
     """
+    if not np.isfinite(lam):
+        raise ValueError("lambda must be a finite number")
     if lam <= 0:
         raise ValueError("lambda must be positive")
     lam2 = float(lam) * float(lam)      # float ** would raise OverflowError
@@ -190,12 +192,10 @@ _LIST2 = ("R2+h3", "R3+h3", "h3C", "R+h3C", "R2+h5", "R2+N5#2", "R2+N5#3",
           "R2+N6#7")
 _LIST3 = ("h3", "R+h3", "R2+h3", "h5", "R3+h3", "h3+h3", "R+h5", "n32")
 
-_PARAMETRIC = {
-    "heisenberg": lambda lam, l, d: heisenberg(l),
-    "complex_heisenberg": lambda lam, l, d: complex_heisenberg(lam),
-    "free_two_step_3": lambda lam, l, d: free_two_step_3(),
-    "euclidean": lambda lam, l, d: euclidean(d),
-}
+# The parametric families by constructor name (called through the module
+# globals), with the keyword each reads, if any, and its default.
+_PARAMETRIC = {"heisenberg": {"l": 1}, "complex_heisenberg": {"lam": 1.0},
+               "free_two_step_3": {}, "euclidean": {"d": 1}}
 
 
 def classification_lists():
@@ -210,14 +210,20 @@ def catalog_names():
                                 if entry.buildable]
 
 
-def build(name, lam=1.0, l=1, d=1) -> MetricLieAlgebra:
-    """Resolve a catalog name (parametric builders honor lam / l / d).
-
-    An unknown name raises KeyError, a placeholder ValueError.
-    """
-    if name in _PARAMETRIC:
-        return _PARAMETRIC[name](lam, l, d)
-    entry = _REGISTRY.get(name)
-    if entry is None:
+def parameters(name):
+    """The keywords `build(name, ...)` reads, with their defaults."""
+    if name not in _PARAMETRIC and name not in _REGISTRY:
         raise KeyError(f"unknown catalog name: {name}")
-    return entry.build()
+    return dict(_PARAMETRIC.get(name, {}))
+
+
+def build(name, **params) -> MetricLieAlgebra:
+    """Resolve a catalog name with keywords of `parameters(name)`.  Another
+    keyword or a placeholder raises ValueError, an unknown name KeyError."""
+    defaults = parameters(name)
+    for key in params:
+        if key not in defaults:
+            raise ValueError(f"{name} takes no parameter {key}")
+    if name not in _PARAMETRIC:
+        return _REGISTRY[name].build()
+    return globals()[name](**{**defaults, **params})

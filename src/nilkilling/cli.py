@@ -48,6 +48,9 @@ _EXIT_CODES = {
     NotSkew: EXIT_NUMERICAL,
 }
 
+# the flag and type of each catalog keyword (`catalog.parameters`)
+_CATALOG_FLAGS = {"lam": ("--lambda", float), "l": ("--l", int), "d": ("--d", int)}
+
 
 class CliError(Exception):
     def __init__(self, code, message):
@@ -55,20 +58,24 @@ class CliError(Exception):
         self.code = code
 
 
-def load_algebra(spec, lam=1.0, l=1, d=1):
-    """The algebra of a JSON file or a catalog:<name> pseudo-path; a spec
-    that does not resolve to an algebra exits 2."""
-    if not spec.startswith("catalog:"):
-        try:
-            return MetricLieAlgebra.load(spec)
-        except (OSError, ValueError, MemoryError) as exc:
-            raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}")
+def load_algebra(spec, **params):
+    """The algebra of a JSON file or a catalog:<name> pseudo-path, built with
+    the catalog keywords `params`; a spec that does not resolve to an algebra
+    or does not read a keyword (a JSON file reads none) exits 2."""
+    name = spec[len("catalog:"):] if spec.startswith("catalog:") else None
     try:
-        return cat.build(spec[len("catalog:"):], lam=lam, l=l, d=d)
+        reads = {} if name is None else cat.parameters(name)
+        unread = [_CATALOG_FLAGS[key][0] for key in params if key not in reads]
+        if unread:
+            raise CliError(EXIT_PARSE, f"{name or spec} does not take {unread[0]}")
+        if name is None:
+            return MetricLieAlgebra.load(spec)
+        return cat.build(name, **params)
     except KeyError as exc:     # str() of a KeyError quotes its message
         raise CliError(EXIT_PARSE, exc.args[0])
-    except (ValueError, MemoryError) as exc:
-        raise CliError(EXIT_PARSE, str(exc))
+    except (OSError, ValueError, MemoryError) as exc:
+        raise CliError(EXIT_PARSE, f"cannot parse {spec}: {exc}"
+                       if name is None else str(exc))
 
 
 def _decomposition_record(dec):
@@ -124,7 +131,7 @@ def _emit(record, as_json, text_lines):
 
 
 def cmd_analyze(args):
-    alg = load_algebra(args.input, args.lam, args.l, args.d)
+    alg = load_algebra(args.input, **args.params)
     rec = analyze_record(alg, args.tol)
 
     def lines(r):
@@ -141,11 +148,13 @@ def cmd_analyze(args):
 
 def cmd_killing(args):
     k = args.degree
+    if k < 1:
+        raise CliError(EXIT_PARSE, "degree must be >= 1")
     if args.method != "brute" and k not in (2, 3):
         raise CliError(
             EXIT_PARSE, "structured solvers exist for degrees 2 and 3 only"
         )
-    alg = load_algebra(args.input, args.lam, args.l, args.d)
+    alg = load_algebra(args.input, **args.params)
     rec = {"schema": SCHEMA, "name": alg.name, "degree": k}
     brute = structured = None
     if args.method == "brute":
@@ -201,7 +210,7 @@ def _space_mismatch(a, b):
 
 
 def cmd_decompose(args):
-    alg = load_algebra(args.input, args.lam, args.l, args.d)
+    alg = load_algebra(args.input, **args.params)
     rec = {
         "schema": SCHEMA,
         "name": alg.name,
@@ -221,7 +230,7 @@ def cmd_catalog(args):
         _emit({"schema": SCHEMA, "names": cat.catalog_names()}, args.json,
               lambda r: r["names"])
         return 0
-    alg = load_algebra("catalog:" + args.name, args.lam, args.l, args.d)
+    alg = load_algebra("catalog:" + args.name, **args.params)
     print(json.dumps(alg.to_json(), indent=2))
     return 0
 
@@ -270,9 +279,9 @@ def _add_common(parser, with_input=True, tol=True, catalog_params=True):
         parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--json", action="store_true")
     if catalog_params:
-        parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        parser.add_argument("--l", type=int, default=1)
-        parser.add_argument("--d", type=int, default=1)
+        for key, (flag, kind) in _CATALOG_FLAGS.items():
+            parser.add_argument(flag, dest=key, type=kind,
+                                default=argparse.SUPPRESS)
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +311,7 @@ def build_parser():
     p = sub.add_parser("catalog", help="list or show built-in algebras")
     p.set_defaults(func=cmd_catalog)
     actions = p.add_subparsers(dest="action", required=True)
-    _add_common(actions.add_parser("list"), with_input=False, tol=False)
+    actions.add_parser("list").add_argument("--json", action="store_true")
     p = actions.add_parser("show")
     p.add_argument("name")
     _add_common(p, with_input=False, tol=False)
@@ -333,12 +342,10 @@ def _run(argv):
     except SystemExit as exc:    # a rejected flag (2) or --help (0)
         return exc.code
     try:
-        if getattr(args, "degree", 1) < 1:
-            raise CliError(EXIT_PARSE, "degree must be >= 1")
         if hasattr(args, "tol") and not 0 < args.tol < 1:
             raise CliError(EXIT_PARSE, "tol must be a finite number in (0, 1)")
-        if not np.isfinite(getattr(args, "lam", 1.0)):
-            raise CliError(EXIT_PARSE, "lambda must be a finite number")
+        args.params = {key: value for key, value in vars(args).items()
+                       if key in _CATALOG_FLAGS}
         return args.func(args)
     except (CliError, *_EXIT_CODES) as exc:
         print(str(exc), file=sys.stderr)

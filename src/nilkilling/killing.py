@@ -22,7 +22,6 @@ from .forms import (
     _contractions,
     _legs,
     _wedge_table,
-    basis_tuples,
     lie_diff,
     skew_extend,
     transform,
@@ -180,7 +179,7 @@ def is_parallel(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
 def _form_from_tensor(tensor) -> Form:
     """The form whose coefficients are the tensor's increasing-index entries."""
     p, k = tensor.shape[0], tensor.ndim
-    return Form(p, k, tensor[tuple(np.array(basis_tuples(p, k)).T)])
+    return Form(p, k, tensor[tuple(_legs(p, k).T)])
 
 
 def _killing2_part(factor):

@@ -121,17 +121,6 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
     return list((null.T @ basis.reshape(rows.size, -1)).reshape(-1, p, p))
 
 
-def bracket_commutant(F: AdaptedFrame, tol=DEFAULT_TOL):
-    """Symmetric matrices commuting with the bracket: S[x,y] = [Sx,y].
-
-    Computed in frame coordinates on the whole algebra; a 1-dimensional
-    result (the identity line) certifies irreducibility.  Such an S maps
-    the centre z into itself, so it is block-diagonal on v + z and only
-    the (v,v) -> z equations are solved.
-    """
-    return _solve_intertwiners(F.constants, F.nv, tol, symmetric=True)
-
-
 def _pick_splitting_element(mats, p):
     """The commutant basis element farthest from the line through Id."""
     best = max((m - (np.trace(m) / p) * np.eye(p) for m in mats),

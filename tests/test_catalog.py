@@ -235,3 +235,49 @@ def test_registry_builders_call_the_module_constructors(monkeypatch):
         calls.clear()
         assert catalog.build(name).name == name
         assert calls == want, name
+
+
+# the one keyword each parametric name reads, and the algebra it builds at 2;
+# every other name reads none
+DECLARED = {"heisenberg": ("l", "h5"),
+            "complex_heisenberg": ("lam", "h3C(lam=2)"),
+            "euclidean": ("d", "R2")}
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_build_takes_only_the_declared_keyword(name):
+    for key in ("lam", "l", "d"):
+        if DECLARED.get(name, (None,))[0] == key:
+            assert catalog.build(name, **{key: 2}).name == DECLARED[name][1]
+        else:
+            with pytest.raises(ValueError, match=f"takes no parameter {key}$"):
+                catalog.build(name, **{key: 2})
+
+
+def test_build_defaults_and_refusals():
+    with pytest.raises(ValueError, match="h3 takes no parameter l"):
+        catalog.build("h3", l=5)
+    assert catalog.build("heisenberg").name == "h3"
+    assert catalog.build("euclidean").name == "R1"
+    assert catalog.build("complex_heisenberg").name == "h3C(lam=1)"
+    with pytest.raises(KeyError, match="unknown catalog name: nope"):
+        catalog.build("nope", l=2)
+
+
+def test_parametric_builders_call_the_module_constructors(monkeypatch):
+    # as for the registry: a patched module attribute sees every call
+    calls = []
+    for fname in DECLARED:
+        def counting(_f=getattr(catalog, fname), _name=fname, **kw):
+            calls.append((_name, kw))
+            return _f(**kw)
+        monkeypatch.setattr(catalog, fname, counting)
+    assert catalog.build("heisenberg", l=2).dim == 5
+    assert catalog.build("euclidean").dim == 1
+    assert calls == [("heisenberg", {"l": 2}), ("euclidean", {"d": 1})]
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_complex_heisenberg_refuses_a_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be a finite number"):
+        complex_heisenberg(lam)

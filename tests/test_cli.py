@@ -18,6 +18,7 @@ from nilkilling import (
     heisenberg,
     structure,
 )
+from nilkilling.catalog import catalog_names
 from nilkilling.errors import (
     DecompositionAmbiguous,
     InternalInvariantViolation,
@@ -439,6 +440,39 @@ def test_main_returns_parser_exit_codes(capsys):
 def test_flags_a_command_does_not_read_exit_2(capsys):
     assert run_cli(capsys, "tables", "--l", "2").returncode == 2
     assert run_cli(capsys, "catalog", "list", "--tol", "1e-6").returncode == 2
+    code, out, err = run_cli(capsys, "catalog", "list", "--l", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --l 2\n")
+
+
+# the one flag each parametric catalog name reads, and the algebra it builds
+# at 2; every other name reads none
+DECLARED_FLAG = {"heisenberg": ("--l", "h5"),
+                 "complex_heisenberg": ("--lambda", "h3C(lam=2)"),
+                 "euclidean": ("--d", "R2")}
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--l", "--d"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_name_takes_only_its_declared_flag(capsys, name, flag):
+    declared, built = DECLARED_FLAG.get(name, (None, None))
+    analyzed = run_cli(capsys, "analyze", f"catalog:{name}", flag, "2")
+    shown = run_cli(capsys, "catalog", "show", name, flag, "2")
+    if flag == declared:
+        assert analyzed.returncode == shown.returncode == 0
+        assert analyzed.stdout.startswith(f"algebra {built}: ")
+        assert json.loads(shown.stdout)["name"] == built
+    else:
+        for out in (analyzed, shown):
+            assert out == (2, "", f"{name} does not take {flag}\n")
+
+
+def test_json_file_input_refuses_catalog_flags(tmp_path, capsys):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(heisenberg(1).to_json()))
+    for flag in ("--lambda", "--l", "--d"):
+        out = run_cli(capsys, "analyze", str(path), flag, "2")
+        assert out == (2, "", f"{path} does not take {flag}\n")
 
 
 def test_main_builds_parser_once(monkeypatch, capsys):
