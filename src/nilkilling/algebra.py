@@ -15,7 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidAlgebra, NotSkew
-from .linalg import DEFAULT_TOL, _unit_scaled, gram_orthonormalize, nullspace
+from .linalg import (
+    DEFAULT_TOL,
+    _row_and_null_space,
+    _unit_scaled,
+    gram_orthonormalize,
+    nullspace,
+)
+
+
+def _check_dimension(n):
+    """The dimension rule of every algebra: n >= 1."""
+    if n < 1:
+        raise ValueError("algebra dimension must be positive")
 
 
 def _is_int(x):
@@ -40,8 +52,7 @@ class MetricLieAlgebra:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("algebra dimension must be positive")
+        _check_dimension(self.dim)
         c = np.asarray(self.structure_constants, dtype=float)
         g = np.asarray(self.gram, dtype=float)
         if c.shape != (self.dim,) * 3:
@@ -231,17 +242,19 @@ def _canonical_span_basis(basis, gram):
     of the Gram scale ends it, and `basis` is returned as it is.
     """
     p = basis.shape[1]
+    if not p:
+        return basis
     coords = basis.T @ gram
     cutoff = np.sqrt(DEFAULT_TOL / 1000 * np.abs(gram).max())
     chosen = np.empty((p, p))
     for i in range(p):
-        norms = np.linalg.norm(coords, axis=0)
+        norms = np.sqrt((coords * coords).sum(axis=0))
         best = int(np.argmax(norms))
         if norms[best] <= cutoff:
             return basis
         u = coords[:, best] / norms[best]
         chosen[:, i] = u
-        coords = coords - np.outer(u, u @ coords)
+        coords -= u[:, None] * (u @ coords)
     return basis @ chosen
 
 
@@ -285,25 +298,27 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     InvalidAlgebra.  It makes two rank decisions: the center z is the SVD
     nullspace of the stacked ad matrices, and ker j is the SVD nullspace of
     the stacked j-maps in a g-orthonormal basis of z.  v is the
-    g-orthogonal complement of z and the image of j the orthogonal
-    complement of ker j, both read off a complete QR.  v, the image and
-    ker j are each made g-orthonormal and aligned with the user axes where
+    g-orthogonal complement of z, read off a complete QR; the image of j,
+    the orthogonal complement of ker j, is spanned by the kept right
+    singular vectors of the SVD that decides ker j.  v, the image and ker j
+    are each made g-orthonormal and aligned with the user axes where
     possible, ker j spanning the trailing frame vectors.  Works for abelian
     input too (v empty).
     """
     report = validate(L, tol)
     if not report.ok:
         raise InvalidAlgebra("invalid algebra: " + "; ".join(report.violations))
-    n, g = L.dim, L.gram
-    ads = np.concatenate([L.ad_matrix(i) for i in range(n)])
+    n, g, c = L.dim, L.gram, L.structure_constants
+    # row (i, k), column j: ad_{b_i} = c[i].T for every i, stacked
+    ads = c.transpose(0, 2, 1).reshape(n * n, n)
     z = gram_orthonormalize(nullspace(_unit_scaled(ads), tol), g)
     nz = z.shape[1]
     nv = n - nz
-    v = np.linalg.qr(g @ z, mode="complete")[0][:, nz:]
-    jmaps = rotate_constants(L.structure_constants, v, g @ z)
-    ker = nullspace(_unit_scaled(jmaps.reshape(nv * nv, nz)), tol)
+    gz = g @ z
+    v = np.linalg.qr(gz, mode="complete")[0][:, nz:]
+    jmaps = rotate_constants(c, v, gz)
+    img, ker = _row_and_null_space(_unit_scaled(jmaps.reshape(nv * nv, nz)), tol)
     na = ker.shape[1]
-    img = np.linalg.qr(ker, mode="complete")[0][:, na:]
     # z is g-orthonormal and img, ker Euclidean-orthonormal in its
     # coordinates, so only v needs orthonormalizing
     spans = (gram_orthonormalize(v, g), z @ img, z @ ker)

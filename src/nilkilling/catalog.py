@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra
+from .algebra import MetricLieAlgebra, _check_dimension
 from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
@@ -65,11 +65,11 @@ def free_two_step_3() -> MetricLieAlgebra:
 def euclidean(d: int) -> MetricLieAlgebra:
     """Abelian algebra of dimension d with the standard inner product.
 
-    The d^3 structure table comes first, so a dimension too large to
-    allocate raises MemoryError before any per-dimension work.
+    A d below 1 is refused by the rule of `MetricLieAlgebra`, before the d^3
+    structure table is allocated; that table comes next, so a dimension
+    too large to allocate raises MemoryError before any per-dimension work.
     """
-    if d < 0:
-        raise ValueError("dimension must be non-negative")
+    _check_dimension(d)
     c = np.zeros((d, d, d))
     return MetricLieAlgebra(d, [f"a{i + 1}" for i in range(d)], c, np.eye(d),
                             name=f"R{d}")

@@ -54,12 +54,19 @@ def nullspace(a, tol=DEFAULT_TOL):
     `a` is unit-scaled (see `_svd_rank`).  Raises NumericalRankFailure
     when the decision is ambiguous.
     """
+    return _row_and_null_space(a, tol)[1]
+
+
+def _row_and_null_space(a, tol=DEFAULT_TOL):
+    """Orthonormal bases (columns) of the row space and the nullspace of `a`,
+    the kept and the dropped right singular vectors of one rank decision;
+    the nullspace is that of `nullspace`."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
-        return np.eye(a.shape[1])
+        return np.zeros((a.shape[1], 0)), np.eye(a.shape[1])
     # a wide matrix has more null directions than singular values
     _, rank, vt = _svd_rank(a, tol, full_v=a.shape[0] < a.shape[1])
-    return vt[rank:].T
+    return vt[:rank].T, vt[rank:].T
 
 
 def column_space(a, tol=DEFAULT_TOL):

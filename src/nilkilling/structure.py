@@ -75,16 +75,22 @@ class Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _block_triu_indices(pv, pz, symmetric):
-    """Upper-triangle (row, col) indices of the pv + pz block-diagonal
-    matrices, diagonal included when `symmetric`; read-only, shared by
+def _commutant_basis(pv, pz, symmetric):
+    """Frobenius-orthonormal basis of the symmetric (or skew) matrices that
+    are block-diagonal on v + z, as a (q, p, p) stack; read-only, shared by
     every solve of these shapes."""
     diag = 0 if symmetric else 1
     rv, cv = np.triu_indices(pv, diag)
     rz, cz = np.triu_indices(pz, diag)
     rows, cols = np.concatenate([rv, pv + rz]), np.concatenate([cv, pv + cz])
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    p = pv + pz
+    basis = np.zeros((rows.size, p, p))
+    params = np.arange(rows.size)
+    basis[params, rows, cols] = 1.0
+    basis[params, cols, rows] = 1.0 if symmetric else -1.0
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    basis.flags.writeable = False
+    return basis
 
 
 def _solve_intertwiners(constants, pv, tol, symmetric):
@@ -96,29 +102,25 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
     therefore also preserves v = z^perp, so S is block-diagonal on v + z.
     The equations with a central argument then hold trivially, and only
     the z-components of the (v,v) brackets remain: pv^2 * pz equations in
-    pv(pv±1)/2 + pz(pz±1)/2 unknowns.  Solves over a Frobenius-orthonormal
-    basis of the block-diagonal matrices, so the returned matrices are
+    pv(pv±1)/2 + pz(pz±1)/2 unknowns.  Solves over the Frobenius-orthonormal
+    basis `_commutant_basis`, so the returned matrices are
     Frobenius-orthonormal.
     """
     p = constants.shape[0]
-    rows, cols = _block_triu_indices(pv, p - pv, symmetric)
-    if not rows.size:
-        return []
-    basis = np.zeros((rows.size, p, p))
-    params = np.arange(rows.size)
-    basis[params, rows, cols] = 1.0
-    basis[params, cols, rows] = 1.0 if symmetric else -1.0
-    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
     pz = p - pv
+    basis = _commutant_basis(pv, pz, symmetric)
+    count = basis.shape[0]
+    if not count:
+        return []
     c = _unit_scaled(constants[:pv, :pv, pv:])
     # z-part of S[x,y] - [Sx,y] for x, y in v, one row per basis matrix:
     # [q, (a b), s] = S_q[s, k] c[a, b, k] and [q, a, (b s)] = S_q[c, a] c[c, b, s]
     system = (c.reshape(pv * pv, pz) @ basis[:, pv:, pv:].transpose(0, 2, 1)
-              ).reshape(rows.size, -1)
+              ).reshape(count, -1)
     system -= (basis[:, :pv, :pv].transpose(0, 2, 1) @ c.reshape(pv, pv * pz)
-               ).reshape(rows.size, -1)
+               ).reshape(count, -1)
     null = nullspace(system.T, tol)
-    return list((null.T @ basis.reshape(rows.size, -1)).reshape(-1, p, p))
+    return list((null.T @ basis.reshape(count, -1)).reshape(-1, p, p))
 
 
 def _pick_splitting_element(mats, p):
@@ -188,7 +190,8 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
     targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
     coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
     # the commutators are quadratic in the j-maps, the bracket linear
-    if np.linalg.norm(a @ coef - targets, axis=0).max() > 100 * tol * scale ** 2:
+    residual = a @ coef - targets
+    if np.sqrt((residual * residual).sum(axis=0)).max() > 100 * tol * scale ** 2:
         return None
     cb = coef.T.reshape(m, m, m)
     if np.abs(cb + cb.transpose(0, 2, 1)).max() > 100 * tol * scale:
@@ -272,14 +275,16 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                                     compact_bracket=cbr))
     transform = np.concatenate(parts, axis=1)
     # the blocks must reassemble the algebra: no cross-block brackets
-    c_rot = rotate_constants(const, transform, transform)
-    block_of = np.repeat(np.arange(len(parts)), [p.shape[1] for p in parts])
-    i, j, k = np.ix_(block_of, block_of, block_of)
-    cross = np.abs(np.where((i != j) | (j != k), c_rot, 0.0))
-    if cross.max() > 100 * tol * np.abs(c_rot).max():
-        raise DecompositionAmbiguous(
-            "cross-block bracket residual %.2e" % cross.max()
-        )
+    cross = np.abs(rotate_constants(const, transform, transform))
+    scale = cross.max()
+    start = 0
+    for part in parts:                   # keep only the cross-block entries
+        end = start + part.shape[1]
+        cross[start:end, start:end, start:end] = 0.0
+        start = end
+    worst = cross.max()
+    if worst > 100 * tol * scale:
+        raise DecompositionAmbiguous("cross-block bracket residual %.2e" % worst)
     return Decomposition(abelian=abelian, factors=factors, frame=F)
 
 

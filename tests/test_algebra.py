@@ -135,15 +135,18 @@ def test_ill_conditioned_gram_names_the_condition_number():
     direct_sum([euclidean(1), free_two_step_3()]),
 ], ids=lambda L: L.name)
 def test_adapted_frame_makes_two_rank_decisions(monkeypatch, L):
-    # the centre and ker j; v and the image of j are their complements
+    # the centre and ker j; v is the centre's complement, and the image of
+    # j is read off the SVD that decides ker j
     shapes = []
-    solve = algebra.nullspace
 
-    def recording(a, tol):
-        shapes.append(np.shape(a))
-        return solve(a, tol)
+    def recording(solve):
+        def record(a, tol):
+            shapes.append(np.shape(a))
+            return solve(a, tol)
+        return record
 
-    monkeypatch.setattr(algebra, "nullspace", recording)
+    for name in ("nullspace", "_row_and_null_space"):
+        monkeypatch.setattr(algebra, name, recording(getattr(algebra, name)))
     F = adapted_frame(L)
     n, nv, nz = L.dim, F.nv, F.nz
     assert shapes == [(n * n, n), (nv * nv, nz)]

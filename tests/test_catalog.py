@@ -81,6 +81,13 @@ def test_euclidean_refuses_an_unallocatable_size_at_once():
     assert peak - refused < 2**20
 
 
+@pytest.mark.parametrize("d", [0, -1, -10**6])
+def test_euclidean_refuses_a_non_positive_dimension_by_the_algebra_rule(d):
+    # before the d^3 table: numpy would refuse a negative shape in its own words
+    with pytest.raises(ValueError, match="^algebra dimension must be positive$"):
+        euclidean(d)
+
+
 def test_direct_sum_and_euclidean():
     L = direct_sum([euclidean(3), heisenberg(1)])
     assert L.dim == 6 and validate(L).ok

@@ -406,6 +406,14 @@ def test_bad_flags_exit_2(capsys):
         assert "Traceback" not in out.stderr
 
 
+def test_non_positive_dimension_has_one_message(capsys):
+    for command in (("analyze", "catalog:euclidean"),
+                    ("catalog", "show", "euclidean")):
+        for d in ("0", "-1"):
+            out = run_cli(capsys, *command, "--d", d)
+            assert out == (2, "", "algebra dimension must be positive\n"), d
+
+
 def test_bad_lambda_exits_2(capsys):
     # a non-finite lambda is refused before any algebra is built, and one
     # whose square overflows by the builder

@@ -6,6 +6,7 @@ from nilkilling.errors import NumericalRankFailure
 from nilkilling.linalg import (
     DEFAULT_TOL,
     GAP_FACTOR,
+    _row_and_null_space,
     column_space,
     nullspace,
     span_distance,
@@ -40,6 +41,19 @@ def test_wide_matrix_nullspace_has_cols_minus_rank():
     assert np.allclose(null.T @ null, np.eye(8))
     assert np.abs(a @ null).max() < 1e-10
     assert column_space(a).shape == (3, 2)
+
+
+@pytest.mark.parametrize("a", [rank_deficient(40, 7, 4, seed=3),
+                               rank_deficient(3, 10, 2, seed=4),
+                               np.zeros((4, 3))], ids=["tall", "wide", "zero"])
+def test_row_space_is_the_complement_of_the_nullspace(a):
+    # one rank decision gives both: the nullspace is nullspace's, and the
+    # row space is the column space of a^T
+    row, null = _row_and_null_space(a)
+    assert np.array_equal(null, nullspace(a))
+    assert row.shape[1] + null.shape[1] == a.shape[1]
+    assert np.abs(row.T @ null).max(initial=0.0) < 1e-12
+    assert span_distance(row, column_space(a.T)) < 1e-10
 
 
 def test_zero_matrix():

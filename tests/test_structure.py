@@ -422,11 +422,25 @@ def test_compatible_metric_rejects_bad_j():
         compatible_metric(L, skew, np.eye(6))
 
 
-def test_block_index_sets_are_read_only():
-    rows, cols = structure._block_triu_indices(2, 1, True)
-    for arr in (rows, cols):
+@pytest.mark.parametrize("name", ["R2+h3+h3", "h3+h5", "R2+h3C(1)+h3C(2)"])
+def test_commutant_basis_is_one_read_only_object_per_shape(name):
+    rng = np.random.default_rng(53)
+    L = direct_sum([SWEEP_PARTS[part]() for part in name.split("+")])
+    q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+    F = adapted_frame(change_user_basis(L, q))
+    block, pv = _top_block(F)
+    pz = block.shape[0] - pv
+    structure._commutant_basis.cache_clear()
+    # the first solve of a shape builds its basis, the second reuses it;
+    # both span the commutant of the per-call reference construction
+    for _ in range(2):
+        assert_commutant_matches_reference(F)
+    for symmetric in (True, False):
+        basis = structure._commutant_basis(pv, pz, symmetric)
+        assert structure._commutant_basis(pv, pz, symmetric) is basis
         with pytest.raises(ValueError):
-            arr[0] = 1
+            basis[0, 0, 0] = 1.0
+    assert structure._commutant_basis.cache_info().currsize == 2
 
 
 def test_same_block_shapes_reuse_index_sets(monkeypatch):
@@ -437,7 +451,7 @@ def test_same_block_shapes_reuse_index_sets(monkeypatch):
         built.append(args)
         return triu(*args, **kwargs)
 
-    structure._block_triu_indices.cache_clear()
+    structure._commutant_basis.cache_clear()
     monkeypatch.setattr(np, "triu_indices", counting)
     L = direct_sum([heisenberg(1), heisenberg(2)])
     decompose(L)
