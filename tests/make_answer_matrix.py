@@ -40,13 +40,10 @@ _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 def _scrambled(L, seed):
     """An isometric copy of L in a random user basis, with a dense Gram."""
-    from nilkilling import MetricLieAlgebra
+    from helpers import change_user_basis
 
     q = np.random.default_rng(seed).normal(size=(L.dim, L.dim))
-    br = np.einsum("ia,jb,ijk->abk", q, q, L.structure_constants)
-    c = np.einsum("abk,kc->abc", br, np.linalg.inv(q).T)
-    return MetricLieAlgebra(L.dim, list(L.basis_names), c, q.T @ L.gram @ q,
-                            name=L.name + "~")
+    return change_user_basis(L, q, name=L.name + "~")
 
 
 def inputs():
@@ -184,9 +181,8 @@ def _compare_json(want, got, where):
                 if ([f["degree"] for f in want[key]]
                         != [f["degree"] for f in got[key]]):
                     problems.append(f"{where}.forms: degrees or count differ")
-                elif _span_distance(want[key], got[key]) > TOL:
-                    problems.append(f"{where}.forms: span distance %.3e"
-                                    % _span_distance(want[key], got[key]))
+                elif (dist := _span_distance(want[key], got[key])) > TOL:
+                    problems.append(f"{where}.forms: span distance {dist:.3e}")
             else:
                 problems += _compare_json(want[key], got[key], f"{where}.{key}")
         return problems
