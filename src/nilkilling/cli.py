@@ -27,7 +27,11 @@ from .errors import (
     NumericalRankFailure,
     WorkingSetTooLarge,
 )
-from .killing import killing_nullspace_brute, structured_killing
+from .killing import (
+    _check_structured_degree,
+    killing_nullspace_brute,
+    structured_killing,
+)
 from .linalg import DEFAULT_TOL, span_distance
 from .structure import decompose, killing_dimensions
 
@@ -150,10 +154,11 @@ def cmd_killing(args):
     k = args.degree
     if k < 1:
         raise CliError(EXIT_PARSE, "degree must be >= 1")
-    if args.method != "brute" and k not in (2, 3):
-        raise CliError(
-            EXIT_PARSE, "structured solvers exist for degrees 2 and 3 only"
-        )
+    if args.method != "brute":
+        try:
+            _check_structured_degree(k)
+        except ValueError as exc:
+            raise CliError(EXIT_PARSE, str(exc))
     alg = load_algebra(args.input, **args.params)
     rec = {"schema": SCHEMA, "name": alg.name, "degree": k}
     brute = structured = None

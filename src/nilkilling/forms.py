@@ -188,6 +188,45 @@ def _derive(images, degree, omega: Form) -> Form:
     return _product(n, degree, k - 1, images.T @ _contractions(omega))
 
 
+@lru_cache(maxsize=None)
+def _derivation_table(n, degree, k):
+    """Non-zero entries of the matrix of `_derive(images, degree, .)` on k-forms.
+
+    Read-only (cell, entry, sign) arrays: summing sign * images.flat[entry]
+    into cell gives the C(n, k + degree - 1) x C(n, k) matrix, flattened
+    row-major, for an (n, C(n, degree)) `images`.  e_i -| e^t has the
+    coefficient sign1 on e^s where e^i ^ e^s = sign1 e^t (the (1, k - 1)
+    wedge table), and image entry (i, u) wedges it by e^u (the (degree,
+    k - 1) table).  The entries run in (u, s, i) order, the order in which
+    `_derive` sums them, so each column equals `_derive` of its basis form
+    bit for bit.
+    """
+    if k == 0:      # a 0-form has no leg to contract: the zero matrix
+        cell = entry = sign = np.zeros(0, dtype=int)
+    else:
+        (t1, s1), (t2, s2) = _wedge_table(n, 1, k - 1), _wedge_table(n, degree, k - 1)
+        signs = s2[:, :, None] * s1.T[None]     # [u, s, i]
+        u, s, i = np.nonzero(signs)
+        cell = t2[u, s] * comb(n, k) + t1[i, s]
+        entry = i * comb(n, degree) + u
+        sign = signs[u, s, i]
+    # int32 holds every cell of a matrix small enough to allocate
+    table = cell.astype(np.int32), entry.astype(np.int32), sign.astype(np.int8)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _derivation_matrix(images, degree, k):
+    """The C(n, k + degree - 1) x C(n, k) matrix whose column t is
+    `_derive(images, degree, e^t)`, one scatter over `_derivation_table`."""
+    n = len(images)
+    cell, entry, sign = _derivation_table(n, degree, k)
+    shape = comb(n, k + degree - 1), comb(n, k)
+    flat = np.bincount(cell, sign * images.ravel()[entry], minlength=shape[0] * shape[1])
+    return flat.reshape(shape).astype(float, copy=False)     # no entries: int zeros
+
+
 def skew_extend(f, omega: Form) -> Form:
     """Derivation action of a skew endomorphism on a form.
 
@@ -206,14 +245,18 @@ def skew_extend(f, omega: Form) -> Form:
 def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:
     """Lie algebra (Chevalley-Eilenberg) differential in frame coordinates.
 
-    d omega = sum_i d(e^i) ^ (e_i -| omega), where d(e^i) is the 2-form
-    with coefficients -c[a, b, i], a < b, read off the frame constants c.
+    d omega = sum_i d(e^i) ^ (e_i -| omega), with d(e^i) read off the frame
+    constants by `_d_images`.
     """
-    n = F.n
-    if omega.degree >= n:
+    if omega.degree >= F.n:
         raise ValueError("differential of a top-degree form")
-    d_frame = -F.constants[np.triu_indices(n, 1)]    # rows in basis_tuples(n, 2) order
-    return _derive(d_frame.T, 2, omega)
+    return _derive(_d_images(F), 2, omega)
+
+
+def _d_images(F: AdaptedFrame):
+    """(n, C(n, 2)) array whose row i is the 2-form d(e^i), -c[a, b, i] at a < b."""
+    a, b = _legs(F.n, 2).T
+    return -F.constants[a, b].T
 
 
 def nabla_form(L: MetricLieAlgebra, F: AdaptedFrame, y, omega: Form) -> Form:

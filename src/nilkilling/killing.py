@@ -20,6 +20,8 @@ from .errors import InternalInvariantViolation, WorkingSetTooLarge
 from .forms import (
     Form,
     _contractions,
+    _d_images,
+    _derivation_matrix,
     _legs,
     _wedge_table,
     lie_diff,
@@ -101,9 +103,10 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
 
 def _brute_bytes(n, k):
     """Estimated peak bytes of `killing_nullspace_brute` at dimension n and
-    degree k: measured peaks above the interpreter baseline (h13 at k = 4,
-    h15 at k = 4, 5) are 4.5x to 5.0x the C(n,k)^2 + C(n,k) C(n,k+1)
-    floats of the basis forms and their differentials."""
+    degree k: measured peaks above the interpreter baseline, with glibc's
+    mmap threshold at 128 KiB, are 4.6x (h13 at k = 4), 4.0x (h15 at k = 4)
+    and 4.5x (h15 at k = 5) the C(n,k)^2 + C(n,k) C(n,k+1) floats of the
+    basis forms and their differentials."""
     c = comb(n, k)
     return 5 * 8 * (c * c + c * comb(n, k + 1))
 
@@ -114,7 +117,8 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
     The operator stacks one C(n,k) x C(n,k) block per frame direction, the
     defects nabla_a e^t - (e_a -| d e^t)/(k+1) of the basis k-forms e^t,
     the rows of the identity.  Their differentials, scaled by 1/(k+1), are
-    the columns of one C(n,k+1) x C(n,k) matrix, and e_a -| of it is one
+    the columns of one C(n,k+1) x C(n,k) matrix, scattered at once from the
+    rows d(e^i) by `forms._derivation_matrix`, and e_a -| of it is one
     gather over the (1, k) wedge table.  Each block is folded into a
     running triangular factor R of the stack (row-blocked QR), so the stack
     itself never exists; R has its singular values, so the rank decision on
@@ -132,7 +136,7 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
     c = comb(n, k)
     forms = [Form(n, k, row) for row in np.eye(c)]
     if k < n:       # d of a top-degree form is zero
-        dmat = np.array([lie_diff(L, F, w).vec for w in forms]).T
+        dmat = _derivation_matrix(_d_images(F), 2, k)
         dmat *= 1.0 / (k + 1)
         target, sign = _wedge_table(n, 1, k)
     scale = np.abs(F.constants).max()
@@ -202,6 +206,12 @@ def _killing3_part(factor):
     return _form_from_tensor(tensor)
 
 
+def _check_structured_degree(k):
+    """Refuse, with ValueError, a degree the structure theorem does not cover."""
+    if k not in (2, 3):
+        raise ValueError("structured solvers exist for degrees 2 and 3 only")
+
+
 def structured_killing(dec: Decomposition, k) -> KillingSpace:
     """Killing k-forms, k = 2 or 3, read off a decomposition.
 
@@ -213,8 +223,7 @@ def structured_killing(dec: Decomposition, k) -> KillingSpace:
     its k-wedges are the unit forms whose legs all lie there; each factor
     form is pulled back to the ambient frame and normalized.
     """
-    if k not in (2, 3):
-        raise ValueError(f"structured Killing forms exist for degrees 2 and 3, not {k}")
+    _check_structured_degree(k)
     factor_part = _killing2_part if k == 2 else _killing3_part
     n = dec.frame.n
     abelian = np.flatnonzero((_legs(n, k) >= n - dec.d).all(axis=1))

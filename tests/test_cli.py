@@ -177,6 +177,17 @@ def test_structured_degree_refused_before_brute(monkeypatch, capsys, degree):
     assert "degrees 2 and 3 only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["structured", "both"])
+def test_structured_degree_rule_is_the_library_rule(monkeypatch, capsys, method):
+    # refused before the algebra loads, with structured_killing's message
+    monkeypatch.setattr(cli, "load_algebra",
+                        lambda *args, **kwargs: pytest.fail("algebra loaded"))
+    out = run_cli(capsys, "killing", "catalog:h3", "--degree", "4", "--method", method)
+    with pytest.raises(ValueError) as info:
+        cli.structured_killing(structure.decompose(heisenberg(1)), 4)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", str(info.value) + "\n")
+
+
 def test_killing_forms_serialized(capsys):
     rec = json.loads(run_cli(capsys, "killing", "catalog:heisenberg",
                              "--degree", "3", "--json").stdout)

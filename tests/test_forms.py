@@ -31,6 +31,7 @@ from helpers import (
     random_form,
     random_skew,
     random_spd_metric,
+    random_two_step,
     torsion_free_d,
     with_metric,
 )
@@ -203,6 +204,30 @@ def test_derivations_make_no_wedge_call(monkeypatch):
         if k < 5:
             lie_diff(L, F, omega)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derivation_matrix_columns_are_the_derivations_of_basis_forms(n):
+    # degree 1: a skew endomorphism's action; degree 2: the differential
+    rng = np.random.default_rng(n)
+    L = with_metric(random_two_step(n - n // 3, n // 3, rng), random_spd_metric(n, rng))
+    for degree, images in ((1, random_skew(n, rng).T),
+                           (2, forms._d_images(adapted_frame(L)))):
+        for k in range(n):
+            mat = forms._derivation_matrix(images, degree, k)
+            assert mat.shape == (comb(n, k + degree - 1), comb(n, k))
+            for t, row in enumerate(np.eye(comb(n, k))):
+                want = forms._derive(images, degree, Form(n, k, row)).vec
+                assert (mat[:, t] == want).all(), (degree, k, t)
+
+
+def test_derivation_table_is_cached_read_only_and_sparse():
+    # n = 11, k = 3: C(11, 2) (s, i) pairs, each meeting C(9, 2) images u
+    table = forms._derivation_table(11, 2, 3)
+    assert forms._derivation_table(11, 2, 3) is table
+    for a in table:
+        assert a.shape == (comb(11, 2) * 9 * comb(9, 2),)
+        assert not a.flags.writeable
 
 
 def test_lie_diff_h3_center_dual():
