@@ -227,19 +227,31 @@ def _derivation_matrix(images, degree, k):
     return flat.reshape(shape).astype(float, copy=False)     # no entries: int zeros
 
 
+def _skew_map(f, n):
+    """`f` as a float (n, n) array, checked finite and skew-symmetric.
+
+    The one home of the rule `skew_extend` applies: |f + f^T| <=
+    DEFAULT_TOL * max|f|.  A NaN or infinite entry is refused, since it
+    would pass that comparison.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n, n):
+        raise ValueError("endomorphism must have shape (%d, %d), got %s"
+                         % (n, n, f.shape))
+    if not np.isfinite(f).all():
+        raise ValueError("endomorphism has non-finite entries")
+    if f.size and np.abs(f + f.T).max() > DEFAULT_TOL * np.abs(f).max():
+        raise ValueError("endomorphism is not skew-symmetric")
+    return f
+
+
 def skew_extend(f, omega: Form) -> Form:
     """Derivation action of a skew endomorphism on a form.
 
     Sum over the frame of f(u_i) wedged with the contraction by u_i; the
     action on a 1-form dual to u is the 1-form dual to f(u).
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (omega.n, omega.n):
-        raise ValueError("endomorphism must have shape (%d, %d), got %s"
-                         % (omega.n, omega.n, f.shape))
-    if f.size and np.abs(f + f.T).max() > DEFAULT_TOL * np.abs(f).max():
-        raise ValueError("endomorphism is not skew-symmetric")
-    return _derive(f.T, 1, omega)
+    return _derive(_skew_map(f, omega.n).T, 1, omega)
 
 
 def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:

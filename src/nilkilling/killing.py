@@ -22,7 +22,9 @@ from .forms import (
     _contractions,
     _d_images,
     _derivation_matrix,
+    _derive,
     _legs,
+    _skew_map,
     _wedge_table,
     lie_diff,
     skew_extend,
@@ -116,8 +118,11 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
 
     The operator stacks one C(n,k) x C(n,k) block per frame direction, the
     defects nabla_a e^t - (e_a -| d e^t)/(k+1) of the basis k-forms e^t,
-    the rows of the identity.  Their differentials, scaled by 1/(k+1), are
-    the columns of one C(n,k+1) x C(n,k) matrix, scattered at once from the
+    the rows of the identity.  The nabla half of block a checks the
+    connection slice nabla_a skew once (`forms._skew_map`, the rule of
+    `skew_extend`) and applies it to every basis form by `forms._derive`.
+    The differentials of the basis forms, scaled by 1/(k+1), are the
+    columns of one C(n,k+1) x C(n,k) matrix, scattered at once from the
     rows d(e^i) by `forms._derivation_matrix`, and e_a -| of it is one
     gather over the (1, k) wedge table.  Each block is folded into a
     running triangular factor R of the stack (row-blocked QR), so the stack
@@ -142,8 +147,9 @@ def killing_nullspace_brute(L, F: AdaptedFrame, k, tol=DEFAULT_TOL) -> KillingSp
     scale = np.abs(F.constants).max()
     r = np.zeros((0, c))
     for a, nmat in enumerate(connection(F)):
+        nmat = _skew_map(nmat, n)   # checked once, applied to every basis form
         # reshaped so that k > n, with no basis forms, gives a 0 x 0 block
-        block = np.array([skew_extend(nmat, w).vec for w in forms]).reshape(c, c).T
+        block = np.array([_derive(nmat.T, 1, w).vec for w in forms]).reshape(c, c).T
         if k < n:
             block -= sign[a][:, None] * dmat[target[a]]
         if scale:

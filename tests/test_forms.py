@@ -142,6 +142,16 @@ def test_skew_extend_rejects_non_skew():
         skew_extend(np.eye(3), oneform(e(3, 0)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_skew_extend_rejects_non_finite(value):
+    # nan > bound is False, so the skew comparison alone lets these through
+    f = np.zeros((3, 3))
+    f[0, 1], f[1, 0] = value, -value
+    for bad in (f, np.full((3, 3), value)):
+        with pytest.raises(ValueError, match="non-finite"):
+            skew_extend(bad, oneform(e(3, 0)))
+
+
 @pytest.mark.parametrize("size", [4, 2])
 def test_skew_extend_rejects_wrong_shape(size):
     f = random_skew(size, np.random.default_rng(3))

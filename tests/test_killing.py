@@ -278,7 +278,8 @@ def _count_calls(monkeypatch, name):
 def test_brute_reads_one_connection_and_no_per_form_differential(monkeypatch):
     L = heisenberg(2)
     F = adapted_frame(L)
-    names = ("lie_diff", "connection", "nabla_matrix", "contract", "wedge")
+    names = ("lie_diff", "connection", "nabla_matrix", "contract", "wedge",
+             "skew_extend", "_skew_map")
     calls = {name: _count_calls(monkeypatch, name) for name in names}
 
     def counts():
@@ -290,11 +291,15 @@ def test_brute_reads_one_connection_and_no_per_form_differential(monkeypatch):
     omega = Form.basis(5, 3, (0, 1, 4))
     counts()
     killing_nullspace_brute(L, F, 3)
-    assert counts() == (0, 1, 0, 0, 0)    # d of every basis form is one scatter
+    # d of every basis form is one scatter, and each of the 5 connection
+    # slices is checked skew once, not once per basis form
+    assert counts() == (0, 1, 0, 0, 0, 0, 5)
     killing_residual(L, F, omega)
-    assert counts()[:2] == (1, 1)
+    got = counts()
+    assert got[:2] + got[5:] == (1, 1, 5, 5)
     is_parallel(F, omega)
-    assert counts()[:2] == (0, 1)
+    got = counts()
+    assert got[:2] + got[5:] == (0, 1, 5, 5)
 
 
 def _reference_cases():
