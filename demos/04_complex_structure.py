@@ -21,7 +21,7 @@ print("|J^2 + Id| =", np.abs(J @ J + np.eye(6)).max())
 
 alpha = structured_killing(dec, 2).basis[0]
 print("\nKilling 2-form:", alpha)
-print("killing residual:", killing_residual(L, F, alpha))
+print("killing residual:", killing_residual(F, alpha))
 # the factor's J, in the factor's own frame, from the same decomposition
 J_f, pv = dec.factors[0].J, dec.factors[0].frame.nv
 print("alpha2 = J|_v:\n", J_f[:pv, :pv])

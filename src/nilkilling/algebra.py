@@ -19,7 +19,6 @@ from .linalg import (
     DEFAULT_TOL,
     _row_and_null_space,
     _unit_scaled,
-    gram_orthonormalize,
     nullspace,
 )
 
@@ -238,8 +237,11 @@ def _canonical_span_basis(basis, gram):
     Y = basis^T gram in `basis`, so the g-norm of a projection is the
     Euclidean norm of its column of Y: deterministic, and returns the user
     vectors themselves whenever the span is axis-aligned and the metric is
-    diagonal there.  A pivot whose squared g-norm is below DEFAULT_TOL / 1000
-    of the Gram scale ends it, and `basis` is returned as it is.
+    diagonal there.  Pivots within DEFAULT_TOL (relative) of the largest
+    norm count as tied, and a tie takes the lowest user index, so the frame
+    order does not follow the last bits of the factorizations before it.
+    A pivot whose squared g-norm is below DEFAULT_TOL / 1000 of the Gram
+    scale ends it, and `basis` is returned as it is.
     """
     p = basis.shape[1]
     if not p:
@@ -249,7 +251,7 @@ def _canonical_span_basis(basis, gram):
     chosen = np.empty((p, p))
     for i in range(p):
         norms = np.sqrt((coords * coords).sum(axis=0))
-        best = int(np.argmax(norms))
+        best = int(np.argmax(norms >= (1 - DEFAULT_TOL) * norms.max()))
         if norms[best] <= cutoff:
             return basis
         u = coords[:, best] / norms[best]
@@ -269,11 +271,6 @@ def rotate_constants(constants, cols, dual):
     out = constants.reshape(n * n, n) @ dual                  # (i j) c
     out = cols.T @ out.reshape(n, n * q)                      # a (j c)
     return cols.T @ out.reshape(p, n, q)                      # a b c
-
-
-def _frame_constants(L, frame):
-    """Structure constants rewritten in the (orthonormal) frame columns."""
-    return rotate_constants(L.structure_constants, frame, L.gram @ frame)
 
 
 def frame_from_constants(frame, constants, nv, na, tol=DEFAULT_TOL) -> AdaptedFrame:
@@ -296,14 +293,17 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
 
     The one gate of the package: an algebra that fails `validate` raises
     InvalidAlgebra.  It makes two rank decisions: the center z is the SVD
-    nullspace of the stacked ad matrices, and ker j is the SVD nullspace of
-    the stacked j-maps in a g-orthonormal basis of z.  v is the
-    g-orthogonal complement of z, read off a complete QR; the image of j,
-    the orthogonal complement of ker j, is spanned by the kept right
-    singular vectors of the SVD that decides ker j.  v, the image and ker j
-    are each made g-orthonormal and aligned with the user axes where
-    possible, ker j spanning the trailing frame vectors.  Works for abelian
-    input too (v empty).
+    nullspace of the stacked ad matrices, a decision that does not read the
+    metric, and ker j is the SVD nullspace of the stacked j-maps in a
+    g-orthonormal basis of z.  The metric enters through one Cholesky
+    factor g = R R^T: w is g-orthonormal exactly when R^T w is orthonormal,
+    so one complete QR of R^T z, mapped back by one solve with R^T, gives a
+    g-orthonormal basis of z in its first columns and of v = z^perp in the
+    rest.  The image of j, the orthogonal complement of ker j, is spanned
+    by the kept right singular vectors of the SVD that decides ker j.  v,
+    the image and ker j are each aligned with the user axes where possible
+    (`_canonical_span_basis`), ker j spanning the trailing frame vectors.
+    Works for abelian input too (v empty).
     """
     report = validate(L, tol)
     if not report.ok:
@@ -311,19 +311,22 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     n, g, c = L.dim, L.gram, L.structure_constants
     # row (i, k), column j: ad_{b_i} = c[i].T for every i, stacked
     ads = c.transpose(0, 2, 1).reshape(n * n, n)
-    z = gram_orthonormalize(nullspace(_unit_scaled(ads), tol), g)
-    nz = z.shape[1]
+    center = nullspace(_unit_scaled(ads), tol)
+    nz = center.shape[1]
     nv = n - nz
-    gz = g @ z
-    v = np.linalg.qr(gz, mode="complete")[0][:, nz:]
-    jmaps = rotate_constants(c, v, gz)
+    chol = np.linalg.cholesky(g)
+    q = np.linalg.qr(chol.T @ center, mode="complete")[0]
+    zv = np.linalg.solve(chol.T, q)          # g-orthonormal: z, then v
+    z, v = zv[:, :nz], zv[:, nz:]
+    # g z = R q for the z-columns: their dual, the coordinate read-off
+    jmaps = rotate_constants(c, v, chol @ q[:, :nz])
     img, ker = _row_and_null_space(_unit_scaled(jmaps.reshape(nv * nv, nz)), tol)
     na = ker.shape[1]
-    # z is g-orthonormal and img, ker Euclidean-orthonormal in its
-    # coordinates, so only v needs orthonormalizing
-    spans = (gram_orthonormalize(v, g), z @ img, z @ ker)
+    # img and ker are orthonormal in the g-orthonormal z coordinates
+    spans = (v, z @ img, z @ ker)
     frame = np.concatenate([_canonical_span_basis(b, g) for b in spans], axis=1)
-    return frame_from_constants(frame, _frame_constants(L, frame), nv, na, tol)
+    constants = rotate_constants(c, frame, g @ frame)
+    return frame_from_constants(frame, constants, nv, na, tol)
 
 
 def connection(F: AdaptedFrame):

@@ -26,7 +26,6 @@ from .forms import (
     _legs,
     _skew_map,
     _wedge_table,
-    lie_diff,
     skew_extend,
     transform,
 )
@@ -81,7 +80,7 @@ def _polarized(nablas):
     return half + half.transpose(1, 0, 2)
 
 
-def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
+def killing_residual(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     """Max deviation from the Killing equation over the frame.
 
     Computes both the defining residual (covariant derivative vs the scaled
@@ -91,7 +90,8 @@ def killing_residual(L, F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     nablas = _nablas(F, omega)
     defects = np.array([nab.vec for nab in nablas])
     if omega.degree < F.n:      # d of a top-degree form is zero
-        defects -= (1.0 / (omega.degree + 1)) * _contractions(lie_diff(L, F, omega))
+        d_omega = _derive(_d_images(F), 2, omega)
+        defects -= (1.0 / (omega.degree + 1)) * _contractions(d_omega)
     res1 = np.linalg.norm(defects, axis=1).max()
     res2 = np.linalg.norm(_polarized(nablas), axis=2).max()
     # both residuals are bilinear in the constants and omega

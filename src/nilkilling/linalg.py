@@ -78,20 +78,6 @@ def column_space(a, tol=DEFAULT_TOL):
     return u[:, :rank]
 
 
-def gram_orthonormalize(cols, gram):
-    """Orthonormalize the columns of `cols` with respect to `gram`.
-
-    Cholesky-based: if M = cols^T gram cols = L L^T then cols L^{-T} is
-    gram-orthonormal with the same span.
-    """
-    cols = np.asarray(cols, dtype=float)
-    if cols.shape[1] == 0:
-        return cols
-    m = cols.T @ gram @ cols
-    chol = np.linalg.cholesky(m)
-    return np.linalg.solve(chol, cols.T).T
-
-
 def projection_residual(a, b):
     """How far the column span of `a` sticks out of the span of `b`.
 

@@ -14,7 +14,9 @@ assembles the full stacked Killing operator from `koszul_nabla` and
 `perm_sign` alone and takes its nullspace.  Those references share only
 the rank policy of `nullspace` with the library, and the brute reference
 also the `basis_tuples` order and the oracle's `_normalize` sign rule,
-no exterior-algebra kernel.  The representation ladder
+no exterior-algebra kernel.  The exact certificates assemble the same
+operator, times 2(k+1), as an integer matrix from the raw brackets and
+`perm_sign`, and take its rank modulo a prime.  The representation ladder
 (Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
 library's `from_representation`.
 """
@@ -253,6 +255,101 @@ def brute_reference(F, k, tol):
     scale = np.abs(F.constants).max()
     null = nullspace(op / scale if scale else op, tol)
     return [_normalize(Form(F.n, k, v)) for v in null.T]
+
+
+# the prime of the exact rank certificates: entries stay below p, so a
+# product of two of them, p^2 < 2^62, fits an int64
+CERTIFICATE_PRIME = 2**31 - 1
+
+
+def integer_killing_operator(L, k):
+    """2(k+1) times the stacked Killing operator in the user basis of L, an
+    int64 matrix with the row layout of `killing_operator_reference`.
+
+    L must have the identity metric and integer brackets, so its user basis
+    is orthonormal and every entry below is an integer.  Assembled from the
+    raw brackets and `perm_sign` alone: 2 g(nabla_a e_b, e_m) =
+    c[a,b,m] - c[b,m,a] + c[m,a,b] (Koszul), nabla_a e^m =
+    -sum_b g(nabla_a e_b, e_m) e^b replacing one leg at a time, and
+    d e^t = sum_j (-1)^j e^t1 ^ ... ^ d e^tj ^ ... ^ e^tk by the Leibniz
+    rule from d e^i = -sum_{p<q} c[p,q,i] e^p ^ e^q.
+    """
+    n, c = L.dim, L.structure_constants
+    if not np.array_equal(L.gram, np.eye(n)) or not np.array_equal(c, np.round(c)):
+        raise ValueError("needs the identity metric and integer brackets")
+    c = c.astype(np.int64)
+    conn2 = c.transpose(0, 2, 1) - c.transpose(2, 1, 0) + c.transpose(1, 0, 2)
+    index = _positions(n, k)
+    op = np.zeros((n, len(index), len(index)), dtype=np.int64)
+    for col, t in enumerate(basis_tuples(n, k)):
+        for a in range(n):
+            for j, m in enumerate(t):
+                for b in map(int, np.flatnonzero(conn2[a, m])):
+                    pos, sign = _signed_index(n, t[:j] + (b,) + t[j + 1:])
+                    op[a, pos, col] -= (k + 1) * sign * conn2[a, m, b]
+        d = {}
+        for j, i in enumerate(t):
+            for p in range(n):
+                for q in range(p + 1, n):
+                    legs = t[:j] + (p, q) + t[j + 1:]
+                    sign = perm_sign(legs)
+                    if sign and c[p, q, i]:
+                        u = tuple(sorted(legs))
+                        d[u] = d.get(u, 0) - (-1) ** j * sign * c[p, q, i]
+        for u, coeff in d.items():
+            for pos, a in enumerate(u):
+                s = u[:pos] + u[pos + 1:]
+                op[a, index[s], col] -= 2 * perm_sign((a,) + s) * coeff
+    return op.reshape(n * len(index), len(index))
+
+
+def rank_mod_p(m, p=CERTIFICATE_PRIME):
+    """Rank of the integer matrix `m` over the integers mod the prime p, by
+    Gaussian elimination; a lower bound for its rank over the rationals."""
+    a = np.asarray(m, dtype=np.int64) % p
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank == a.shape[0]:
+            break
+        rows = rank + np.flatnonzero(a[rank:, col])
+        if not rows.size:
+            continue
+        a[[rank, rows[0]]] = a[[rows[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
+        below = a[rank + 1:]
+        below -= np.outer(below[:, col], a[rank]) % p
+        below %= p
+        rank += 1
+    return rank
+
+
+def frame_form_to_user(F, omega):
+    """Coefficients, in the user basis, of a frame form whose frame is a
+    signed permutation of the user basis (a catalog entry's)."""
+    frame = F.frame
+    if not (np.isin(frame, (-1.0, 0.0, 1.0)).all()
+            and (np.abs(frame).sum(axis=0) == 1).all()):
+        raise ValueError("the frame is not a signed permutation")
+    axis = np.abs(frame).argmax(axis=0)              # frame vector a = +-e_axis[a]
+    flip = frame[axis, np.arange(F.n)]
+    out = np.zeros(omega.vec.shape)
+    for t, coeff in omega.terms():
+        legs = tuple(int(axis[a]) for a in t)
+        pos, sign = _signed_index(F.n, legs)
+        out[pos] += sign * np.prod(flip[list(t)]) * coeff
+    return out
+
+
+def exact_null_vector(vec):
+    """`vec` scaled by its smallest non-zero entry and rounded to int64; a
+    vector that the scaling does not make integral raises ValueError."""
+    vec = np.asarray(vec, dtype=float)
+    support = np.abs(vec) > 1e-9 * np.abs(vec).max()
+    scaled = vec / np.abs(vec[support]).min()
+    out = np.round(scaled)
+    if np.abs(scaled - out).max() > 1e-9 * np.abs(out).max():
+        raise ValueError("not an integer vector up to scale")
+    return out.astype(np.int64)
 
 
 def so3_matrices():

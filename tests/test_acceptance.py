@@ -162,7 +162,7 @@ def test_criterion_5_naturally_reductive_pipeline():
         assert np.linalg.eigvalsh(kf).max() < 0.0
         space, data = solve_killing3(L)
         assert space.dim == 1
-        assert killing_residual(L, F, space.basis[0]) <= 1e-9
+        assert killing_residual(F, space.basis[0]) <= 1e-9
         # j(gamma(z, z')) = 2 * lambda * [j(z), j(z')] with lambda = 1
         for s in range(3):
             for t in range(3):

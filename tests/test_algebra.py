@@ -21,7 +21,7 @@ from nilkilling import (
     nabla_matrix,
     validate,
 )
-from nilkilling import algebra
+from nilkilling import algebra, catalog
 from nilkilling.algebra import connection, rotate_constants
 from nilkilling.errors import InvalidAlgebra
 
@@ -152,6 +152,26 @@ def test_adapted_frame_makes_two_rank_decisions(monkeypatch, L):
     assert shapes == [(n * n, n), (nv * nv, nz)]
 
 
+@pytest.mark.parametrize("L", [
+    heisenberg(2),
+    with_metric(complex_heisenberg(2.0),
+                random_spd_metric(6, np.random.default_rng(3))),
+    direct_sum([euclidean(1), free_two_step_3()]),
+    euclidean(3),
+], ids=lambda L: L.name)
+def test_adapted_frame_reads_the_metric_through_one_factor(monkeypatch, L):
+    # one Cholesky factor of the Gram matrix and one complete QR give both
+    # the z-block and v = z^perp
+    calls = []
+    for name in ("cholesky", "qr"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kw):
+            calls.append(_name)
+            return _original(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    adapted_frame(L)
+    assert sorted(calls) == ["cholesky", "qr"]
+
+
 def _spans_equal(a, b):
     return (np.linalg.matrix_rank(np.concatenate([a, b], axis=1))
             == np.linalg.matrix_rank(a) == np.linalg.matrix_rank(b))
@@ -238,10 +258,25 @@ def test_frame_layout_is_two_integers():
 
 
 def test_frame_is_gram_orthonormal():
-    for L in CATALOG:
+    rng = np.random.default_rng(5)
+    for L in CATALOG + [with_metric(L, random_spd_metric(L.dim, rng))
+                        for L in CATALOG]:
         F = adapted_frame(L)
         assert np.allclose(F.frame.T @ L.gram @ F.frame, np.eye(L.dim),
                            atol=1e-10)
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_frame_order_survives_a_round_off_gram_change(name):
+    # user axes that project with equal norm are tied pivots; a tie takes
+    # the lowest user index, so a symmetric Gram change at the round-off
+    # level cannot permute the frame columns
+    L = catalog.build(name)
+    frame = adapted_frame(L).frame
+    for seed in range(20):
+        e = np.random.default_rng(seed).normal(size=(L.dim, L.dim)) * 1e-15
+        moved = adapted_frame(with_metric(L, L.gram + (e + e.T) / 2)).frame
+        assert np.abs(moved - frame).max() < 1e-9, seed
 
 
 def test_j_matrices_skew_and_no_common_kernel():

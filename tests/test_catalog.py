@@ -18,10 +18,20 @@ from nilkilling import (
     heisenberg,
     j_trace_form,
     killing_dimensions,
+    killing_nullspace_brute,
+    structured_killing,
     validate,
 )
 
-from helpers import so3_bracket, so3_matrices, spin2_matrices
+from helpers import (
+    exact_null_vector,
+    frame_form_to_user,
+    integer_killing_operator,
+    rank_mod_p,
+    so3_bracket,
+    so3_matrices,
+    spin2_matrices,
+)
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -288,3 +298,24 @@ def test_parametric_builders_call_the_module_constructors(monkeypatch):
 def test_complex_heisenberg_refuses_a_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="lambda must be a finite number"):
         complex_heisenberg(lam)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_catalog_killing_dimension_certified_exactly(name, k):
+    # every catalog entry at its defaults has the identity metric and
+    # integer brackets, so 2(k+1) times the Killing operator is an integer
+    # matrix M.  Its nullity over the rationals is at most C(n,k) - rank_p
+    # and at least the number of independent exact integer null vectors;
+    # the structured forms, scaled to integers, are such vectors, so where
+    # the two counts meet the dimension is certified with no float decision
+    L = catalog.build(name)
+    op = integer_killing_operator(L, k)
+    dec = decompose(L)
+    forms = structured_killing(dec, k).basis
+    vectors = np.array([exact_null_vector(frame_form_to_user(dec.frame, w))
+                        for w in forms], dtype=np.int64).reshape(len(forms), op.shape[1])
+    assert not np.any(op @ vectors.T)
+    assert rank_mod_p(vectors) == len(forms)
+    assert op.shape[1] - rank_mod_p(op) == len(forms)
+    assert killing_nullspace_brute(L, adapted_frame(L), k).dim == len(forms)
