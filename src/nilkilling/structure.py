@@ -34,8 +34,9 @@ class FactorReport:
     the factor's basis `columns` and None where the factor has none.
     `columns`, `J` and `compact_bracket` are defined only up to an
     orthogonal change of basis within the factor (`eigh` picks any basis of
-    a repeated eigenspace); the invariant is the projector
-    `columns @ columns.T`.
+    a repeated eigenspace, and a one-factor algebra keeps the identity);
+    the invariant is the projector `columns @ columns.T`, from which
+    `decompose` also takes the factor order.
     """
 
     columns: np.ndarray          # factor basis in ambient frame coordinates
@@ -123,18 +124,13 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
     return list((null.T @ basis.reshape(count, -1)).reshape(-1, p, p))
 
 
-def _pick_splitting_element(mats, p):
-    """The commutant basis element farthest from the line through Id."""
-    best = max((m - (np.trace(m) / p) * np.eye(p) for m in mats),
-               key=np.linalg.norm)
-    return 0.5 * (best + best.T)
-
-
-def _cluster(eigvals, tol):
+def _cluster(eigvals, tol, scale):
     """Indices of the eigenvalues in ascending order, split into clusters
-    wherever two consecutive values are more than the gap threshold apart."""
+    wherever two consecutive values are more than 10 * tol * scale apart.
+    `scale` is the size of the whole matrix the values were read from, not
+    of their restriction, so values at round-off level stay one cluster."""
     order = np.argsort(eigvals)
-    gap = 10.0 * tol * np.abs(eigvals).max()
+    gap = 10.0 * tol * scale
     return np.split(order, np.flatnonzero(np.diff(eigvals[order]) > gap) + 1)
 
 
@@ -202,69 +198,63 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
 def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     """Split into the abelian block plus irreducible orthogonal ideals.
 
-    Works in frame coordinates: the kernel of j is split off first, then
-    blocks are subdivided along eigenspaces of generic bracket-commutant
-    elements.  Once ker j is split off, a symmetric S with S[x,y] = [Sx,y]
-    maps the v-part of each irreducible orthogonal ideal into itself (its
-    part in another ideal would be central there, and v meets no centre),
-    so it is a multiple of the identity on each factor: the commutant's
-    dimension is the number of factors.  A split into that many eigenvalue
-    clusters is therefore final, and only a block split into fewer is
-    solved again.  An invalid algebra raises InvalidAlgebra from
-    `adapted_frame`.
+    Works in frame coordinates.  Once ker j is split off, a symmetric S
+    with S[x,y] = [Sx,y] maps the v-part of each irreducible orthogonal
+    ideal into itself (its part in another ideal would be central there,
+    and v meets no centre), so it is a multiple of the identity on each
+    factor: the factor projectors span this commutant.  It is solved once
+    per algebra, and the factors are its joint eigenspaces: each basis
+    element in turn splits every cluster at its eigenvalue gaps, until
+    there is one cluster per commutant dimension.  No two factors share
+    every eigenvalue of the basis, so falling short of that count raises
+    DecompositionAmbiguous.  The factors are ordered by size, then by the
+    diagonal of the projector `columns @ columns.T`.  An invalid algebra
+    raises InvalidAlgebra from `adapted_frame`.
     """
     F = adapted_frame(L, tol)
     m = F.n - F.na
     v0, z0, abelian = np.split(np.eye(F.n), [F.nv, m], axis=1)
     const = F.constants
 
-    # the first block is spanned by the leading frame vectors
-    blocks = [(v0, z0, const[:m, :m, :m])] if v0.shape[1] else []
-    final = []
-    while blocks:
-        vc, zc, sub = blocks.pop()
-        pv = vc.shape[1]
-        comm = _solve_intertwiners(sub, pv, tol, symmetric=True)
-        if len(comm) <= 1:
-            final.append((vc, zc, sub))
-            continue
-        p = sub.shape[0]
-        # block-diagonal on v + z by construction of the commutant basis
-        s_mat = _pick_splitting_element(comm, p)
-        ev_v, u_v = np.linalg.eigh(s_mat[:pv, :pv])
-        ev_z, u_z = np.linalg.eigh(s_mat[pv:, pv:])
-        allvals = np.concatenate([ev_v, ev_z])
-        clusters = _cluster(allvals, tol)
-        if len(clusters) < 2:
-            raise DecompositionAmbiguous(
-                "commutant is %d-dimensional but eigenvalue clusters are not "
-                "separated by the gap threshold" % len(comm)
-            )
-        # one cluster per commutant dimension: each cluster is one factor
-        split_to = final if len(clusters) == len(comm) else blocks
-        for cl in clusters:
-            sel_v = [i for i in cl if i < pv]
-            sel_z = [i - pv for i in cl if i >= pv]
-            if not sel_v or not sel_z:
-                raise DecompositionAmbiguous(
-                    "eigenvalue cluster missing a v-part or z-part"
-                )
-            vs, zs = vc @ u_v[:, sel_v], zc @ u_z[:, sel_z]
-            cols = np.concatenate([vs, zs], axis=1)
-            split_to.append((vs, zs, rotate_constants(const, cols, cols)))
+    clusters = [(v0, z0)] if F.nv else []
+    comm = (_solve_intertwiners(const[:m, :m, :m], F.nv, tol, symmetric=True)
+            if clusters else [])
+    for s_mat in comm:
+        if len(clusters) == len(comm):
+            break
+        scale = np.abs(s_mat).max()
+        refined = []
+        for vc, zc in clusters:
+            # S is block-diagonal on v + z, so it splits each part alone
+            ev_v, u_v = np.linalg.eigh(vc[:m].T @ s_mat @ vc[:m])
+            ev_z, u_z = np.linalg.eigh(zc[:m].T @ s_mat @ zc[:m])
+            pv = ev_v.size
+            for cl in _cluster(np.concatenate([ev_v, ev_z]), tol, scale):
+                sel_v, sel_z = cl[cl < pv], cl[cl >= pv] - pv
+                if not sel_v.size or not sel_z.size:
+                    raise DecompositionAmbiguous(
+                        "eigenvalue cluster missing a v-part or z-part")
+                refined.append((vc @ u_v[:, sel_v], zc @ u_z[:, sel_z]))
+        clusters = refined
+    if len(clusters) != len(comm):
+        raise DecompositionAmbiguous(
+            "commutant is %d-dimensional but its eigenvalues split the "
+            "algebra into %d clusters" % (len(comm), len(clusters)))
 
-    # deterministic order: largest factors first, then lexicographic columns
-    final.sort(key=lambda b: (-(b[0].shape[1] + b[1].shape[1]),
-                              tuple(np.round(b[0][:, 0], 6))))
+    # largest factors first, then by the diagonal of the projector, which
+    # unlike the factor's basis does not depend on what `eigh` picks
+    blocks = sorted(((np.concatenate([vc, zc], axis=1), vc.shape[1])
+                     for vc, zc in clusters),
+                    key=lambda b: (-b[0].shape[1],
+                                   tuple(-np.round(np.diag(b[0] @ b[0].T), 6))))
     factors = []
     parts = [abelian]
-    for vc, zc, sub_const in final:
-        cols = np.concatenate([vc, zc], axis=1)
+    for cols, nv in blocks:
         parts.append(cols)
-        p = cols.shape[1]
         # an irreducible factor's centre is its z-block and its ker j is 0,
         # so the identity is already its adapted frame
-        ff = frame_from_constants(np.eye(p), sub_const, vc.shape[1], 0, tol)
+        ff = frame_from_constants(np.eye(cols.shape[1]),
+                                  rotate_constants(const, cols, cols), nv, 0, tol)
         j_struct = find_complex_structure(ff, tol)
         cbr = naturally_reductive_type(ff, tol)
         if j_struct is not None and cbr is not None:

@@ -16,7 +16,9 @@ the rank policy of `nullspace` with the library, and the brute reference
 also the `basis_tuples` order and the oracle's `_normalize` sign rule,
 no exterior-algebra kernel.  The exact certificates assemble the same
 operator, times 2(k+1), as an integer matrix from the raw brackets and
-`perm_sign`, and take its rank modulo a prime.  The representation ladder
+`perm_sign`, and take its rank modulo a prime; the factor-count
+certificate does the same for the graded symmetric commutant system,
+read off the raw brackets.  The representation ladder
 (Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
 library's `from_representation`.
 """
@@ -321,6 +323,45 @@ def rank_mod_p(m, p=CERTIFICATE_PRIME):
         below %= p
         rank += 1
     return rank
+
+
+def integer_commutant_system(L):
+    """The graded symmetric commutant system of L as an int64 matrix, with
+    its unknowns and the basis indices of ker j.
+
+    L must have the identity metric and integer brackets, and v, z and
+    ker j must be spanned by basis vectors.  That is checked, not assumed:
+    every bracket lands on basis vectors e_i with ad(e_i) = 0, the ad-maps
+    of the other basis vectors are independent (so those e_i span the
+    centre z, and the others v = z^perp), and the j-maps of the central
+    e_k that some bracket reaches are independent (so the other central
+    e_k span ker j), each by `rank_mod_p`, a lower bound for the rank over
+    the rationals.  The unknowns are the pairs (i, j), i <= j, both in v or
+    both in z minus ker j, standing for E_ij + E_ji; the row of (a, b, s),
+    with a, b in v and s in z minus ker j, is the s-component of
+    S[e_a, e_b] - [S e_a, e_b], from the raw brackets alone.
+    """
+    n, c = L.dim, L.structure_constants
+    if not np.array_equal(L.gram, np.eye(n)) or not np.array_equal(c, np.round(c)):
+        raise ValueError("needs the identity metric and integer brackets")
+    c = c.astype(np.int64)
+    central = ~c.any(axis=(1, 2))
+    v, z = np.flatnonzero(~central), np.flatnonzero(central)
+    zj = z[c[:, :, z].any(axis=(0, 1))]
+    kerj = np.setdiff1d(z, zj)
+    if (c[:, :, v].any() or rank_mod_p(c[v].reshape(v.size, n * n)) < v.size
+            or rank_mod_p(c[:, :, zj].reshape(n * n, zj.size).T) < zj.size):
+        raise ValueError("v, z or ker j is not spanned by basis vectors")
+    pairs = [(i, j) for block in (v, zj) for i in block for j in block if i <= j]
+    system = np.zeros((v.size * v.size * zj.size, len(pairs)), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        s = np.zeros((n, n), dtype=np.int64)
+        s[i, j] += 1
+        s[j, i] += 1
+        residual = (np.einsum("sk,abk->abs", s, c)
+                    - np.einsum("ca,cbs->abs", s, c))
+        system[:, col] = residual[np.ix_(v, v, zj)].ravel()
+    return system, pairs, kerj
 
 
 def frame_form_to_user(F, omega):

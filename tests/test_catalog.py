@@ -26,6 +26,7 @@ from nilkilling import (
 from helpers import (
     exact_null_vector,
     frame_form_to_user,
+    integer_commutant_system,
     integer_killing_operator,
     rank_mod_p,
     so3_bracket,
@@ -319,3 +320,41 @@ def test_catalog_killing_dimension_certified_exactly(name, k):
     assert rank_mod_p(vectors) == len(forms)
     assert op.shape[1] - rank_mod_p(op) == len(forms)
     assert killing_nullspace_brute(L, adapted_frame(L), k).dim == len(forms)
+
+
+# two sums of identical factors beyond the catalog
+FACTOR_COUNT_SUMS = {
+    "n32+n32+h3+h3": lambda: direct_sum([free_two_step_3(), free_two_step_3(),
+                                         heisenberg(1), heisenberg(1)]),
+    "h3+h3+h3": lambda: direct_sum([heisenberg(1)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names() + list(FACTOR_COUNT_SUMS))
+def test_factor_count_certified_exactly(name):
+    # once ker j is split off, the symmetric commutant's dimension is the
+    # factor count.  Its integer system has nullity over the rationals at
+    # most the count of unknowns minus rank_p, and at least the number of
+    # independent exact null vectors; twice each factor's projector, which
+    # is an integer matrix here, is one.  Where the two meet, the factor
+    # count is certified, and d is the count of basis vectors of ker j
+    L = FACTOR_COUNT_SUMS[name]() if name in FACTOR_COUNT_SUMS else catalog.build(name)
+    system, pairs, kerj = integer_commutant_system(L)
+    dec = decompose(L)
+    vectors = []
+    for f in dec.factors:
+        b = dec.frame.frame @ f.columns
+        proj = np.round(2 * b @ b.T)
+        assert np.abs(2 * b @ b.T - proj).max() < 1e-9
+        coef = np.array([proj[i, j] / (1 + (i == j)) for i, j in pairs])
+        rebuilt = np.zeros_like(proj)
+        for (i, j), cf in zip(pairs, coef):
+            rebuilt[i, j] += cf
+            rebuilt[j, i] += cf
+        assert np.array_equal(rebuilt, proj)
+        vectors.append(coef.astype(np.int64))
+    vectors = np.array(vectors, dtype=np.int64).reshape(len(dec.factors), len(pairs))
+    assert not np.any(system @ vectors.T)
+    assert rank_mod_p(vectors) == len(dec.factors)
+    assert len(pairs) - rank_mod_p(system) == len(dec.factors)
+    assert dec.d == kerj.size

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from nilkilling import MetricLieAlgebra, algebra, cli, structure
-from nilkilling.catalog import complex_heisenberg, direct_sum, euclidean, heisenberg
+from nilkilling.catalog import (complex_heisenberg, direct_sum, euclidean,
+                                free_two_step_3, heisenberg)
 from nilkilling.errors import InvalidAlgebra
 from nilkilling.killing import solve_killing2, solve_killing3, structured_killing
+
+from helpers import change_user_basis
 
 COUNTED = (("validate", algebra.validate),
            ("adapted_frame", algebra.adapted_frame),
@@ -90,10 +93,29 @@ def test_tables_decomposes_each_algebra_once(calls, capsys):
     assert len(names) == 13
 
 
-def test_decompose_solves_one_symmetric_commutant(monkeypatch):
-    # R2+h3+h3: the 2-dimensional commutant of the top block splits it into
-    # two eigenvalue clusters, so each cluster is a factor and no factor's
-    # commutant is solved again
+# algebra -> factor dimensions; n32+n32+h3+h3 took three solves when a
+# block that one element split into too few clusters was solved again
+ONE_SOLVE = {
+    "R2+h3+h3": ([euclidean(2), heisenberg(1), heisenberg(1)], [3, 3]),
+    "n32+n32+h3+h3": ([free_two_step_3(), free_two_step_3(), heisenberg(1),
+                       heisenberg(1)], [6, 6, 3, 3]),
+    "h3+h3+h3": ([heisenberg(1)] * 3, [3, 3, 3]),
+    "h3C+h3C+h3C": ([complex_heisenberg(1.0)] * 3, [6, 6, 6]),
+    "R3": ([euclidean(3)], []),
+}
+
+
+@pytest.mark.parametrize("scrambled", [False, True], ids=["plain", "scrambled"])
+@pytest.mark.parametrize("name", list(ONE_SOLVE))
+def test_decompose_solves_one_symmetric_commutant(monkeypatch, name, scrambled):
+    # the factors are the joint eigenspaces of the one commutant basis of
+    # the block ker j is split off from, so no factor's commutant is solved
+    # again, and an abelian algebra has no block to solve
+    parts, dims = ONE_SOLVE[name]
+    L = direct_sum(parts)
+    if scrambled:
+        q, _ = np.linalg.qr(np.random.default_rng(59).normal(size=(L.dim, L.dim)))
+        L = change_user_basis(L, q)
     kinds = []
     solve = structure._solve_intertwiners
 
@@ -102,10 +124,9 @@ def test_decompose_solves_one_symmetric_commutant(monkeypatch):
         return solve(constants, pv, tol, symmetric)
 
     monkeypatch.setattr(structure, "_solve_intertwiners", counting)
-    dec = structure.decompose(
-        direct_sum([euclidean(2), heisenberg(1), heisenberg(1)]))
-    assert [f.dim for f in dec.factors] == [3, 3]
-    assert kinds.count(True) == 1
+    dec = structure.decompose(L)
+    assert [f.dim for f in dec.factors] == dims
+    assert kinds.count(True) == (1 if dims else 0)
 
 
 def test_structured_killing_degrees_two_and_three_only():

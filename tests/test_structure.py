@@ -277,7 +277,7 @@ def test_isometry_invariance():
 
 
 # irreducible summands of the scrambled sums below (n <= 14); each factor
-# is a repeated eigenspace of the splitting element
+# is a joint eigenspace of the symmetric commutant
 FACTORS = [lambda: heisenberg(1), lambda: heisenberg(2), free_two_step_3,
            lambda: complex_heisenberg(1.0), lambda: complex_heisenberg(2.0)]
 
@@ -326,6 +326,27 @@ def test_factor_answers_survive_rounding_level_metric_change(picks, flat, seed):
         assert (a is None) == (b is None)
         if a is not None:
             assert span_distance(a, b) < 1e-10
+
+
+@pytest.mark.parametrize("parts", [("h3C", "n32"), ("n32", "h3C"),
+                                   ("h3", "h3C", "n32")], ids="+".join)
+def test_factor_order_survives_a_round_off_basis_change(parts):
+    """The factors are ordered by size and then by their projector, not by
+    an eigenvector whose sign and in-factor basis `eigh` picks, so a 1e-14
+    change of a scrambled basis keeps the order of equal-size factors."""
+    build = {"h3": lambda: heisenberg(1), "n32": free_two_step_3,
+             "h3C": lambda: complex_heisenberg(1.0)}
+    L = direct_sum([build[part]() for part in parts])
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+        e = 1e-14 * rng.normal(size=(L.dim, L.dim))
+        dec0, dec1 = (decompose(change_user_basis(L, b)) for b in (q, q + e))
+        assert ([(f.dim, f.has_complex_structure) for f in dec0.factors]
+                == [(f.dim, f.has_complex_structure) for f in dec1.factors])
+        for f0, f1 in zip(dec0.factors, dec1.factors):
+            b0, b1 = dec0.frame.frame @ f0.columns, dec1.frame.frame @ f1.columns
+            assert np.abs(b0 @ b0.T - b1 @ b1.T).max() < 1e-10
 
 
 def test_complex_structure_complex_heisenberg():
@@ -463,10 +484,15 @@ def test_same_block_shapes_reuse_index_sets(monkeypatch):
 
 
 def test_cluster_splits_only_at_consecutive_gaps():
-    # gap = 10 * tol * max|value| = 0.05: the steps 0.96 -> 1.08 stay under
+    # gap = 10 * tol * scale = 0.05: the steps 0.96 -> 1.08 stay under
     # it although the chain spans 0.12, the tie at 3.0 is one cluster, and
     # the input order is not the sorted order
     vals = np.array([5.0, 1.0, 1.04, 3.0, 0.96, 3.0, 1.08])
-    clusters = structure._cluster(vals, 1e-3)
+    clusters = structure._cluster(vals, 1e-3, 5.0)
     assert [sorted(c.tolist()) for c in clusters] == [[1, 2, 4, 6], [3, 5], [0]]
     assert vals[clusters[0]].tolist() == [0.96, 1.0, 1.04, 1.08]
+    # a unit-size element that vanishes on the cluster: its values there
+    # are round-off, far apart relative to each other but all under the
+    # gap that the whole element sets
+    roundoff = np.array([3e-17, -1e-17, 0.0, 2e-17, -4e-17])
+    assert len(structure._cluster(roundoff, 1e-9, 1.0)) == 1
