@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidAlgebra, NotSkew
+from .errors import InvalidAlgebra
 from .linalg import (
     DEFAULT_TOL,
     _row_and_null_space,
@@ -196,7 +196,8 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     positive-definiteness and the conditioning of the Gram matrix.
 
     A non-finite entry is the only violation reported, since no other check
-    is meaningful on it.
+    is meaningful on it.  The bracket checks read the unit-scaled constants,
+    so the double bracket squares no threshold and does not overflow.
     """
     c, g = L.structure_constants, L.gram
     violations = [f"{what} has a non-finite entry"
@@ -204,8 +205,8 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
                   if not np.isfinite(a).all()]
     if violations:
         return ValidationReport(violations)
-    scale = np.abs(c).max()
-    if np.abs(c + c.transpose(1, 0, 2)).max() > tol * scale:
+    c = _unit_scaled(c)
+    if np.abs(c + c.transpose(1, 0, 2)).max() > tol:
         violations.append("antisymmetry: c[i][j][k] != -c[j][i][k]")
     # [[b_i, b_j], b_k] must vanish for all triples; subsumes Jacobi here.
     # The n^4 table is read in row blocks of about _DOUBLE_BRACKET_BLOCK
@@ -215,7 +216,7 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     step = _DOUBLE_BRACKET_BLOCK // (n * n) or 1        # rows per block
     worst = max(np.abs(brackets[s:s + step] @ ads).max()
                 for s in range(0, n * n, step))
-    if worst > tol * scale * scale:
+    if worst > tol:
         violations.append("2-step: [[x,y],w] != 0 for some basis triple")
     if np.abs(g - g.T).max() > tol * np.abs(g).max():
         violations.append("gram not symmetric")
@@ -273,26 +274,13 @@ def rotate_constants(constants, cols, dual):
     return cols.T @ out.reshape(p, n, q)                      # a b c
 
 
-def frame_from_constants(frame, constants, nv, na, tol=DEFAULT_TOL) -> AdaptedFrame:
-    """Adapted frame whose first `nv` columns span v and the rest span z.
-
-    `constants` are the structure constants in the orthonormal frame; the
-    j-map of the t-th z-vector is the z_t-component of the v x v block.
-    The last `na` z-vectors span the abelian kernel ker j, as decided by
-    the caller.
-    """
-    block = constants[:nv, :nv, nv:]
-    scale = np.abs(constants).max()
-    if np.abs(block + block.transpose(1, 0, 2)).max(initial=0.0) > 100 * tol * scale:
-        raise NotSkew("j matrix not skew; inconsistent input")
-    return AdaptedFrame(frame, constants, nv, na)
-
-
 def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame:
     """Build a g-orthonormal frame split into v-part and z-part.
 
     The one gate of the package: an algebra that fails `validate` raises
-    InvalidAlgebra.  It makes two rank decisions: the center z is the SVD
+    InvalidAlgebra.  All that follows reads the antisymmetric part of the
+    constants it accepted, so no later step checks the j-maps for skewness.
+    It makes two rank decisions: the center z is the SVD
     nullspace of the stacked ad matrices, a decision that does not read the
     metric, and ker j is the SVD nullspace of the stacked j-maps in a
     g-orthonormal basis of z.  The metric enters through one Cholesky
@@ -309,6 +297,8 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     if not report.ok:
         raise InvalidAlgebra("invalid algebra: " + "; ".join(report.violations))
     n, g, c = L.dim, L.gram, L.structure_constants
+    # halves first: exact on antisymmetric input, and no sum overflows
+    c = 0.5 * c - 0.5 * c.transpose(1, 0, 2)
     # row (i, k), column j: ad_{b_i} = c[i].T for every i, stacked
     ads = c.transpose(0, 2, 1).reshape(n * n, n)
     center = nullspace(_unit_scaled(ads), tol)
@@ -325,8 +315,7 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     # img and ker are orthonormal in the g-orthonormal z coordinates
     spans = (v, z @ img, z @ ker)
     frame = np.concatenate([_canonical_span_basis(b, g) for b in spans], axis=1)
-    constants = rotate_constants(c, frame, g @ frame)
-    return frame_from_constants(frame, constants, nv, na, tol)
+    return AdaptedFrame(frame, rotate_constants(c, frame, g @ frame), nv, na)
 
 
 def connection(F: AdaptedFrame):

@@ -116,11 +116,13 @@ def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:
     scale = np.abs(mats).max()
     if np.abs(mats + mats.transpose(0, 2, 1)).max() > DEFAULT_TOL / 10 * scale:
         raise ValueError("representation matrices must be skew")
-    # sum_u c[s,t,u] rho_u = [rho_s, rho_t], quadratic in rho
-    prod = np.einsum("sab,tbc->stac", mats, mats)
-    image = np.einsum("stu,uac->stac", z_bracket, mats)
+    # sum_u c[s,t,u] rho_u = [rho_s, rho_t], quadratic in rho: tested with
+    # rho and the bracket divided by the largest entry of rho
+    unit, bracket = (mats / scale, z_bracket / scale) if scale else (mats, z_bracket)
+    prod = np.einsum("sab,tbc->stac", unit, unit)
+    image = np.einsum("stu,uac->stac", bracket, unit)
     residual = np.abs(image - prod + prod.transpose(1, 0, 2, 3)).max()
-    if residual > DEFAULT_TOL * scale ** 2:
+    if residual > DEFAULT_TOL:
         raise ValueError("rho is not a representation of the bracket on z")
     if nullspace(_unit_scaled(mats.reshape(-1, nv))).shape[1] > 0:
         raise ValueError("representation matrices share a kernel")

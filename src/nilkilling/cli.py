@@ -23,7 +23,6 @@ from .errors import (
     DecompositionAmbiguous,
     InternalInvariantViolation,
     InvalidAlgebra,
-    NotSkew,
     NumericalRankFailure,
     WorkingSetTooLarge,
 )
@@ -49,7 +48,6 @@ _EXIT_CODES = {
     NumericalRankFailure: EXIT_NUMERICAL,
     DecompositionAmbiguous: EXIT_NUMERICAL,
     InternalInvariantViolation: EXIT_NUMERICAL,
-    NotSkew: EXIT_NUMERICAL,
 }
 
 # the flag and type of each catalog keyword (`catalog.parameters`)

@@ -14,10 +14,6 @@ class NumericalRankFailure(NilkillingError):
     """A rank decision could not be made: the singular value gap is too small."""
 
 
-class NotSkew(NilkillingError):
-    """The j-maps of an adapted frame are not skew: inconsistent input."""
-
-
 class DecompositionAmbiguous(NilkillingError):
     """Eigenvalue clusters in the splitting step are not clearly separated."""
 

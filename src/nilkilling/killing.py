@@ -55,10 +55,14 @@ class KillingSpace:
 
 
 def _normalize(form: Form) -> Form:
-    nrm = form.norm()
-    if nrm == 0.0:
+    """`form` at unit norm, its first clear coefficient positive.  The norm
+    is read off the coefficients divided by the power of two above their
+    largest: exact, and free of overflow and underflow."""
+    peak = np.abs(form.vec).max(initial=0.0)
+    if peak == 0.0:
         return form
-    out = form * (1.0 / nrm)
+    unit = np.ldexp(form.vec, -np.frexp(peak)[1])
+    out = Form(form.n, form.degree, unit * (1.0 / np.linalg.norm(unit)))
     lead = out.vec[np.abs(out.vec) > DEFAULT_TOL / 10]
     if lead.size and lead[0] < 0:
         out = -out

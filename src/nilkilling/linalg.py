@@ -3,9 +3,10 @@
 Every rank/nullity decision in the package goes through these routines so
 that the gap-ambiguity policy is applied uniformly.  The scale rule: rank
 decisions take unit-scaled data (`_unit_scaled` constants); every other
-zero test compares against tol times the largest entry of its own inputs
-(squared where it is quadratic in them), all-zero input being the exact
-case.  So no answer changes under a homothety or an isometry.
+zero test compares against tol times the largest entry of its own inputs,
+all-zero input being the exact case; one quadratic in its data divides
+the data by its largest entry first, so no threshold is squared.  So no
+answer changes under a homothety or an isometry.
 """
 import numpy as np
 

@@ -18,7 +18,6 @@ from .algebra import (
     AdaptedFrame,
     MetricLieAlgebra,
     adapted_frame,
-    frame_from_constants,
     rotate_constants,
 )
 from .errors import DecompositionAmbiguous, InternalInvariantViolation
@@ -174,25 +173,26 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
 
     Checks that the skew maps attached to z close under commutators and
     that the induced bracket on z has skew adjoint maps; returns the m^3
-    bracket table or None.
+    bracket table or None.  Both checks read the unit-scaled j-maps, as
+    the commutators are quadratic in them; the bracket is scaled back.
     """
     m, mats = F.nz, F.j_matrices
     if m == 0:
         return None
+    scale = np.abs(mats).max(initial=0.0)
+    mats = _unit_scaled(mats)
     a = mats.reshape(m, -1).T
-    scale = np.abs(a).max()
     # every commutator [J_s, J_t], solved for in the span of the J_u at once
     prod = mats[:, None] @ mats[None]
     targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
     coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
-    # the commutators are quadratic in the j-maps, the bracket linear
     residual = a @ coef - targets
-    if np.sqrt((residual * residual).sum(axis=0)).max() > 100 * tol * scale ** 2:
+    if np.sqrt((residual * residual).sum(axis=0)).max() > 100 * tol:
         return None
     cb = coef.T.reshape(m, m, m)
-    if np.abs(cb + cb.transpose(0, 2, 1)).max() > 100 * tol * scale:
+    if np.abs(cb + cb.transpose(0, 2, 1)).max() > 100 * tol:
         return None
-    return cb
+    return scale * cb
 
 
 def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
@@ -253,8 +253,8 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
         parts.append(cols)
         # an irreducible factor's centre is its z-block and its ker j is 0,
         # so the identity is already its adapted frame
-        ff = frame_from_constants(np.eye(cols.shape[1]),
-                                  rotate_constants(const, cols, cols), nv, 0, tol)
+        ff = AdaptedFrame(np.eye(cols.shape[1]),
+                          rotate_constants(const, cols, cols), nv, 0)
         j_struct = find_complex_structure(ff, tol)
         cbr = naturally_reductive_type(ff, tol)
         if j_struct is not None and cbr is not None:
@@ -290,7 +290,8 @@ def compatible_metric(H: MetricLieAlgebra, J, h) -> MetricLieAlgebra:
     h = np.asarray(h, dtype=float)
     n = H.dim
     j_scale = np.abs(J).max()
-    if np.abs(J @ J + np.eye(n)).max() > 10 * DEFAULT_TOL * j_scale ** 2:
+    square = J @ J
+    if np.abs(square + np.eye(n)).max() > 10 * DEFAULT_TOL * np.abs(square).max():
         raise ValueError("J^2 != -Id")
     c = H.structure_constants
     lhs = np.einsum("ijm,km->ijk", c, J)

@@ -8,7 +8,8 @@ and stderr, plus the algebra files the commands read.  The matrix covers
 the catalog names × `analyze`, `decompose`, `killing --method both` at
 degrees 2 and 3 and `killing --method brute` at degree 4 (text and
 `--json`), `catalog show`, `tables`, `catalog list`, two isometric
-scrambles with dense Gram matrices, and the refusals with exit 2, 3 and 4.
+scrambles with dense Gram matrices, the refusals with exit 2, 3 and 4, and
+h3 and a 3-step algebra with brackets of size 1e200.
 
 `tests/test_answer_matrix.py` reruns the file's commands and compares with
 `compare_runs`: exit codes exactly; stdout and stderr line by line, the
@@ -62,6 +63,13 @@ def inputs():
             direct_sum([h3, heisenberg(2)]), 8).to_json(),
         # rank decisions past the gap policy and failed validation
         "near_ambiguous.json": direct_sum([h3, faint]).to_json(),
+        # extreme bracket scales: a double bracket or a norm squared would
+        # overflow without the unit scaling
+        "h3_1e200.json": MetricLieAlgebra(3, list(h3.basis_names),
+                                          1e200 * h3.structure_constants,
+                                          np.eye(3)).to_json(),
+        "three_step_1e200.json": {"dim": 4, "brackets": [[0, 1, 2, 1e200],
+                                                         [0, 2, 3, 1e200]]},
         "invalid.json": {"dim": 3, "brackets": [[0, 1, 2, 1.0]],
                          "metric": {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}},
         # missing or ragged fields
@@ -105,6 +113,10 @@ def commands():
         ["analyze", "invalid.json"],
         ["analyze", "near_ambiguous.json"],
         ["decompose", "near_ambiguous.json", "--json"],
+        ["analyze", "three_step_1e200.json"],
+        ["killing", "h3_1e200.json", "--method", "both", "--degree", "3", "--json"],
+        ["killing", "h3_1e200.json", "--method", "structured", "--degree", "3",
+         "--json"],
     ]
     return out
 

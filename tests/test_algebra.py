@@ -11,11 +11,13 @@ from nilkilling import (
     MetricLieAlgebra,
     adapted_frame,
     complex_heisenberg,
+    decompose,
     direct_sum,
     euclidean,
     free_two_step_3,
     heisenberg,
     j_trace_form,
+    killing_nullspace_brute,
     levi_civita,
     nabla_form,
     nabla_matrix,
@@ -51,6 +53,35 @@ def test_validate_antisymmetry_violation():
     assert any("antisymmetry" in v for v in report.violations)
     with pytest.raises(InvalidAlgebra, match="invalid algebra: antisymmetry"):
         adapted_frame(L)
+
+
+def _h3_h3_r(skew_defect, g):
+    """h3 + h3 + R with [b0,b1] = b2 and [b3,b4] = b6, b5 spanning R, plus
+    c[4,3,5] = skew_defect with c[3,4,5] = 0, and Gram diag(1,1,1,1,1,g,1)."""
+    c = np.zeros((7, 7, 7))
+    for i, j, k in ((0, 1, 2), (3, 4, 6)):
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    c[4, 3, 5] = skew_defect
+    return MetricLieAlgebra(7, [f"b{i}" for i in range(7)], c,
+                            np.diag([1.0, 1.0, 1.0, 1.0, 1.0, g, 1.0]))
+
+
+@pytest.mark.parametrize("g", [1e6, 1e8])
+def test_what_validation_accepts_is_decomposed(g):
+    # antisymmetric only to within tol, so validation accepts it; the
+    # pipeline reads its antisymmetric part, the algebra with c[4,3,5] = 0,
+    # where a j-map read off the raw constants would not be skew
+    L, exact = _h3_h3_r(9e-10, g), _h3_h3_r(0.0, g)
+    assert validate(L).ok
+
+    def answers(M):
+        dec, F = decompose(M), adapted_frame(M)
+        return (dec.killing_dimensions(),
+                [(f.frame.nv, f.frame.nz) for f in dec.factors],
+                [killing_nullspace_brute(M, F, k).dim for k in (2, 3)])
+
+    assert answers(L) == answers(exact) == (
+        (0, 2, 1, 0, 2), [(2, 1), (2, 1)], [0, 2])
 
 
 def test_validate_three_step_violation():

@@ -148,6 +148,15 @@ def test_from_representation_rejects_non_homomorphism():
                             np.eye(3))
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_from_representation_rejects_non_homomorphism_at_extreme_scales(s):
+    # the same residual at a common scale s of rho and the bracket, where
+    # the commutators would underflow to 0 or overflow unless unit-scaled
+    with pytest.raises(ValueError, match="not a representation"):
+        from_representation(s * so3_bracket(), [-s * r for r in so3_matrices()],
+                            np.eye(3))
+
+
 def test_from_representation_rejects_transposed_spin2():
     # rho^T = -rho represents the opposite bracket on so(3)
     with pytest.raises(ValueError, match="rho is not a representation"):

@@ -24,7 +24,6 @@ from nilkilling.errors import (
     InternalInvariantViolation,
     InvalidAlgebra,
     NilkillingError,
-    NotSkew,
     NumericalRankFailure,
     WorkingSetTooLarge,
 )
@@ -378,7 +377,7 @@ def test_scaled_heisenberg_is_heisenberg(tmp_path, coeff, capsys):
 
 EXIT_TABLE = [(WorkingSetTooLarge, 2), (InvalidAlgebra, 3),
               (NumericalRankFailure, 4), (DecompositionAmbiguous, 4),
-              (InternalInvariantViolation, 4), (NotSkew, 4)]
+              (InternalInvariantViolation, 4)]
 
 
 def test_every_package_error_has_an_exit_code():

@@ -7,6 +7,7 @@ the brute oracle must give the answers of the unscaled algebra, and the
 brute and structured spans must still agree.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilkilling import (
@@ -18,7 +19,9 @@ from nilkilling import (
     killing_nullspace_brute,
     solve_killing2,
     solve_killing3,
+    validate,
 )
+from nilkilling.errors import InvalidAlgebra
 from nilkilling.linalg import span_distance
 
 from helpers import change_user_basis, random_two_step
@@ -74,3 +77,37 @@ def test_answers_invariant_under_homothety_and_isometry(L, log_s, log_lam2, seed
         10.0 ** log_lam2 * L.gram, name=L.name + "-scaled",
     )
     assert answers(change_user_basis(scaled, q)) == answers(L)
+
+
+EXTREME_NAMES = ["h3", "n32", "h3C", "h3+h3", "R2+(h3+h3)", "R+h5"]
+EXTREME_SCALES = [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("s", EXTREME_SCALES)
+@pytest.mark.parametrize("name", EXTREME_NAMES)
+def test_answers_hold_at_extreme_bracket_scales(name, s):
+    # every zero test quadratic in its data reads it unit-scaled, so no
+    # product overflows or underflows, and every form comes out at norm 1
+    L = catalog.build(name)
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(L.dim, L.dim)))
+    scaled = change_user_basis(MetricLieAlgebra(
+        L.dim, list(L.basis_names), s * L.structure_constants, L.gram,
+        name=L.name + "-scaled"), q)
+    assert answers(scaled) == answers(L)
+    for solver in (solve_killing2, solve_killing3):
+        for form in solver(scaled)[0].basis:
+            assert abs(form.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1.0, 1e160, 1e200])
+def test_three_step_refused_at_every_scale(s):
+    # [e0,e1] = s e2, [e0,e2] = s e3: the double bracket s^2 e3 neither
+    # underflows to 0 nor overflows
+    c = np.zeros((4, 4, 4))
+    for i, j, k in ((0, 1, 2), (0, 2, 3)):
+        c[i, j, k], c[j, i, k] = s, -s
+    L = MetricLieAlgebra(4, ["e0", "e1", "e2", "e3"], c, np.eye(4))
+    assert validate(L).violations == [
+        "2-step: [[x,y],w] != 0 for some basis triple"]
+    with pytest.raises(InvalidAlgebra, match="2-step"):
+        adapted_frame(L)
