@@ -97,10 +97,15 @@ class MetricLieAlgebra:
         n = data["dim"]
         if not _is_int(n) or n < 1:
             raise ValueError(f"dim must be a positive integer: {n!r}")
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string: {name!r}")
         basis = data.get("basis", [f"b{i}" for i in range(n)])
+        if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+            raise ValueError("basis must be a list of strings")
         brackets = data.get("brackets", [])
-        if not isinstance(basis, list) or not isinstance(brackets, list):
-            raise ValueError("basis and brackets must be lists")
+        if not isinstance(brackets, list):
+            raise ValueError("brackets must be a list")
         c = np.zeros((n, n, n))
         seen = set()
         for entry in brackets:
@@ -121,7 +126,10 @@ class MetricLieAlgebra:
         metric = data.get("metric", {"identity": True})
         if not isinstance(metric, dict):
             raise ValueError("metric must be an object")
-        if metric.get("identity"):
+        identity = metric.get("identity", False)
+        if not isinstance(identity, bool):
+            raise ValueError(f"metric.identity must be true or false: {identity!r}")
+        if identity:
             gram = np.eye(n)
         else:
             if "gram" not in metric:
@@ -135,7 +143,7 @@ class MetricLieAlgebra:
             if any(len(row) != n for row in rows):      # a ragged gram included
                 raise ValueError("gram matrix has wrong shape")
             gram = np.asarray(rows, dtype=float)
-        return cls(n, basis, c, gram, name=data.get("name", ""))
+        return cls(n, basis, c, gram, name=name)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -196,8 +204,9 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     positive-definiteness and the conditioning of the Gram matrix.
 
     A non-finite entry is the only violation reported, since no other check
-    is meaningful on it.  The bracket checks read the unit-scaled constants,
-    so the double bracket squares no threshold and does not overflow.
+    is meaningful on it.  The checks read the unit-scaled constants and
+    Gram matrix, so the double bracket squares no threshold and neither it
+    nor the Gram eigenvalues overflow.
     """
     c, g = L.structure_constants, L.gram
     violations = [f"{what} has a non-finite entry"
@@ -205,7 +214,7 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
                   if not np.isfinite(a).all()]
     if violations:
         return ValidationReport(violations)
-    c = _unit_scaled(c)
+    c, g = _unit_scaled(c), _unit_scaled(g)
     if np.abs(c + c.transpose(1, 0, 2)).max() > tol:
         violations.append("antisymmetry: c[i][j][k] != -c[j][i][k]")
     # [[b_i, b_j], b_k] must vanish for all triples; subsumes Jacobi here.
@@ -218,7 +227,7 @@ def validate(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
                 for s in range(0, n * n, step))
     if worst > tol:
         violations.append("2-step: [[x,y],w] != 0 for some basis triple")
-    if np.abs(g - g.T).max() > tol * np.abs(g).max():
+    if np.abs(g - g.T).max() > tol:
         violations.append("gram not symmetric")
     else:
         eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))

@@ -29,7 +29,7 @@ from .forms import (
     skew_extend,
     transform,
 )
-from .linalg import DEFAULT_TOL, nullspace
+from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 from .structure import Decomposition, decompose
 
 
@@ -210,10 +210,12 @@ def _killing3_part(factor):
         return None
     ff = factor.frame
     pv, p = ff.nv, factor.dim
+    # half the form, unit-scaled: `structured_killing` normalizes it, and
+    # twice a bracket near the largest float would overflow
     tensor = np.zeros((p, p, p))
-    tensor[:pv, :pv, pv:] = ff.constants[:pv, :pv, pv:]
-    tensor[pv:, pv:, pv:] = 2.0 * factor.compact_bracket
-    return _form_from_tensor(tensor)
+    tensor[:pv, :pv, pv:] = 0.5 * ff.constants[:pv, :pv, pv:]
+    tensor[pv:, pv:, pv:] = factor.compact_bracket
+    return _form_from_tensor(_unit_scaled(tensor))
 
 
 def _check_structured_degree(k):

@@ -4,12 +4,16 @@
 
 writes `tests/answer_matrix.json` from the current tree: every command of
 `commands()` run in-process through `cli.main`, with its exit code, stdout
-and stderr, plus the algebra files the commands read.  The matrix covers
-the catalog names × `analyze`, `decompose`, `killing --method both` at
-degrees 2 and 3 and `killing --method brute` at degree 4 (text and
-`--json`), `catalog show`, `tables`, `catalog list`, two isometric
-scrambles with dense Gram matrices, the refusals with exit 2, 3 and 4, and
-h3 and a 3-step algebra with brackets of size 1e200.
+and stderr, plus the algebra files the commands read.  It keeps the
+committed files and each committed record that `compare_runs` finds equal
+to the fresh run, so a regeneration rewrites only the answers that moved
+and adds the new ones.  The matrix covers the catalog names × `analyze`,
+`decompose`, `killing --method both` at degrees 2 and 3 and `killing
+--method brute` at degree 4 (text and `--json`), `catalog show`, `tables`,
+`catalog list`, two isometric scrambles with dense Gram matrices, the
+refusals with exit 2, 3 and 4 (a non-boolean `metric.identity` among
+them), h3 and a 3-step algebra with brackets of size 1e200, and n32 with
+brackets of size 1e308.
 
 `tests/test_answer_matrix.py` reruns the file's commands and compares with
 `compare_runs`: exit codes exactly; stdout and stderr line by line, the
@@ -51,8 +55,10 @@ def inputs():
     """The algebra files the matrix reads, by file name, as JSON objects."""
     from nilkilling import (MetricLieAlgebra, complex_heisenberg, direct_sum,
                             euclidean, heisenberg)
+    from nilkilling.catalog import build
 
-    h3 = heisenberg(1)
+    h3, n32 = heisenberg(1), build("n32")
+    h3c3 = complex_heisenberg(3.0).to_json()
     faint = MetricLieAlgebra(3, list(h3.basis_names),
                              5e-9 * h3.structure_constants, np.eye(3))
     return {
@@ -70,12 +76,18 @@ def inputs():
                                           np.eye(3)).to_json(),
         "three_step_1e200.json": {"dim": 4, "brackets": [[0, 1, 2, 1e200],
                                                          [0, 2, 3, 1e200]]},
+        # twice this bracket overflows
+        "n32_1e308.json": MetricLieAlgebra(6, list(n32.basis_names),
+                                           1e308 * n32.structure_constants,
+                                           np.eye(6), name=n32.name).to_json(),
         "invalid.json": {"dim": 3, "brackets": [[0, 1, 2, 1.0]],
                          "metric": {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}},
         # missing or ragged fields
         "no_dim.json": {},
         "no_gram.json": {"dim": 3, "metric": {}},
         "ragged_gram.json": {"dim": 2, "metric": {"gram": [[1, 0], [0]]}},
+        # a non-boolean identity, which must not drop the Gram matrix of g_3
+        "identity_no.json": {**h3c3, "metric": {"identity": "no", **h3c3["metric"]}},
     }
 
 
@@ -117,6 +129,10 @@ def commands():
         ["killing", "h3_1e200.json", "--method", "both", "--degree", "3", "--json"],
         ["killing", "h3_1e200.json", "--method", "structured", "--degree", "3",
          "--json"],
+        ["analyze", "h3_1e200.json"], ["analyze", "h3_1e200.json", "--json"],
+        ["killing", "n32_1e308.json", "--method", "both", "--degree", "3",
+         "--json"],
+        ["analyze", "identity_no.json"],
     ]
     return out
 
@@ -235,9 +251,16 @@ def compare_runs(want, got):
 def main():
     import tempfile
 
-    files = inputs()
+    # the committed files and every committed record that `compare_runs`
+    # finds equal are kept as they are, so only moved answers are rewritten
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    files = {fname: old.get("inputs", {}).get(fname, data)
+             for fname, data in inputs().items()}
     with tempfile.TemporaryDirectory() as tmp:
         runs = run_matrix(tmp, commands(), files)
+    committed = {tuple(r["argv"]): r for r in old.get("runs", [])}
+    runs = [want if (want := committed.get(tuple(run["argv"])))
+            and not compare_runs(want, run) else run for run in runs]
     GOLDEN.write_text(json.dumps({"inputs": files, "runs": runs}, indent=1) + "\n")
     codes = sorted({r["exit"] for r in runs})
     print(f"wrote {len(runs)} commands (exit codes {codes}) to {GOLDEN}",

@@ -8,11 +8,14 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from nilkilling import (
     MetricLieAlgebra,
+    catalog,
     classification_lists,
     cli,
+    complex_heisenberg,
     direct_sum,
     euclidean,
     heisenberg,
@@ -27,6 +30,9 @@ from nilkilling.errors import (
     NumericalRankFailure,
     WorkingSetTooLarge,
 )
+
+from helpers import change_user_basis
+from make_answer_matrix import run_matrix
 
 
 Run = namedtuple("Run", "returncode stdout stderr")
@@ -131,7 +137,6 @@ def test_missing_or_ragged_json_field_is_named(tmp_path, capsys, data, message):
 
 
 def test_analyze_file_input(tmp_path, capsys):
-    from nilkilling import complex_heisenberg
     path = tmp_path / "alg.json"
     complex_heisenberg(2.0).save(path)
     rec = json.loads(run_cli(capsys, "analyze", str(path), "--json").stdout)
@@ -527,3 +532,164 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert [code for code, _ in reused] == [0, 0, 0, 0, 2, 0]
     assert json.loads(reused[1][1])["degree"] == 2
     assert reused[2][1] != reused[3][1]
+
+
+def test_nan_span_residual_is_a_mismatch(monkeypatch, capsys):
+    # a residual that is not a number cannot show agreement: exit 5
+    monkeypatch.setattr(cli, "_space_mismatch", lambda a, b: float("nan"))
+    out = run_cli(capsys, "killing", "catalog:h3", "--method", "both",
+                  "--degree", "3")
+    assert out.returncode == cli.EXIT_MISMATCH
+    assert out.stderr == "brute (1) and structured (1) solvers disagree\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("name", float("nan"), "name must be a string: nan"),
+    ("name", 3, "name must be a string: 3"),
+    ("basis", ["x", "y", 2], "basis must be a list of strings"),
+    ("basis", "xyz", "basis must be a list of strings"),
+    ("identity", "no", "metric.identity must be true or false: 'no'"),
+    ("identity", 1, "metric.identity must be true or false: 1"),
+], ids=["name-nan", "name-int", "basis-int", "basis-str", "identity-str",
+        "identity-int"])
+def test_json_field_of_the_wrong_type_is_named(tmp_path, capsys, field, value,
+                                               message):
+    # h3C at lambda = 3, whose Gram diagonal is 9 on z: a non-boolean
+    # identity must not drop that Gram matrix for the identity
+    doc = complex_heisenberg(3.0).to_json()
+    if field == "identity":
+        doc["metric"]["identity"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "killing"):
+        assert run_cli(capsys, command, str(path), "--json") == (
+            2, "", f"cannot parse {path}: {message}\n")
+
+
+# derandomized; no explain phase, which reformats the traceback of a
+# failure from deep in numpy for minutes
+FUZZ = settings(derandomize=True, deadline=None,
+                phases=[Phase.explicit, Phase.generate, Phase.shrink])
+
+COMMANDS = [["analyze"], ["decompose"],
+            ["killing", "--method", "both", "--degree", "2"],
+            ["killing", "--method", "both", "--degree", "3"]]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _checked_output(run, as_json):
+    """The run's output with no traceback on stderr, parsed if it is --json
+    output: NaN and Infinity, which `json` writes by default, fail."""
+    assert "Traceback" not in run["stderr"], run
+    if not as_json or not run["stdout"]:
+        return run["stdout"].splitlines()
+    return json.loads(run["stdout"], parse_constant=_refuse_constant)
+
+
+def _invariant_part(out):
+    """Output that a homothety may not move: all but the span residual,
+    whose round-off follows the scale, and the forms, counted by `dim`."""
+    if isinstance(out, dict):
+        return {k: v for k, v in out.items() if k not in ("span_residual", "forms")}
+    return [line for line in out if not line.startswith("span projection residual")]
+
+
+@settings(FUZZ, max_examples=150)
+@given(name=st.sampled_from(catalog_names()), e=st.integers(-300, 308),
+       seed=st.integers(0, 2**32 - 1), command=st.sampled_from(COMMANDS),
+       as_json=st.booleans())
+def test_any_bracket_scale_gives_the_unscaled_output(tmp_path_factory, name, e,
+                                                     seed, command, as_json):
+    # an isometric scramble with its largest bracket at 10^e, up to 1e308,
+    # against the same scramble with its largest bracket at 1
+    L = catalog.build(name)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(L.dim, L.dim)))
+    S = change_user_basis(L, q, name=name)
+    peak = np.abs(S.structure_constants).max()
+    files = {}
+    for fname, scale in (("scaled.json", 10.0 ** e), ("unscaled.json", 1.0)):
+        c = scale * (S.structure_constants / peak) if peak else S.structure_constants
+        files[fname] = MetricLieAlgebra(L.dim, list(L.basis_names), c, S.gram,
+                                        name=name).to_json()
+    flags = command[1:] + ["--json"] * as_json
+    got, want = run_matrix(tmp_path_factory.mktemp("scale"),
+                           [[command[0], fname] + flags for fname in files], files)
+    assert got["exit"] == want["exit"] == 0, (got, want)
+    got_out, want_out = (_checked_output(run, as_json) for run in (got, want))
+    assert _invariant_part(got_out) == _invariant_part(want_out)
+    if as_json and "forms" in got_out:
+        assert len(got_out["forms"]) == got_out["dim"]
+
+
+# the values that replace one field of a valid document: wrong types and
+# the non-finite numbers `json` reads
+MUTANTS = [None, "x", True, [], {}, float("nan"), float("inf"), float("-inf")]
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+DROP = object()
+
+
+def _mutated(doc, path, value):
+    """A copy of `doc` with the value at `path` replaced by `value`, or
+    dropped if `value` is DROP."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *parent, key = path
+    holder = doc
+    for step in parent:
+        holder = holder[step]
+    if value is DROP:
+        del holder[key]
+    else:
+        holder[key] = value
+    return doc
+
+
+BASE_DOCS = [heisenberg(1).to_json(), complex_heisenberg(2.0).to_json(),
+             catalog.build("n32").to_json(), catalog.build("R2+h3").to_json()]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid algebra document with one key dropped, one value replaced by
+    a wrong type or a non-finite number, or a name that is not a string."""
+    doc = draw(st.sampled_from(BASE_DOCS))
+    kind = draw(st.sampled_from(["drop", "replace", "name"]))
+    if kind == "name":
+        return _mutated(doc, ("name",), draw(st.sampled_from(MUTANTS)))
+    paths = list(_paths(doc))
+    if kind == "drop":      # a key of an object
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+        return _mutated(doc, path, DROP)
+    return _mutated(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(MUTANTS)))
+
+
+@settings(FUZZ, max_examples=150)
+@given(doc=mutated_documents(), command=st.sampled_from(COMMANDS),
+       as_json=st.booleans())
+def test_mutated_document_is_answered_or_refused(tmp_path_factory, doc, command,
+                                                 as_json):
+    # a dropped key or a wrong type is answered (exit 0: a dropped name,
+    # basis, bracket list or metric has a default) or refused as a parse
+    # error, never with a traceback or output that is not JSON
+    argv = [command[0], "alg.json"] + command[1:] + ["--json"] * as_json
+    run, = run_matrix(tmp_path_factory.mktemp("mutant"), [argv], {"alg.json": doc})
+    assert run["exit"] in (0, 2), run
+    out = _checked_output(run, as_json)
+    if run["exit"] == 2:
+        assert out == [] and run["stderr"].startswith("cannot parse alg.json: ")

@@ -111,3 +111,23 @@ def test_three_step_refused_at_every_scale(s):
         "2-step: [[x,y],w] != 0 for some basis triple"]
     with pytest.raises(InvalidAlgebra, match="2-step"):
         adapted_frame(L)
+
+
+@pytest.mark.parametrize("name, seed, peak", [("h3", None, 1.5e308),
+                                              ("R+h5", 3, 1.7e308)],
+                         ids=["h3-identity", "R+h5-random-spd"])
+def test_answers_hold_for_a_gram_near_the_largest_float(name, seed, peak):
+    # a metric homothety to a largest Gram entry near the largest float:
+    # the positivity and conditioning checks read the unit-scaled Gram, so
+    # its eigenvalues neither overflow nor fail to converge
+    L = catalog.build(name)
+    g = np.eye(L.dim)
+    if seed is not None:        # a random SPD metric, exactly symmetric
+        a = np.random.default_rng(seed).normal(size=(L.dim, L.dim))
+        g = 0.5 * (a @ a.T) + 0.5 * (a @ a.T).T + L.dim * np.eye(L.dim)
+    unscaled = MetricLieAlgebra(L.dim, list(L.basis_names),
+                                L.structure_constants, g, name=name)
+    huge = MetricLieAlgebra(L.dim, list(L.basis_names), L.structure_constants,
+                            peak * (g / np.abs(g).max()), name=name + "-huge")
+    assert validate(huge).ok
+    assert answers(huge) == answers(unscaled)
