@@ -33,6 +33,14 @@ def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _refuse_unknown_fields(data, allowed, prefix=""):
+    """Refuse the first key of `data` outside `allowed`, so a misspelled
+    field does not silently take its default."""
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"unknown field: {prefix}{key}")
+
+
 def _is_finite_number(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and np.isfinite(x)
 
@@ -92,6 +100,7 @@ class MetricLieAlgebra:
         """Parse the JSON layout of `to_json`; malformed input raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("algebra JSON must be an object")
+        _refuse_unknown_fields(data, ("name", "dim", "basis", "brackets", "metric"))
         if "dim" not in data:
             raise ValueError("missing required field: dim")
         n = data["dim"]
@@ -129,6 +138,9 @@ class MetricLieAlgebra:
         identity = metric.get("identity", False)
         if not isinstance(identity, bool):
             raise ValueError(f"metric.identity must be true or false: {identity!r}")
+        _refuse_unknown_fields(metric, ("identity", "gram"), "metric.")
+        if identity and "gram" in metric:
+            raise ValueError("metric gives both identity and gram")
         if identity:
             gram = np.eye(n)
         else:

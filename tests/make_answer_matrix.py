@@ -8,12 +8,13 @@ and stderr, plus the algebra files the commands read.  It keeps the
 committed files and each committed record that `compare_runs` finds equal
 to the fresh run, so a regeneration rewrites only the answers that moved
 and adds the new ones.  The matrix covers the catalog names × `analyze`,
-`decompose`, `killing --method both` at degrees 2 and 3 and `killing
---method brute` at degree 4 (text and `--json`), `catalog show`, `tables`,
-`catalog list`, two isometric scrambles with dense Gram matrices, the
-refusals with exit 2, 3 and 4 (a non-boolean `metric.identity` among
-them), h3 and a 3-step algebra with brackets of size 1e200, and n32 with
-brackets of size 1e308.
+`decompose` (another name of `analyze`), `killing --method both` at
+degrees 2 and 3 and `killing --method brute` at degree 4 (text and
+`--json`), `catalog show`, `tables`, `catalog list`, two isometric
+scrambles with dense Gram matrices, the refusals with exit 2, 3 and 4 (a
+non-boolean `metric.identity`, an identity given with a Gram matrix and an
+unknown field among them), h3 and a 3-step algebra with brackets of size
+1e200, and n32 with brackets of size 1e308.
 
 `tests/test_answer_matrix.py` reruns the file's commands and compares with
 `compare_runs`: exit codes exactly; stdout and stderr line by line, the
@@ -88,6 +89,11 @@ def inputs():
         "ragged_gram.json": {"dim": 2, "metric": {"gram": [[1, 0], [0]]}},
         # a non-boolean identity, which must not drop the Gram matrix of g_3
         "identity_no.json": {**h3c3, "metric": {"identity": "no", **h3c3["metric"]}},
+        # an identity given with a Gram matrix, and a misspelled metric
+        "identity_and_gram.json": {**h3c3, "metric": {"identity": True,
+                                                      **h3c3["metric"]}},
+        "metrc.json": {"dim": 3, "brackets": [[0, 1, 2, 1.0]],
+                       "metrc": {"gram": (4 * np.eye(3)).tolist()}},
     }
 
 
@@ -133,6 +139,7 @@ def commands():
         ["killing", "n32_1e308.json", "--method", "both", "--degree", "3",
          "--json"],
         ["analyze", "identity_no.json"],
+        ["analyze", "identity_and_gram.json"], ["analyze", "metrc.json"],
     ]
     return out
 

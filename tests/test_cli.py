@@ -32,10 +32,13 @@ from nilkilling.errors import (
 )
 
 from helpers import change_user_basis
-from make_answer_matrix import run_matrix
+from make_answer_matrix import GOLDEN, run_matrix
 
 
 Run = namedtuple("Run", "returncode stdout stderr")
+
+# the algebra files of the committed answer matrix, by file name
+GOLD_INPUTS = json.loads(GOLDEN.read_text())["inputs"]
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +205,7 @@ def test_killing_forms_serialized(capsys):
 def test_decompose_command(capsys):
     rec = json.loads(run_cli(capsys, "decompose", "catalog:R3+h3",
                              "--json").stdout)
+    assert (rec["n"], rec["dim_v"], rec["dim_z"]) == (6, 2, 4)
     assert rec["d"] == 3
     assert [f["dim"] for f in rec["factors"]] == [3]
     assert (rec["dimK2"], rec["dimK3"]) == (3, 2)
@@ -543,24 +547,48 @@ def test_nan_span_residual_is_a_mismatch(monkeypatch, capsys):
     assert out.stderr == "brute (1) and structured (1) solvers disagree\n"
 
 
+def test_decompose_is_another_name_of_analyze():
+    assert (cli.build_parser().parse_args(["decompose", "catalog:h3"]).func
+            is cli.cmd_analyze)
+
+
+# every catalog name and every algebra file of the answer matrix
+ALIAS_INPUTS = ([f"catalog:{name}" for name in catalog_names()]
+                + list(GOLD_INPUTS))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec", ALIAS_INPUTS)
+def test_decompose_prints_what_analyze_prints(tmp_path, spec, as_json):
+    flags = ["--json"] * as_json
+    analyzed, decomposed = run_matrix(
+        tmp_path, [[command, spec] + flags for command in ("analyze", "decompose")],
+        GOLD_INPUTS)
+    assert [decomposed[key] for key in ("exit", "stdout", "stderr")] == [
+        analyzed[key] for key in ("exit", "stdout", "stderr")]
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("name", float("nan"), "name must be a string: nan"),
     ("name", 3, "name must be a string: 3"),
     ("basis", ["x", "y", 2], "basis must be a list of strings"),
     ("basis", "xyz", "basis must be a list of strings"),
-    ("identity", "no", "metric.identity must be true or false: 'no'"),
-    ("identity", 1, "metric.identity must be true or false: 1"),
+    ("metric.identity", "no", "metric.identity must be true or false: 'no'"),
+    ("metric.identity", 1, "metric.identity must be true or false: 1"),
+    ("metric.identity", True, "metric gives both identity and gram"),
+    ("metrc", {"gram": np.eye(6).tolist()}, "unknown field: metrc"),
+    ("metric.identty", False, "unknown field: metric.identty"),
 ], ids=["name-nan", "name-int", "basis-int", "basis-str", "identity-str",
-        "identity-int"])
+        "identity-int", "identity-and-gram", "unknown-field",
+        "unknown-metric-field"])
 def test_json_field_of_the_wrong_type_is_named(tmp_path, capsys, field, value,
                                                message):
-    # h3C at lambda = 3, whose Gram diagonal is 9 on z: a non-boolean
-    # identity must not drop that Gram matrix for the identity
+    # h3C at lambda = 3, whose Gram diagonal is 9 on z: an identity that is
+    # not a boolean or comes with that Gram matrix, or a misspelled field,
+    # must not drop the Gram matrix for the identity
     doc = complex_heisenberg(3.0).to_json()
-    if field == "identity":
-        doc["metric"]["identity"] = value
-    else:
-        doc[field] = value
+    holder = doc["metric"] if field.startswith("metric.") else doc
+    holder[field.removeprefix("metric.")] = value
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
     for command in ("analyze", "killing"):

@@ -28,13 +28,14 @@ from nilkilling import (
     transform,
     wedge,
 )
-from nilkilling import algebra, forms, killing
+from nilkilling import algebra, cli, forms, killing
 from nilkilling.errors import WorkingSetTooLarge
 from nilkilling.forms import basis_tuples
 from nilkilling.linalg import DEFAULT_TOL, span_distance
 
 from helpers import (
     brute_reference,
+    change_user_basis,
     contract_reference,
     killing_operator_reference,
     koszul_covariant,
@@ -508,3 +509,50 @@ def test_representation_ladder_brute_matches_structured(build, n):
             qa, _ = np.linalg.qr(brute.matrix())
             qb, _ = np.linalg.qr(structured.matrix())
             assert span_distance(qa, qb) < 1e-9
+
+
+def _orthonormality_error(space):
+    m = space.matrix()
+    return np.abs(m.T @ m - np.eye(m.shape[1])).max(initial=0.0)
+
+
+_SWEEP = [
+    [euclidean(2), heisenberg(1)], [euclidean(1), heisenberg(2)],
+    [heisenberg(1), heisenberg(1)], [euclidean(3), heisenberg(1)],
+    [euclidean(1), complex_heisenberg(1.0)], [euclidean(1), free_two_step_3()],
+    [euclidean(2), heisenberg(2)], [euclidean(2), complex_heisenberg(2.0)],
+    [heisenberg(1), heisenberg(2)], [euclidean(2), free_two_step_3()],
+    [euclidean(2), heisenberg(1), heisenberg(1)],
+    [euclidean(3), heisenberg(1), heisenberg(1)],
+    [heisenberg(1), free_two_step_3()], [euclidean(2), heisenberg(3)],
+    [heisenberg(1), complex_heisenberg(0.5)],
+    [euclidean(1), heisenberg(1), heisenberg(2)], [heisenberg(2), heisenberg(2)],
+    [heisenberg(1), heisenberg(1), heisenberg(2)],
+    [euclidean(3), free_two_step_3(), heisenberg(1)],
+    [euclidean(2), heisenberg(2), heisenberg(2)],
+    [euclidean(2), complex_heisenberg(1.0), complex_heisenberg(2.0)],
+]
+
+
+def _scrambled_sums():
+    """40 orthogonal sums, each in a seeded random orthonormal basis."""
+    rng = np.random.default_rng(32)
+    for i in range(40):
+        L = direct_sum(_SWEEP[i % len(_SWEEP)])
+        q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+        yield change_user_basis(L, q)
+
+
+@pytest.mark.parametrize("family", ["reference", "scrambled-sums"])
+def test_solvers_return_orthonormal_bases(family):
+    # the CLI's span check compares the two bases with no QR of its own
+    cases = (REFERENCE_CASES.values() if family == "reference"
+             else _scrambled_sums())
+    for L in cases:
+        dec = decompose(L)
+        for k in (2, 3):
+            brute = killing_nullspace_brute(L, dec.frame, k)
+            structured = structured_killing(dec, k)
+            assert _orthonormality_error(brute) <= 1e-12, (L.name, k)
+            assert _orthonormality_error(structured) <= 1e-12, (L.name, k)
+            assert cli._space_mismatch(brute, structured) <= 1e-9, (L.name, k)
