@@ -21,14 +21,9 @@ from .linalg import DEFAULT_TOL
 
 
 @lru_cache(maxsize=None)
-def basis_tuples(n, k):
-    return tuple(combinations(range(n), k))
-
-
-@lru_cache(maxsize=None)
 def _legs(n, k):
-    """basis_tuples(n, k) as a read-only (C(n, k), k) integer array."""
-    legs = np.array(basis_tuples(n, k), dtype=int).reshape(comb(n, k), k)
+    """The basis k-tuples, in `combinations` order, as a read-only array."""
+    legs = np.array(list(combinations(range(n), k)), dtype=int).reshape(comb(n, k), k)
     legs.setflags(write=False)
     return legs
 
@@ -93,7 +88,7 @@ class Form:
         return self.vec @ Form.basis(self.n, self.degree, indices).vec
 
     def terms(self, tol=0.0):
-        for t, c in zip(basis_tuples(self.n, self.degree), self.vec):
+        for t, c in zip(map(tuple, _legs(self.n, self.degree).tolist()), self.vec):
             if abs(c) > tol:
                 yield t, float(c)
 
@@ -117,7 +112,8 @@ class Form:
         return Form(self.n, self.degree, -self.vec)
 
     def _compat(self, other):
-        if self.n != other.n or self.degree != other.degree:
+        _same_dimension(self.n, other.n)
+        if self.degree != other.degree:
             raise ValueError("incompatible forms")
 
     def __repr__(self):
@@ -136,6 +132,13 @@ class Form:
         return cls.from_terms(n, int(data["degree"]), terms)
 
 
+def _same_dimension(n, m):
+    """Refuse, with ValueError, to combine forms (or a form and a frame) on
+    R^n and R^m for n != m."""
+    if n != m:
+        raise ValueError("dimensions %d and %d differ" % (n, m))
+
+
 def oneform(vector):
     """The 1-form dual to a frame-coordinate vector (frame is orthonormal)."""
     return Form(len(vector), 1, np.asarray(vector, dtype=float))
@@ -145,6 +148,7 @@ def wedge(omega: Form, eta: Form) -> Form:
     """Exterior product with shuffle signs."""
     n = omega.n
     k, l = omega.degree, eta.degree
+    _same_dimension(n, eta.n)
     if k + l > n:
         raise ValueError("wedge degree %d exceeds dimension %d" % (k + l, n))
     return _product(n, k, l, np.outer(omega.vec, eta.vec))
@@ -278,6 +282,7 @@ def nabla_form(L: MetricLieAlgebra, F: AdaptedFrame, y, omega: Form) -> Form:
 
 def bigrade(F: AdaptedFrame, omega: Form, l: int) -> Form:
     """Projection onto the component with l v-legs and degree - l z-legs."""
+    _same_dimension(F.n, omega.n)
     if not 0 <= l <= omega.degree:
         raise ValueError("bigrade index out of range")
     mask = (_legs(omega.n, omega.degree) < F.nv).sum(axis=1) == l

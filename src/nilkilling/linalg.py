@@ -19,28 +19,24 @@ DEFAULT_TOL = 1e-9
 GAP_FACTOR = 10.0
 
 
-def _svd_rank(a, tol, full_v):
-    """SVD factors of a non-zero `a` and its numerical rank.
+def _svd_rank(s, tol):
+    """Numerical rank of the descending singular values `s` of a non-zero matrix.
 
-    Singular values above tol * max(s_max, 1) count towards the rank; the
-    decision is refused with NumericalRankFailure unless the retained and
-    discarded values are separated by GAP_FACTOR times that scale.  The SVD
-    is thin unless the caller needs all rows of V (`full_v`).  Callers pass
-    unit-scaled `a`, so the floor 1, the package's only unit scale, keeps
-    pure round-off (the Killing operator of a top-degree form) at rank 0.
+    Values above tol * max(s_max, 1) count towards the rank; the decision
+    is refused with NumericalRankFailure unless the retained and discarded
+    values are separated by GAP_FACTOR times that scale.  Callers pass the
+    values of unit-scaled data, so the floor 1, the package's only unit
+    scale, keeps pure round-off (the Killing operator of a top-degree form)
+    at rank 0.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=full_v)
     scale = max(s[0], 1.0)
-    thresh = tol * scale
-    kept, dropped = s[s > thresh], s[s <= thresh]
-    if kept.size and dropped.size and (
-        kept.min() - dropped.max() < GAP_FACTOR * tol * scale
-    ):
+    rank = int(np.count_nonzero(s > tol * scale))
+    if 0 < rank < s.size and s[rank - 1] - s[rank] < GAP_FACTOR * tol * scale:
         raise NumericalRankFailure(
             "ambiguous singular value gap: retained %.3e vs discarded %.3e"
-            % (kept.min(), dropped.max())
+            % (s[rank - 1], s[rank])
         )
-    return u, kept.size, vt
+    return rank
 
 
 def _unit_scaled(a):
@@ -61,22 +57,19 @@ def nullspace(a, tol=DEFAULT_TOL):
 def _row_and_null_space(a, tol=DEFAULT_TOL):
     """Orthonormal bases (columns) of the row space and the nullspace of `a`,
     the kept and the dropped right singular vectors of one rank decision;
-    the nullspace is that of `nullspace`."""
+    the nullspace is that of `nullspace`.  The package's one SVD."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[1], 0)), np.eye(a.shape[1])
     # a wide matrix has more null directions than singular values
-    _, rank, vt = _svd_rank(a, tol, full_v=a.shape[0] < a.shape[1])
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = _svd_rank(s, tol)
     return vt[:rank].T, vt[rank:].T
 
 
 def column_space(a, tol=DEFAULT_TOL):
-    """Orthonormal basis (columns) of the column space of `a`."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0 or not np.any(a):
-        return np.zeros((a.shape[0], 0))
-    u, rank, _ = _svd_rank(a, tol, full_v=False)
-    return u[:, :rank]
+    """Orthonormal basis (columns) of the column space of `a`, the row space of a^T."""
+    return _row_and_null_space(np.atleast_2d(a).T, tol)[0]
 
 
 def projection_residual(a, b):

@@ -21,7 +21,7 @@ from .algebra import (
     rotate_constants,
 )
 from .errors import DecompositionAmbiguous, InternalInvariantViolation
-from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
+from .linalg import DEFAULT_TOL, GAP_FACTOR, _unit_scaled, nullspace
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,12 @@ def _solve_intertwiners(constants, pv, tol, symmetric):
 
 def _cluster(eigvals, tol, scale):
     """Indices of the eigenvalues in ascending order, split into clusters
-    wherever two consecutive values are more than 10 * tol * scale apart.
-    `scale` is the size of the whole matrix the values were read from, not
-    of their restriction, so values at round-off level stay one cluster."""
+    wherever two consecutive values are more than GAP_FACTOR * tol * scale
+    apart, the rank policy's gap.  `scale` is the size of the whole matrix
+    the values were read from, not of their restriction, so values at
+    round-off level stay one cluster."""
     order = np.argsort(eigvals)
-    gap = 10.0 * tol * scale
+    gap = GAP_FACTOR * tol * scale
     return np.split(order, np.flatnonzero(np.diff(eigvals[order]) > gap) + 1)
 
 
@@ -208,8 +209,10 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     there is one cluster per commutant dimension.  No two factors share
     every eigenvalue of the basis, so falling short of that count raises
     DecompositionAmbiguous.  The factors are ordered by size, then by the
-    diagonal of the projector `columns @ columns.T`.  An invalid algebra
-    raises InvalidAlgebra from `adapted_frame`.
+    diagonal of the projector `columns @ columns.T`.  One rotation into
+    [abelian | factors] must have no cross-block brackets and gives each
+    factor its diagonal block.  An invalid algebra raises InvalidAlgebra
+    from `adapted_frame`.
     """
     F = adapted_frame(L, tol)
     m = F.n - F.na
@@ -247,14 +250,24 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
                      for vc, zc in clusters),
                     key=lambda b: (-b[0].shape[1],
                                    tuple(-np.round(np.diag(b[0] @ b[0].T), 6))))
+    parts = [abelian] + [cols for cols, _ in blocks]
+    transform = np.concatenate(parts, axis=1)
+    rotated = rotate_constants(const, transform, transform)
+    # the blocks must reassemble the algebra: no cross-block brackets
+    cross = np.abs(rotated)
+    scale = cross.max()
+    bounds = np.cumsum([0] + [part.shape[1] for part in parts])
+    for start, end in zip(bounds, bounds[1:]):   # keep only the cross-block entries
+        cross[start:end, start:end, start:end] = 0.0
+    worst = cross.max()
+    if worst > 100 * tol * scale:
+        raise DecompositionAmbiguous("cross-block bracket residual %.2e" % worst)
     factors = []
-    parts = [abelian]
-    for cols, nv in blocks:
-        parts.append(cols)
+    for (cols, nv), start, end in zip(blocks, bounds[1:], bounds[2:]):
         # an irreducible factor's centre is its z-block and its ker j is 0,
         # so the identity is already its adapted frame
         ff = AdaptedFrame(np.eye(cols.shape[1]),
-                          rotate_constants(const, cols, cols), nv, 0)
+                          rotated[start:end, start:end, start:end], nv, 0)
         j_struct = find_complex_structure(ff, tol)
         cbr = naturally_reductive_type(ff, tol)
         if j_struct is not None and cbr is not None:
@@ -263,18 +276,6 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
             )
         factors.append(FactorReport(columns=cols, frame=ff, J=j_struct,
                                     compact_bracket=cbr))
-    transform = np.concatenate(parts, axis=1)
-    # the blocks must reassemble the algebra: no cross-block brackets
-    cross = np.abs(rotate_constants(const, transform, transform))
-    scale = cross.max()
-    start = 0
-    for part in parts:                   # keep only the cross-block entries
-        end = start + part.shape[1]
-        cross[start:end, start:end, start:end] = 0.0
-        start = end
-    worst = cross.max()
-    if worst > 100 * tol * scale:
-        raise DecompositionAmbiguous("cross-block bracket residual %.2e" % worst)
     return Decomposition(abelian=abelian, factors=factors, frame=F)
 
 

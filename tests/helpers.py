@@ -13,8 +13,8 @@ bracket by bracket, and the brute-oracle reference
 assembles the full stacked Killing operator from `koszul_nabla` and
 `perm_sign` alone and takes its nullspace.  Those references share only
 the rank policy of `nullspace` with the library, and the brute reference
-also the `basis_tuples` order and the oracle's `_normalize` sign rule,
-no exterior-algebra kernel.  The exact certificates assemble the same
+also the `itertools.combinations` order of the basis tuples and the
+oracle's `_normalize` sign rule, no exterior-algebra kernel.  The exact certificates assemble the same
 operator, times 2(k+1), as an integer matrix from the raw brackets and
 `perm_sign`, and take its rank modulo a prime; the factor-count
 certificate does the same for the graded symmetric commutant system,
@@ -23,11 +23,12 @@ read off the raw brackets.  The representation ladder
 library's `from_representation`.
 """
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from nilkilling import Form, MetricLieAlgebra, from_representation
-from nilkilling.forms import basis_tuples
 from nilkilling.killing import _normalize
 from nilkilling.linalg import nullspace
 
@@ -64,7 +65,7 @@ def perm_sign(legs):
 
 @lru_cache(maxsize=None)
 def _positions(n, k):
-    return {t: i for i, t in enumerate(basis_tuples(n, k))}
+    return {t: i for i, t in enumerate(combinations(range(n), k))}
 
 
 def _signed_index(n, legs):
@@ -85,7 +86,7 @@ def koszul_covariant(F, x, omega):
 
     vec = [-sum(nab[m, b] * value(t[:j] + (m,) + t[j + 1:])
                 for j, b in enumerate(t) for m in range(n))
-           for t in basis_tuples(n, omega.degree)]
+           for t in combinations(range(n), omega.degree)]
     return Form(n, omega.degree, vec)
 
 
@@ -106,7 +107,7 @@ def contract_reference(i, omega):
     (e_i -| omega)_t = omega(e_i, e_t1, ..., e_t(k-1))."""
     n = omega.n
     vec = []
-    for t in basis_tuples(n, omega.degree - 1):
+    for t in combinations(range(n), omega.degree - 1):
         pos, sign = _signed_index(n, (i,) + t)
         vec.append(sign * omega.vec[pos])
     return Form(n, omega.degree - 1, vec)
@@ -229,7 +230,7 @@ def killing_operator_reference(F, k):
     conn = conn.transpose(0, 2, 1)
     index = _positions(n, k)
     op = np.zeros((n, len(index), len(index)))
-    for col, t in enumerate(basis_tuples(n, k)):
+    for col, t in enumerate(combinations(range(n), k)):
         d = {}
         for a in range(n):
             for j, m in enumerate(t):
@@ -283,7 +284,7 @@ def integer_killing_operator(L, k):
     conn2 = c.transpose(0, 2, 1) - c.transpose(2, 1, 0) + c.transpose(1, 0, 2)
     index = _positions(n, k)
     op = np.zeros((n, len(index), len(index)), dtype=np.int64)
-    for col, t in enumerate(basis_tuples(n, k)):
+    for col, t in enumerate(combinations(range(n), k)):
         for a in range(n):
             for j, m in enumerate(t):
                 for b in map(int, np.flatnonzero(conn2[a, m])):
@@ -456,7 +457,7 @@ def spin1_spin2_algebra():
 
 
 def random_form(n, k, rng):
-    return Form(n, k, rng.normal(size=len(basis_tuples(n, k))))
+    return Form(n, k, rng.normal(size=comb(n, k)))
 
 
 def random_skew(n, rng):

@@ -19,8 +19,7 @@ from nilkilling import (
     nabla_form,
     naturally_reductive_type,
     skew_extend,
-    solve_killing2,
-    solve_killing3,
+    structured_killing,
     wedge,
 )
 from nilkilling.linalg import span_distance
@@ -61,7 +60,7 @@ def _catalog():
 
 def _both_dims(L, k):
     brute = killing_nullspace_brute(L, adapted_frame(L), k)
-    structured, _ = (solve_killing2 if k == 2 else solve_killing3)(L)
+    structured = structured_killing(decompose(L), k)
     return brute, structured
 
 
@@ -160,7 +159,7 @@ def test_criterion_5_naturally_reductive_pipeline():
         kf = np.array([[np.trace(ads[s] @ ads[t]) for t in range(3)]
                        for s in range(3)])
         assert np.linalg.eigvalsh(kf).max() < 0.0
-        space, data = solve_killing3(L)
+        space = structured_killing(decompose(L), 3)
         assert space.dim == 1
         assert killing_residual(F, space.basis[0]) <= 1e-9
         # j(gamma(z, z')) = 2 * lambda * [j(z), j(z')] with lambda = 1

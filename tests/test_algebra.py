@@ -148,6 +148,14 @@ def test_validate_indefinite_gram():
     assert validate(bad).violations == ["gram not positive definite"]
 
 
+def test_validate_asymmetric_gram():
+    bad = with_metric(heisenberg(1), np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                               [0.0, 0.0, 1.0]]))
+    assert validate(bad).violations == ["gram not symmetric"]
+    with pytest.raises(InvalidAlgebra, match="invalid algebra: gram not symmetric"):
+        adapted_frame(bad)
+
+
 def test_ill_conditioned_gram_names_the_condition_number():
     # h3C(1e5) has Gram diag(1, 1, 1, 1, 1e10, 1e10): positive definite,
     # but past the 1/tol conditioning cap

@@ -100,6 +100,19 @@ def test_analyze_invalid_algebra_exits_3(tmp_path, capsys):
     assert "2-step" in out.stderr
 
 
+def test_analyze_asymmetric_gram_exits_3(tmp_path, capsys):
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "brackets": [[0, 1, 2, 1.0]],
+        "metric": {"gram": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]},
+    }))
+    out = run_cli(capsys, "analyze", str(path))
+    assert out.returncode == cli.EXIT_INVALID
+    assert out.stdout == ""
+    assert out.stderr.startswith("invalid algebra: gram not symmetric")
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "analyze", str(tmp_path / "missing.json")).returncode == 2
     bad = tmp_path / "broken.json"

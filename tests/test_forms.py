@@ -24,7 +24,6 @@ from nilkilling import (
 )
 from nilkilling import forms
 from nilkilling.catalog import build, catalog_names
-from nilkilling.forms import basis_tuples
 
 from helpers import (
     perm_sign,
@@ -181,7 +180,7 @@ def test_skew_extend_matches_perm_sign_reference(n):
     f = random_skew(n, rng)
     for k in range(n + 1):
         omega = random_form(n, k, rng)
-        index = {t: i for i, t in enumerate(basis_tuples(n, k))}
+        index = {t: i for i, t in enumerate(itertools.combinations(range(n), k))}
 
         def value(legs):
             sign = perm_sign(legs)
@@ -189,7 +188,7 @@ def test_skew_extend_matches_perm_sign_reference(n):
 
         want = [sum(f[m, b] * value(t[:j] + (b,) + t[j + 1:])
                     for j, m in enumerate(t) for b in range(n))
-                for t in basis_tuples(n, k)]
+                for t in itertools.combinations(range(n), k)]
         err = np.abs(skew_extend(f, omega).vec - want).max()
         assert err <= 1e-12 * np.abs(f).max() * omega.norm(), (k, err)
 
@@ -259,9 +258,9 @@ def test_wedge_table_matches_perm_sign(k, l):
     target, sign = forms._wedge_table(6, k, l)
     assert target.shape == sign.shape == (comb(6, k), comb(6, l))
     assert not target.flags.writeable and not sign.flags.writeable
-    merged = basis_tuples(6, k + l)
-    for a, s in enumerate(basis_tuples(6, k)):
-        for b, t in enumerate(basis_tuples(6, l)):
+    merged = list(itertools.combinations(range(6), k + l))
+    for a, s in enumerate(itertools.combinations(range(6), k)):
+        for b, t in enumerate(itertools.combinations(range(6), l)):
             assert sign[a, b] == perm_sign(s + t), (s, t)
             if sign[a, b]:
                 assert merged[target[a, b]] == tuple(sorted(s + t)), (s, t)
@@ -274,7 +273,8 @@ def test_basis_and_coeff_follow_perm_sign(legs):
     sign = perm_sign(legs)
     unit = np.zeros(comb(n, k))
     if sign:
-        unit[basis_tuples(n, k).index(tuple(sorted(legs)))] = sign
+        basis = list(itertools.combinations(range(n), k))
+        unit[basis.index(tuple(sorted(legs)))] = sign
     assert np.array_equal(Form.basis(n, k, legs).vec, unit)
     w = random_form(n, k, np.random.default_rng(k))
     assert w.coeff(legs) == unit @ w.vec
@@ -368,6 +368,28 @@ def test_nabla_form_metric_compatible():
             assert abs(da.vec @ b.vec + a.vec @ db.vec) < 1e-9
 
 
+@pytest.mark.parametrize("omega, eta", [
+    # the 1-dim coefficient was broadcast over all four legs
+    (Form(4, 2, np.arange(1, 7.0)), Form(1, 1, [1.0])),
+    # the 7-dim 0-form doubled the 4-dim form
+    (Form(4, 2, np.arange(1, 7.0)), Form(7, 0, [2.0])),
+    # numpy's broadcast error
+    (Form(4, 1, np.ones(4)), Form(3, 1, np.ones(3))),
+], ids=["R1", "R7", "R3"])
+def test_wedge_refuses_forms_of_different_dimensions(omega, eta):
+    with pytest.raises(ValueError, match="dimensions 4 and %d differ" % eta.n):
+        wedge(omega, eta)
+
+
+def test_sum_and_bigrade_refuse_a_form_of_another_dimension():
+    with pytest.raises(ValueError, match="dimensions 3 and 5 differ"):
+        bigrade(adapted_frame(heisenberg(1)), Form(5, 2, np.ones(10)), 1)
+    with pytest.raises(ValueError, match="dimensions 3 and 4 differ"):
+        Form(3, 1, np.ones(3)) + Form(4, 1, np.ones(4))
+    with pytest.raises(ValueError, match="incompatible forms"):
+        Form(3, 1, np.ones(3)) - Form(3, 2, np.ones(3))
+
+
 def test_bigrade_h3():
     L = heisenberg(1)
     F = adapted_frame(L)
@@ -409,7 +431,7 @@ def test_transform_rectangular_matches_minors():
         out = transform(w, m)
         assert (out.n, out.degree) == (7, k)
         ref = [sum(c * np.linalg.det(m[np.ix_(t, s)]) for t, c in w.terms())
-               for s in basis_tuples(7, k)]
+               for s in itertools.combinations(range(7), k)]
         assert np.abs(out.vec - ref).max() < 1e-12
 
 

@@ -1,5 +1,6 @@
 """Killing equation: residuals, the brute-force oracle, structured solvers."""
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -22,15 +23,12 @@ from nilkilling import (
     nabla_matrix,
     oneform,
     decompose,
-    solve_killing2,
-    solve_killing3,
     structured_killing,
     transform,
     wedge,
 )
 from nilkilling import algebra, cli, forms, killing
 from nilkilling.errors import WorkingSetTooLarge
-from nilkilling.forms import basis_tuples
 from nilkilling.linalg import DEFAULT_TOL, span_distance
 
 from helpers import (
@@ -165,7 +163,8 @@ def test_killgen_consistent_with_residual():
 
 
 def test_solve_killing2_r2_h3():
-    space, dec = solve_killing2(direct_sum([euclidean(2), heisenberg(1)]))
+    dec = decompose(direct_sum([euclidean(2), heisenberg(1)]))
+    space = structured_killing(dec, 2)
     assert space.dim == 1
     # the single form comes from the abelian block
     assert not any(f.has_complex_structure for f in dec.factors)
@@ -173,7 +172,8 @@ def test_solve_killing2_r2_h3():
 
 def test_solve_killing2_complex_heisenberg_data():
     L = complex_heisenberg(1.0)
-    space, dec = solve_killing2(L)
+    dec = decompose(L)
+    space = structured_killing(dec, 2)
     flagged = [f for f in dec.factors if f.has_complex_structure]
     assert space.dim == 1 and len(flagged) == 1
     J, pv = flagged[0].J, flagged[0].frame.nv
@@ -189,26 +189,30 @@ def test_solve_killing2_complex_heisenberg_data():
 
 
 def test_solve_killing2_h5_empty():
-    space, dec = solve_killing2(heisenberg(2))
+    dec = decompose(heisenberg(2))
+    space = structured_killing(dec, 2)
     assert space.dim == 0
     assert not any(f.has_complex_structure for f in dec.factors)
 
 
 def test_solve_killing3_h3():
-    space, dec = solve_killing3(heisenberg(1))
+    dec = decompose(heisenberg(1))
+    space = structured_killing(dec, 3)
     assert space.dim == 1
     assert sum(f.naturally_reductive for f in dec.factors) == 1
 
 
 def test_solve_killing3_free_two_step():
-    space, dec = solve_killing3(free_two_step_3())
+    dec = decompose(free_two_step_3())
+    space = structured_killing(dec, 3)
     assert space.dim == 1
     # gamma: the part of the form with all legs in z
     assert bigrade(dec.frame, space.basis[0], 0).norm() > 0.1
 
 
 def test_solve_killing3_complex_heisenberg_empty():
-    space, dec = solve_killing3(complex_heisenberg(1.0))
+    dec = decompose(complex_heisenberg(1.0))
+    space = structured_killing(dec, 3)
     assert space.dim == 0
     assert not any(f.naturally_reductive for f in dec.factors)
 
@@ -217,9 +221,10 @@ def test_structured_matches_brute_spans():
     for L in [heisenberg(1), complex_heisenberg(1.0), free_two_step_3(),
               direct_sum([euclidean(3), heisenberg(1)])]:
         F = adapted_frame(L)
-        for k, solver in ((2, solve_killing2), (3, solve_killing3)):
+        dec = decompose(L)
+        for k in (2, 3):
             brute = killing_nullspace_brute(L, F, k)
-            structured, _ = solver(L)
+            structured = structured_killing(dec, k)
             assert brute.dim == structured.dim
             if brute.dim:
                 qa, _ = np.linalg.qr(brute.matrix())
@@ -381,8 +386,9 @@ def test_structured_forms_are_normalized():
     # unit norm, first coefficient above 1e-10 in magnitude positive
     for name in catalog.catalog_names():
         L = catalog.build(name)
-        for solver in (solve_killing2, solve_killing3):
-            space, _ = solver(L)
+        dec = decompose(L)
+        for k in (2, 3):
+            space = structured_killing(dec, k)
             for form in space.basis:
                 assert abs(form.norm() - 1.0) < 1e-12, name
                 lead = form.vec[np.abs(form.vec) > 1e-10]
@@ -412,7 +418,7 @@ def test_killing_operator_splits_by_v_leg_parity(name):
     n = F.n
     for k in (2, 3, 4):
         op = killing_operator_reference(F, k)
-        legs = (np.array(basis_tuples(n, k)) < F.nv).sum(axis=1)
+        legs = (np.array(list(combinations(range(n), k))) < F.nv).sum(axis=1)
         rows = np.tile(legs, n) + np.repeat(np.arange(n) < F.nv, len(legs))
         cross = (rows[:, None] - legs[None, :]) % 2 == 1
         assert np.abs(op[cross]).max() <= 1e-12 * np.abs(op).max(), (name, k)
@@ -426,7 +432,7 @@ def _killgen_reference(F, omega):
                 "pp2": [pol[s, t] for s in z for t in z if s <= t],
                 "pp3": [2.0 * pol[a, t] for a in v for t in z]}
     vlegs = np.array([sum(i < F.nv for i in t)
-                      for t in basis_tuples(F.n, omega.degree - 1)])
+                      for t in combinations(range(F.n), omega.degree - 1)])
     return {(name, l): max((np.linalg.norm(p.vec[vlegs == l]) for p in ps), default=0.0)
             for l in range(omega.degree) for name, ps in families.items()}
 

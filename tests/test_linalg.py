@@ -1,14 +1,20 @@
 """The SVD rank policy shared by nullspace and column_space."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nilkilling
 from nilkilling.errors import NumericalRankFailure
 from nilkilling.linalg import (
     DEFAULT_TOL,
     GAP_FACTOR,
     _row_and_null_space,
+    _svd_rank,
     column_space,
     nullspace,
+    projection_residual,
     span_distance,
 )
 
@@ -72,3 +78,31 @@ def test_straddling_singular_values_refused(space, shape):
     q_right, _ = np.linalg.qr(rng.normal(size=(shape[1], 3)))
     with pytest.raises(NumericalRankFailure):
         space(q_left @ np.diag(sv) @ q_right.T)
+
+
+def test_svd_rank_reads_singular_values():
+    assert _svd_rank(np.array([2.0, 1.0, 1e-12]), DEFAULT_TOL) == 2
+    # the floor 1 keeps round-off of unit-scaled data at rank 0
+    assert _svd_rank(np.array([1e-12, 1e-13]), DEFAULT_TOL) == 0
+    with pytest.raises(NumericalRankFailure, match="ambiguous singular value gap"):
+        _svd_rank(np.array([1.0, 2 * DEFAULT_TOL, 0.5 * DEFAULT_TOL]), DEFAULT_TOL)
+
+
+def test_one_svd_call_in_the_package():
+    sites = []
+    for path in sorted(Path(nilkilling.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                sites += [(path.name, func.name) for node in ast.walk(func)
+                          if isinstance(node, ast.Attribute) and node.attr == "svd"]
+    assert sites == [("linalg.py", "_row_and_null_space")]
+
+
+def test_span_outside_an_empty_span():
+    # a brute/structured dimension mismatch: a unit vector lies wholly
+    # outside the zero space, and the zero space inside every span
+    unit = np.eye(3)[:, :1]
+    assert projection_residual(unit, np.zeros((3, 0))) == 1.0
+    assert projection_residual(np.zeros((3, 0)), unit) == 0.0
+    assert span_distance(unit, np.zeros((3, 0))) == 1.0

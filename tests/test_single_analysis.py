@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from nilkilling import MetricLieAlgebra, algebra, cli, structure
+import nilkilling
+from nilkilling import MetricLieAlgebra, algebra, cli, killing, structure
 from nilkilling.catalog import (complex_heisenberg, direct_sum, euclidean,
                                 free_two_step_3, heisenberg)
 from nilkilling.errors import InvalidAlgebra
@@ -127,6 +128,32 @@ def test_decompose_solves_one_symmetric_commutant(monkeypatch, name, scrambled):
     dec = structure.decompose(L)
     assert [f.dim for f in dec.factors] == dims
     assert kinds.count(True) == (1 if dims else 0)
+
+
+@pytest.mark.parametrize("name", list(ONE_SOLVE))
+def test_decompose_rotates_the_constants_once(monkeypatch, name):
+    # one rotation into the abelian block and the factors side by side
+    # serves the cross-block check and every factor's constants
+    L = direct_sum(ONE_SOLVE[name][0])
+    widths = []
+    rotate = structure.rotate_constants
+
+    def counting(constants, cols, dual):
+        widths.append(cols.shape[1])
+        return rotate(constants, cols, dual)
+
+    monkeypatch.setattr(structure, "rotate_constants", counting)
+    structure.decompose(L)
+    assert widths == [L.dim]
+
+
+def test_structured_forms_have_one_public_route():
+    # structured_killing(decompose(L), k); the benchmark still calls the
+    # two wrappers in nilkilling.killing
+    for name in ("solve_killing2", "solve_killing3"):
+        assert name not in nilkilling.__all__
+        assert not hasattr(nilkilling, name)
+        assert callable(getattr(killing, name))
 
 
 def test_structured_killing_degrees_two_and_three_only():

@@ -16,6 +16,7 @@ from nilkilling import (
     heisenberg,
     j_trace_form,
     killing_dimensions,
+    killing_nullspace_brute,
     naturally_reductive_type,
     structured_killing,
     transform,
@@ -382,6 +383,28 @@ def test_naturally_reductive_free_two_step_is_so3():
 def test_naturally_reductive_complex_heisenberg_fails():
     L = complex_heisenberg(1.0)
     assert naturally_reductive_type(adapted_frame(L)) is None
+
+
+@pytest.mark.parametrize("gram, reductive", [((1, 1, 1, 1, 2, 3), False),
+                                              ((1, 1, 1, 2, 2, 2), True)])
+def test_naturally_reductive_needs_a_skew_compact_bracket(gram, reductive):
+    # n32 with a diagonal metric: its j-maps close under commutators either
+    # way, but with z-weights 1, 2, 3 the induced bracket on z is not skew,
+    # so the factor is not naturally reductive, and the brute finds no
+    # Killing 3-form; with z-weights 2, 2, 2 it still is, and finds one
+    L = with_metric(free_two_step_3(), np.diag(np.array(gram, dtype=float)))
+    F = adapted_frame(L)
+    mats = F.j_matrices
+    span = mats.reshape(F.nz, -1).T
+    comm = (mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+            ).reshape(F.nz * F.nz, -1).T
+    coef, *_ = np.linalg.lstsq(span, comm, rcond=None)
+    assert np.abs(span @ coef - comm).max() < 1e-12
+    assert (naturally_reductive_type(F) is not None) == reductive
+    (factor,) = decompose(L).factors
+    assert (factor.naturally_reductive, factor.has_complex_structure) == (reductive, False)
+    brute = [killing_nullspace_brute(L, F, k).dim for k in (2, 3)]
+    assert brute == list(killing_dimensions(L)[:2]) == [0, int(reductive)]
 
 
 def test_killing_dimensions_examples():
