@@ -75,10 +75,6 @@ class MetricLieAlgebra:
         """[x, y] in user coordinates."""
         return np.einsum("i,j,ijk->k", x, y, self.structure_constants)
 
-    def ad_matrix(self, i):
-        """Matrix of ad_{b_i} acting on user coordinates."""
-        return self.structure_constants[i].T
-
     def to_json(self):
         c = self.structure_constants
         brackets = [[int(i), int(j), int(k), float(c[i, j, k])]

@@ -70,12 +70,6 @@ class Form:
             raise ValueError("coefficient vector has wrong length")
 
     @classmethod
-    def from_terms(cls, n, degree, terms):
-        """Build from (indices, coeff) pairs; indices need not be sorted."""
-        return sum((c * cls.basis(n, degree, idx) for idx, c in terms),
-                   cls(n, degree))
-
-    @classmethod
     def basis(cls, n, degree, indices):
         """e^{i_1} ^ ... ^ e^{i_k}: signed for unsorted legs, 0 if one repeats."""
         if len(indices) != degree or not all(0 <= i < n for i in indices):
@@ -83,9 +77,6 @@ class Form:
                              % (indices, degree, n))
         eye = np.eye(n)
         return reduce(wedge, (oneform(eye[i]) for i in indices), cls(n, 0, [1.0]))
-
-    def coeff(self, indices):
-        return self.vec @ Form.basis(self.n, self.degree, indices).vec
 
     def terms(self, tol=0.0):
         for t, c in zip(map(tuple, _legs(self.n, self.degree).tolist()), self.vec):
@@ -125,11 +116,6 @@ class Form:
     def to_json(self):
         terms = [{"indices": list(t), "coeff": c} for t, c in self.terms(1e-15)]
         return {"degree": self.degree, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data, n):
-        terms = [(term["indices"], term["coeff"]) for term in data.get("terms", [])]
-        return cls.from_terms(n, int(data["degree"]), terms)
 
 
 def _same_dimension(n, m):
@@ -264,6 +250,7 @@ def lie_diff(L: MetricLieAlgebra, F: AdaptedFrame, omega: Form) -> Form:
     d omega = sum_i d(e^i) ^ (e_i -| omega), with d(e^i) read off the frame
     constants by `_d_images`.
     """
+    _same_dimension(F.n, omega.n)
     if omega.degree >= F.n:
         raise ValueError("differential of a top-degree form")
     return _derive(_d_images(F), 2, omega)
@@ -277,6 +264,7 @@ def _d_images(F: AdaptedFrame):
 
 def nabla_form(L: MetricLieAlgebra, F: AdaptedFrame, y, omega: Form) -> Form:
     """Covariant derivative of an invariant form in the direction y."""
+    _same_dimension(F.n, omega.n)
     return skew_extend(nabla_matrix(F, y), omega)
 
 

@@ -24,6 +24,7 @@ from .forms import (
     _derivation_matrix,
     _derive,
     _legs,
+    _same_dimension,
     _skew_map,
     _wedge_table,
     skew_extend,
@@ -71,6 +72,7 @@ def _normalize(form: Form) -> Form:
 
 def _nablas(F: AdaptedFrame, omega: Form):
     """The n forms nabla_{e_a} omega, one per frame direction."""
+    _same_dimension(F.n, omega.n)
     return [skew_extend(m, omega) for m in connection(F)]
 
 

@@ -225,7 +225,7 @@ def center_and_commutator(L):
     z = F.frame[:, F.nv:]
     comm = F.frame[:, F.nv:F.n - F.na]
     for i in range(L.dim):
-        assert np.abs(L.ad_matrix(i) @ z).max(initial=0.0) < 1e-12
+        assert np.abs(L.structure_constants[i].T @ z).max(initial=0.0) < 1e-12
     brackets = L.structure_constants.reshape(-1, L.dim).T
     if comm.shape[1]:
         assert _spans_equal(comm, brackets)

@@ -20,6 +20,8 @@ from nilkilling import (
     killgen_residuals,
     killing_nullspace_brute,
     killing_residual,
+    lie_diff,
+    nabla_form,
     nabla_matrix,
     oneform,
     decompose,
@@ -245,6 +247,22 @@ def test_is_parallel():
     flat = euclidean(3)
     Ff = adapted_frame(flat)
     assert is_parallel(Ff, Form.basis(3, 2, (0, 1)))
+
+
+@pytest.mark.parametrize("check", [
+    lambda L, F, w: lie_diff(L, F, w),
+    lambda L, F, w: nabla_form(L, F, np.ones(3), w),
+    lambda L, F, w: killing_residual(F, w),
+    lambda L, F, w: is_parallel(F, w),
+    lambda L, F, w: killgen_residuals(F, w),
+], ids=["lie_diff", "nabla_form", "killing_residual", "is_parallel",
+        "killgen_residuals"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_form_on_another_dimension_than_the_frame_is_refused(check, n):
+    # the one dimension rule of wedge and bigrade, named in the message
+    L = heisenberg(1)
+    with pytest.raises(ValueError, match="dimensions 3 and %d differ" % n):
+        check(L, adapted_frame(L), Form(n, 2, np.ones(comb(n, 2))))
 
 
 def test_degree_one_killing_vector_condition():
