@@ -350,19 +350,24 @@ def connection(F: AdaptedFrame):
     return 0.5 * (koszul.transpose(0, 2, 1) - koszul)
 
 
+def _frame_vector(y, n):
+    """y as a float array, if it is a vector of n frame coordinates."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError("vector must have shape (%d,), got %s" % (n, y.shape))
+    return y
+
+
 def nabla_matrix(F: AdaptedFrame, y):
     """Matrix of the skew endomorphism u -> nabla_y u in frame coordinates:
     y contracted with `connection(F)`, kept exactly skew."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (F.n,):
-        raise ValueError("vector must have shape (%d,), got %s" % (F.n, y.shape))
-    m = np.tensordot(y, connection(F), axes=1)
+    m = np.tensordot(_frame_vector(y, F.n), connection(F), axes=1)
     return 0.5 * (m - m.T)
 
 
 def levi_civita(F: AdaptedFrame, x, y):
     """Covariant derivative of y in the direction x, frame coordinates."""
-    return nabla_matrix(F, x) @ y
+    return nabla_matrix(F, x) @ _frame_vector(y, F.n)
 
 
 def j_trace_form(F: AdaptedFrame):

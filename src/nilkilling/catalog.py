@@ -75,8 +75,9 @@ def euclidean(d: int) -> MetricLieAlgebra:
                             name=f"R{d}")
 
 
-def direct_sum(parts, name="") -> MetricLieAlgebra:
-    """Block-diagonal direct sum of metric Lie algebras."""
+def direct_sum(parts) -> MetricLieAlgebra:
+    """Block-diagonal direct sum of metric Lie algebras, named from its parts
+    (`R2+h3`)."""
     parts = list(parts)
     if not parts:
         raise ValueError("direct sum of no algebras")
@@ -91,9 +92,8 @@ def direct_sum(parts, name="") -> MetricLieAlgebra:
         gram[off:off + d, off:off + d] = p.gram
         names.extend(f"{nm}.{len(names)}" for nm in p.basis_names)
         off += d
-    if not name:
-        name = "+".join(p.name or "?" for p in parts)
-    return MetricLieAlgebra(n, names, c, gram, name=name)
+    return MetricLieAlgebra(n, names, c, gram,
+                            name="+".join(p.name or "?" for p in parts))
 
 
 def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:

@@ -235,17 +235,18 @@ def cmd_tables(args):
     return 0
 
 
-def _add_common(parser, with_input=True, tol=True, catalog_params=True):
-    """Register only the flags the command reads."""
-    if with_input:
-        parser.add_argument("input", help="algebra JSON path or catalog:<name>")
-    if tol:
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+def _add_catalog_flags(parser):
+    """The catalog parameters; `load_algebra` refuses one its input does not read."""
+    for key, (flag, kind) in _CATALOG_FLAGS.items():
+        parser.add_argument(flag, dest=key, type=kind, default=argparse.SUPPRESS)
+
+
+def _add_common(parser):
+    """The input and the flags `analyze` and `killing` both read."""
+    parser.add_argument("input", help="algebra JSON path or catalog:<name>")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--json", action="store_true")
-    if catalog_params:
-        for key, (flag, kind) in _CATALOG_FLAGS.items():
-            parser.add_argument(flag, dest=key, type=kind,
-                                default=argparse.SUPPRESS)
+    _add_catalog_flags(parser)
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +258,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the name `decompose` stays: perfbench's cli-small workload and CI run it
+    # the name `decompose` stays: perfbench's cli-small workload runs it
     p = sub.add_parser("analyze", aliases=["decompose"],
                        help="decompose and report all invariants")
     _add_common(p)
@@ -276,10 +277,11 @@ def build_parser():
     actions.add_parser("list").add_argument("--json", action="store_true")
     p = actions.add_parser("show")
     p.add_argument("name")
-    _add_common(p, with_input=False, tol=False)
+    _add_catalog_flags(p)
 
     p = sub.add_parser("tables", help="regenerate the classification tables")
-    _add_common(p, with_input=False, catalog_params=False)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tables)
     return parser
 

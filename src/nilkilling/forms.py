@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import AdaptedFrame, MetricLieAlgebra, nabla_matrix
+from .algebra import AdaptedFrame, MetricLieAlgebra, _frame_vector, nabla_matrix
 from .linalg import DEFAULT_TOL
 
 
@@ -158,11 +158,8 @@ def _contractions(omega: Form):
 
 def contract(x, omega: Form) -> Form:
     """Interior product of a frame-coordinate vector with a form."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (omega.n,):
-        raise ValueError("vector must have shape (%d,), got %s"
-                         % (omega.n, x.shape))
-    return Form(omega.n, max(omega.degree - 1, 0), x @ _contractions(omega))
+    return Form(omega.n, max(omega.degree - 1, 0),
+                _frame_vector(x, omega.n) @ _contractions(omega))
 
 
 def _derive(images, degree, omega: Form) -> Form:

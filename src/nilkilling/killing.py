@@ -86,7 +86,7 @@ def _polarized(nablas):
     return half + half.transpose(1, 0, 2)
 
 
-def killing_residual(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
+def killing_residual(F: AdaptedFrame, omega: Form):
     """Max deviation from the Killing equation over the frame.
 
     Computes both the defining residual (covariant derivative vs the scaled
@@ -101,7 +101,7 @@ def killing_residual(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL):
     res1 = np.linalg.norm(defects, axis=1).max()
     res2 = np.linalg.norm(_polarized(nablas), axis=2).max()
     # both residuals are bilinear in the constants and omega
-    thresh = tol * np.abs(F.constants).max() * omega.norm()
+    thresh = DEFAULT_TOL * np.abs(F.constants).max() * omega.norm()
     if (res1 <= thresh) != (res2 <= 10 * thresh):
         raise InternalInvariantViolation(
             "Killing verdicts disagree: residuals %.3e vs %.3e" % (res1, res2)
@@ -185,11 +185,11 @@ def killgen_residuals(F: AdaptedFrame, omega: Form):
             for l in range(omega.degree) for name, p in families.items()}
 
 
-def is_parallel(F: AdaptedFrame, omega: Form, tol=DEFAULT_TOL) -> bool:
+def is_parallel(F: AdaptedFrame, omega: Form) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
     nablas = np.array([nab.vec for nab in _nablas(F, omega)])
     worst = np.linalg.norm(nablas, axis=1).max()
-    return bool(worst <= tol * np.abs(F.constants).max() * omega.norm())
+    return bool(worst <= DEFAULT_TOL * np.abs(F.constants).max() * omega.norm())
 
 
 def _form_from_tensor(tensor) -> Form:

@@ -407,6 +407,8 @@ def test_nabla_matrix_refuses_a_vector_of_the_wrong_shape():
         nabla_form(L, F, np.ones(2), Form.basis(3, 2, (0, 1)))
     with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(4,\)"):
         levi_civita(F, np.ones(4), np.ones(3))
+    with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(2,\)"):
+        levi_civita(F, np.ones(3), np.ones(2))
 
 
 def test_j_trace_form_h3():

@@ -160,12 +160,16 @@ def test_analyze_file_input(tmp_path, capsys):
 
 
 def test_killing_both_methods(capsys):
-    out = run_cli(capsys, "killing", "catalog:free_two_step_3", "--degree",
-                  "3", "--method", "both", "--json")
-    assert out.returncode == 0
-    rec = json.loads(out.stdout)
-    assert rec["brute_dim"] == 1 and rec["structured_dim"] == 1
-    assert rec["span_residual"] <= 1e-8
+    # n32; h11 (n = 11: one connection array and the stacked differentials);
+    # R3, whose v-block is empty
+    for spec in (["catalog:free_two_step_3"], ["catalog:heisenberg", "--l", "5"],
+                 ["catalog:euclidean", "--d", "3"]):
+        out = run_cli(capsys, "killing", *spec, "--degree", "3", "--method",
+                      "both", "--json")
+        assert out.returncode == 0, spec
+        rec = json.loads(out.stdout)
+        assert rec["brute_dim"] == 1 and rec["structured_dim"] == 1, spec
+        assert rec["span_residual"] <= 1e-8, spec
 
 
 def test_killing_h5_degree_2(capsys):
@@ -479,6 +483,10 @@ def test_main_returns_parser_exit_codes(capsys):
 
 def test_flags_a_command_does_not_read_exit_2(capsys):
     assert run_cli(capsys, "tables", "--l", "2").returncode == 2
+    # `catalog show` always prints the algebra JSON
+    code, out, err = run_cli(capsys, "catalog", "show", "h3", "--json")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --json\n")
     assert run_cli(capsys, "catalog", "list", "--tol", "1e-6").returncode == 2
     code, out, err = run_cli(capsys, "catalog", "list", "--l", "2")
     assert (code, out) == (2, "")
