@@ -17,7 +17,6 @@ from .catalog import (
     direct_sum,
     euclidean,
     free_two_step_3,
-    from_representation,
     heisenberg,
 )
 from .forms import (
@@ -42,7 +41,6 @@ from .killing import (
 from .structure import (
     Decomposition,
     FactorReport,
-    compatible_metric,
     decompose,
     find_complex_structure,
     killing_dimensions,
@@ -61,7 +59,6 @@ __all__ = [
     "adapted_frame",
     "bigrade",
     "classification_lists",
-    "compatible_metric",
     "complex_heisenberg",
     "contract",
     "decompose",
@@ -69,7 +66,6 @@ __all__ = [
     "euclidean",
     "find_complex_structure",
     "free_two_step_3",
-    "from_representation",
     "heisenberg",
     "is_parallel",
     "j_trace_form",

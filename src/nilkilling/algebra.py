@@ -294,8 +294,8 @@ def rotate_constants(constants, cols, dual):
 def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame:
     """Build a g-orthonormal frame split into v-part and z-part.
 
-    The one gate of the package: an algebra that fails `validate` raises
-    InvalidAlgebra.  All that follows reads the antisymmetric part of the
+    The one gate of the package: an algebra that fails `validate`, or whose
+    frame constants leave the double range, raises InvalidAlgebra.  All that follows reads the antisymmetric part of the
     constants it accepted, so no later step checks the j-maps for skewness.
     It makes two rank decisions: the center z is the SVD
     nullspace of the stacked ad matrices, a decision that does not read the
@@ -326,13 +326,24 @@ def adapted_frame(L: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> AdaptedFrame
     zv = np.linalg.solve(chol.T, q)          # g-orthonormal: z, then v
     z, v = zv[:, :nz], zv[:, nz:]
     # g z = R q for the z-columns: their dual, the coordinate read-off
-    jmaps = rotate_constants(c, v, chol @ q[:, :nz])
+    jmaps = _rotate_in_range(c, v, chol @ q[:, :nz])
     img, ker = _row_and_null_space(_unit_scaled(jmaps.reshape(nv * nv, nz)), tol)
     na = ker.shape[1]
     # img and ker are orthonormal in the g-orthonormal z coordinates
     spans = (v, z @ img, z @ ker)
     frame = np.concatenate([_canonical_span_basis(b, g) for b in spans], axis=1)
-    return AdaptedFrame(frame, rotate_constants(c, frame, g @ frame), nv, na)
+    return AdaptedFrame(frame, _rotate_in_range(c, frame, g @ frame), nv, na)
+
+
+def _rotate_in_range(c, cols, dual):
+    """`rotate_constants`, refused with InvalidAlgebra where the result (like
+    bracket / sqrt(Gram)) overflows, or all underflows while `c` is not 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rotate_constants(c, cols, dual)
+    peak = np.abs(out).max(initial=0.0)
+    if not np.isfinite(peak) or (peak < np.finfo(float).tiny and c.any()):
+        raise InvalidAlgebra("frame constants leave the double-precision range")
+    return out
 
 
 def connection(F: AdaptedFrame):

@@ -1,6 +1,5 @@
 """Named constructors for the algebras used throughout the low-dimensional
-classification, plus the two classification lists and the construction of
-naturally-reductive-type algebras from compact Lie algebra representations.
+classification, plus the two classification lists.
 """
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import MetricLieAlgebra, _check_dimension
-from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
 
 
 def _brackets(n, triples):
@@ -94,53 +92,6 @@ def direct_sum(parts) -> MetricLieAlgebra:
         off += d
     return MetricLieAlgebra(n, names, c, gram,
                             name="+".join(p.name or "?" for p in parts))
-
-
-def from_representation(z_bracket, rho, gram_z) -> MetricLieAlgebra:
-    """2-step algebra of naturally reductive type from a representation.
-
-    z_bracket is the m^3 structure table of a compact Lie algebra on z,
-    rho a list of m skew matrices on v (one per z basis vector), and
-    gram_z an ad-invariant inner product on z.  The output bracket is
-    defined by pairing the representation action with the metric, so the
-    induced skew maps coincide with rho.  Raises ValueError unless rho is
-    a representation: rho([u, w]) = [rho u, rho w].
-    """
-    z_bracket = np.asarray(z_bracket, dtype=float)
-    mats = np.asarray(rho, dtype=float)
-    gram_z = np.asarray(gram_z, dtype=float)
-    m = z_bracket.shape[0]
-    if len(mats) != m:
-        raise ValueError("need one representation matrix per z basis vector")
-    nv = mats.shape[1]
-    scale = np.abs(mats).max()
-    if np.abs(mats + mats.transpose(0, 2, 1)).max() > DEFAULT_TOL / 10 * scale:
-        raise ValueError("representation matrices must be skew")
-    # sum_u c[s,t,u] rho_u = [rho_s, rho_t], quadratic in rho: tested with
-    # rho and the bracket divided by the largest entry of rho
-    unit, bracket = (mats / scale, z_bracket / scale) if scale else (mats, z_bracket)
-    prod = np.einsum("sab,tbc->stac", unit, unit)
-    image = np.einsum("stu,uac->stac", bracket, unit)
-    residual = np.abs(image - prod + prod.transpose(1, 0, 2, 3)).max()
-    if residual > DEFAULT_TOL:
-        raise ValueError("rho is not a representation of the bracket on z")
-    if nullspace(_unit_scaled(mats.reshape(-1, nv))).shape[1] > 0:
-        raise ValueError("representation matrices share a kernel")
-    # ad-invariance of gram_z: <[[u,v]],w> + <v,[[u,w]]> = 0
-    ad_pair = np.einsum("stu,uw->stw", z_bracket, gram_z)
-    if (np.abs(ad_pair + ad_pair.transpose(0, 2, 1)).max()
-            > DEFAULT_TOL * np.abs(ad_pair).max()):
-        raise ValueError("inner product on z is not ad-invariant")
-    n = nv + m
-    c = np.zeros((n, n, n))
-    # g([x,y], w_s) = (rho_s)_{ba} pins the z components of [e_a, e_b]
-    ginv = np.linalg.inv(gram_z)
-    c[:nv, :nv, nv:] = np.einsum("ts,sba->abt", ginv, mats)
-    gram = np.zeros((n, n))
-    gram[:nv, :nv] = np.eye(nv)
-    gram[nv:, nv:] = gram_z
-    names = [f"e{i + 1}" for i in range(nv)] + [f"z{t + 1}" for t in range(m)]
-    return MetricLieAlgebra(n, names, c, gram, name="rep")
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,14 @@
 Forms are stored densely over the C(n, k) strictly increasing index tuples
 of frame indices; the frame is orthonormal so the coefficient vector also
 gives the inner product.  One cached wedge table (`_wedge_table`) decides
-every sign: wedge, contraction, basis forms and the derivations built from
-them (skew endomorphisms, the Lie algebra differential, the covariant
+every sign: wedge, contraction and the derivations built from them
+(skew endomorphisms, the Lie algebra differential, the covariant
 derivative of invariant forms) are products over it.  Also the projection
 onto the v/z bigrading and pullback along linear maps.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -68,15 +68,6 @@ class Form:
         self.vec = np.asarray(vec, dtype=float)
         if self.vec.shape != (comb(n, degree),):
             raise ValueError("coefficient vector has wrong length")
-
-    @classmethod
-    def basis(cls, n, degree, indices):
-        """e^{i_1} ^ ... ^ e^{i_k}: signed for unsorted legs, 0 if one repeats."""
-        if len(indices) != degree or not all(0 <= i < n for i in indices):
-            raise ValueError("legs %s of a degree-%d form on R^%d"
-                             % (indices, degree, n))
-        eye = np.eye(n)
-        return reduce(wedge, (oneform(eye[i]) for i in indices), cls(n, 0, [1.0]))
 
     def terms(self, tol=0.0):
         for t, c in zip(map(tuple, _legs(self.n, self.degree).tolist()), self.vec):

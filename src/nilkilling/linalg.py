@@ -24,17 +24,18 @@ def _svd_rank(s, tol):
 
     Values above tol * max(s_max, 1) count towards the rank; the decision
     is refused with NumericalRankFailure unless the retained and discarded
-    values are separated by GAP_FACTOR times that scale.  Callers pass the
-    values of unit-scaled data, so the floor 1, the package's only unit
-    scale, keeps pure round-off (the Killing operator of a top-degree form)
-    at rank 0.
+    values are separated by GAP_FACTOR times that scale, the value below a
+    full rank counting as 0.  Callers pass the values of unit-scaled data,
+    so the floor 1, the package's only unit scale, keeps pure round-off
+    (the Killing operator of a top-degree form) at rank 0.
     """
     scale = max(s[0], 1.0)
     rank = int(np.count_nonzero(s > tol * scale))
-    if 0 < rank < s.size and s[rank - 1] - s[rank] < GAP_FACTOR * tol * scale:
+    below = s[rank] if rank < s.size else 0.0
+    if rank and s[rank - 1] - below < GAP_FACTOR * tol * scale:
         raise NumericalRankFailure(
             "ambiguous singular value gap: retained %.3e vs discarded %.3e"
-            % (s[rank - 1], s[rank])
+            % (s[rank - 1], below)
         )
     return rank
 

@@ -283,24 +283,3 @@ def killing_dimensions(L: MetricLieAlgebra, tol=DEFAULT_TOL):
     """(dimK2, dimK3, d, r2, r3) from the decomposition and the formulas."""
     return decompose(L, tol).killing_dimensions()
 
-
-def compatible_metric(H: MetricLieAlgebra, J, h) -> MetricLieAlgebra:
-    """Equip an algebra carrying a bi-invariant complex structure J with a
-    metric for which J is orthogonal: gram = h + J^T h J."""
-    J = np.asarray(J, dtype=float)
-    h = np.asarray(h, dtype=float)
-    n = H.dim
-    j_scale = np.abs(J).max()
-    square = J @ J
-    if np.abs(square + np.eye(n)).max() > 10 * DEFAULT_TOL * np.abs(square).max():
-        raise ValueError("J^2 != -Id")
-    c = H.structure_constants
-    lhs = np.einsum("ijm,km->ijk", c, J)
-    rhs = np.einsum("mi,mjk->ijk", J, c)
-    if np.abs(lhs - rhs).max() > 10 * DEFAULT_TOL * np.abs(c).max() * j_scale:
-        raise ValueError("J is not bi-invariant")
-    gram = h + J.T @ h @ J
-    return MetricLieAlgebra(
-        n, list(H.basis_names), c, gram,
-        name=f"{H.name}+compatible" if H.name else "compatible",
-    )

@@ -14,21 +14,26 @@ assembles the full stacked Killing operator from `koszul_nabla` and
 `perm_sign` alone and takes its nullspace.  Those references share only
 the rank policy of `nullspace` with the library, and the brute reference
 also the `itertools.combinations` order of the basis tuples and the
-oracle's `_normalize` sign rule, no exterior-algebra kernel.  The exact certificates assemble the same
-operator, times 2(k+1), as an integer matrix from the raw brackets and
-`perm_sign`, and take its rank modulo a prime; the factor-count
-certificate does the same for the graded symmetric commutant system,
-read off the raw brackets.  The representation ladder
-(Im H on H, spin-2 and spin-1 + spin-2 of so(3)) is input, built with the
-library's `from_representation`.
+oracle's `_normalize` sign rule, no exterior-algebra kernel.  The exact
+Killing dimension, the one exact oracle, writes the polarized Killing
+operator in the user basis through Christoffel symbols that are rational
+in the brackets and the Gram matrix, both read as exact dyadic rationals,
+and takes its rank modulo a prime, with no float decision; the
+factor-count certificate does the same for the graded symmetric
+commutant system, read off the raw brackets.  The test inputs built here
+check nothing: the representation ladder (Im H on H, spin-2 and spin-1 +
+spin-2 of so(3)) by `from_representation`, the metric that makes a
+complex structure orthogonal by `compatible_metric`, and a unit form by
+its legs by `basis_form`.
 """
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 
-from nilkilling import Form, MetricLieAlgebra, from_representation
+from nilkilling import Form, MetricLieAlgebra
 from nilkilling.killing import _normalize
 from nilkilling.linalg import nullspace
 
@@ -260,53 +265,93 @@ def brute_reference(F, k, tol):
     return [_normalize(Form(F.n, k, v)) for v in null.T]
 
 
-# the prime of the exact rank certificates: entries stay below p, so a
-# product of two of them, p^2 < 2^62, fits an int64
-CERTIFICATE_PRIME = 2**31 - 1
+# the primes of the exact ranks: entries stay below p, so a product of two
+# of them, p^2 < 2^62, fits an int64
+CERTIFICATE_PRIMES = (2**31 - 1, 2**31 - 19)
 
 
-def integer_killing_operator(L, k):
-    """2(k+1) times the stacked Killing operator in the user basis of L, an
-    int64 matrix with the row layout of `killing_operator_reference`.
+def _dyadic_residues(a, p):
+    """The entries of the float array `a`, each a dyadic rational, times the
+    one power of 2 that makes them all integers, mod p, as int64."""
+    fracs = [Fraction(x) for x in np.ravel(a)]
+    scale = max(f.denominator for f in fracs)
+    return np.array([int(f * scale) % p for f in fracs],
+                    dtype=np.int64).reshape(np.shape(a))
 
-    L must have the identity metric and integer brackets, so its user basis
-    is orthonormal and every entry below is an integer.  Assembled from the
-    raw brackets and `perm_sign` alone: 2 g(nabla_a e_b, e_m) =
-    c[a,b,m] - c[b,m,a] + c[m,a,b] (Koszul), nabla_a e^m =
-    -sum_b g(nabla_a e_b, e_m) e^b replacing one leg at a time, and
-    d e^t = sum_j (-1)^j e^t1 ^ ... ^ d e^tj ^ ... ^ e^tk by the Leibniz
-    rule from d e^i = -sum_{p<q} c[p,q,i] e^p ^ e^q.
+
+def _inverse_mod_p(a, p):
+    """Inverse mod p of the square int64 matrix `a`, by Gauss-Jordan
+    elimination; ValueError if p divides its determinant."""
+    n = len(a)
+    m = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        rows = col + np.flatnonzero(m[col:, col])
+        if not rows.size:
+            raise ValueError("singular mod p")
+        m[[col, rows[0]]] = m[[rows[0], col]]
+        m[col] = m[col] * pow(int(m[col, col]), p - 2, p) % p
+        others = np.arange(n) != col
+        m[others] = (m[others] - np.outer(m[others, col], m[col]) % p) % p
+    return m[:, n:]
+
+
+def exact_killing_operator(L, k, p=CERTIFICATE_PRIMES[0]):
+    """A non-zero multiple of the polarized Killing operator of L on k-forms,
+    k >= 1, in the user basis of L, as an int64 matrix mod the prime p
+    with entries in (-p/2, p/2].
+
+    Column t is the basis k-form e^t; row (a, b, s), for a <= b and a
+    (k-1)-tuple s, is component s of e_a -| nabla_b e^t + e_b -| nabla_a e^t,
+    which vanishes for every (a, b) exactly when e^t is Killing.  With
+    nabla_a e_i = sum_m G[a, i, m] e_m, nabla_a e^m = -sum_i G[a, i, m] e^i,
+    and the Christoffel symbols G = g^-1 (Koszul terms) are rational in
+    (c, g): 2 g(nabla_a e_i, e_l) = c[a,i,q] g[q,l] - c[i,l,q] g[q,a]
+    + c[l,a,q] g[q,i].  c and g are each read as exact integers (times a
+    power of 2, which leaves the Killing forms as they are), so the
+    operator, 2 times the true one, is exact mod p: no frame, Cholesky, QR
+    or SVD enters.  For the identity metric and small integer brackets it
+    is the integer matrix itself.  The basis forms are full antisymmetric
+    tensors signed by `perm_sign`.
     """
-    n, c = L.dim, L.structure_constants
-    if not np.array_equal(L.gram, np.eye(n)) or not np.array_equal(c, np.round(c)):
-        raise ValueError("needs the identity metric and integer brackets")
-    c = c.astype(np.int64)
-    conn2 = c.transpose(0, 2, 1) - c.transpose(2, 1, 0) + c.transpose(1, 0, 2)
-    index = _positions(n, k)
-    op = np.zeros((n, len(index), len(index)), dtype=np.int64)
-    for col, t in enumerate(combinations(range(n), k)):
-        for a in range(n):
-            for j, m in enumerate(t):
-                for b in map(int, np.flatnonzero(conn2[a, m])):
-                    pos, sign = _signed_index(n, t[:j] + (b,) + t[j + 1:])
-                    op[a, pos, col] -= (k + 1) * sign * conn2[a, m, b]
-        d = {}
-        for j, i in enumerate(t):
-            for p in range(n):
-                for q in range(p + 1, n):
-                    legs = t[:j] + (p, q) + t[j + 1:]
-                    sign = perm_sign(legs)
-                    if sign and c[p, q, i]:
-                        u = tuple(sorted(legs))
-                        d[u] = d.get(u, 0) - (-1) ** j * sign * c[p, q, i]
-        for u, coeff in d.items():
-            for pos, a in enumerate(u):
-                s = u[:pos] + u[pos + 1:]
-                op[a, index[s], col] -= 2 * perm_sign((a,) + s) * coeff
-    return op.reshape(n * len(index), len(index))
+    n = L.dim
+    c = _dyadic_residues(L.structure_constants, p).astype(object)
+    g = _dyadic_residues(L.gram, p).astype(object)
+    low = (c.reshape(n * n, n) @ g).reshape(n, n, n) % p      # g([e_x, e_y], e_z)
+    koszul = (low - low.transpose(2, 0, 1) + low.transpose(1, 2, 0)) % p
+    ginv = _inverse_mod_p(g.astype(np.int64), p).astype(object)
+    conn = (koszul.reshape(n * n, n) @ ginv.T % p).reshape(n, n, n).astype(np.int64)
+    index = list(combinations(range(n), k))
+    basis = np.zeros((len(index),) + (n,) * k, dtype=np.int64)
+    for col, t in enumerate(index):
+        for legs in permutations(t):
+            basis[(col,) + legs] = perm_sign(legs)
+    nabla = np.zeros((len(index), n) + (n,) * k, dtype=np.int64)
+    for j in range(k):
+        # leg j of e^t replaced: sum_m conn[a, i, m] e^t(..., e_m, ...)
+        term = np.tensordot(np.moveaxis(basis, 1 + j, -1), conn, axes=([-1], [2]))
+        nabla -= np.moveaxis(np.moveaxis(term, -2, 1), -1, 2 + j)
+    nabla = nabla.reshape(len(index), n, n, n ** (k - 1)) % p
+    a, b = np.triu_indices(n)
+    rest = np.array(list(combinations(range(n), k - 1)), dtype=int)
+    rest = rest.reshape(comb(n, k - 1), k - 1) @ n ** np.arange(k - 2, -1, -1)
+    op = (nabla + nabla.transpose(0, 2, 1, 3))[:, a, b][:, :, rest]
+    op = op.reshape(len(index), a.size * rest.size).T % p
+    return np.where(op > p // 2, op - p, op)
 
 
-def rank_mod_p(m, p=CERTIFICATE_PRIME):
+def exact_killing_dimension(L, k, expected=None):
+    """Dimension of the Killing k-forms of L, C(n, k) minus the rank of
+    `exact_killing_operator` mod a prime.  That rank can only fall below
+    the rank over the rationals, so a dimension other than `expected` is
+    taken again mod a second prime, whose answer is returned."""
+    for p in CERTIFICATE_PRIMES:
+        dim = comb(L.dim, k) - rank_mod_p(exact_killing_operator(L, k, p), p)
+        if expected is None or dim == expected:
+            break
+    return dim
+
+
+def rank_mod_p(m, p=CERTIFICATE_PRIMES[0]):
     """Rank of the integer matrix `m` over the integers mod the prime p, by
     Gaussian elimination; a lower bound for its rank over the rationals."""
     a = np.asarray(m, dtype=np.int64) % p
@@ -402,15 +447,6 @@ def so3_matrices():
     return [l1, l2, l3]
 
 
-def so3_bracket():
-    """Structure table of so(3) in the basis of `so3_matrices`."""
-    c = np.zeros((3, 3, 3))
-    for s, t, u in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        c[s, t, u] = 1.0
-        c[t, s, u] = -1.0
-    return c
-
-
 def spin2_matrices():
     """so(3) acting by commutators on the traceless symmetric 3x3 matrices,
     in a Frobenius-orthonormal basis: the spin-2 representation, skew."""
@@ -438,22 +474,51 @@ def quaternion_matrices():
     return mats
 
 
+def from_representation(rho):
+    """2-step algebra on v + z, identity metric, from skew matrices rho_s on
+    v, one per z basis vector: g([e_a, e_b], z_s) = (rho_s)_{ba}, so the
+    j-map of z_s is rho_s.  It is of naturally reductive type when the
+    rho_s span a representation of a compact Lie algebra on z with an
+    ad-invariant identity metric; that is not checked."""
+    mats = np.asarray(rho, dtype=float)
+    m, nv = mats.shape[:2]
+    n = nv + m
+    c = np.zeros((n, n, n))
+    c[:nv, :nv, nv:] = mats.transpose(2, 1, 0)
+    names = [f"e{i + 1}" for i in range(nv)] + [f"z{t + 1}" for t in range(m)]
+    return MetricLieAlgebra(n, names, c, np.eye(n), name="rep")
+
+
 def quaternionic_heisenberg():
     """Im H acting on H (n = 7); [i, j] = 2k in Im H."""
-    return from_representation(2 * so3_bracket(), quaternion_matrices(),
-                               np.eye(3))
+    return from_representation(quaternion_matrices())
 
 
 def spin2_algebra():
     """spin-2 of so(3) on the traceless symmetric 3x3 matrices (n = 8)."""
-    return from_representation(so3_bracket(), spin2_matrices(), np.eye(3))
+    return from_representation(spin2_matrices())
 
 
 def spin1_spin2_algebra():
     """spin-1 + spin-2 over one so(3) (n = 11)."""
-    rho = [np.block([[a, np.zeros((3, 5))], [np.zeros((5, 3)), b]])
-           for a, b in zip(so3_matrices(), spin2_matrices())]
-    return from_representation(so3_bracket(), rho, np.eye(3))
+    return from_representation(
+        [np.block([[a, np.zeros((3, 5))], [np.zeros((5, 3)), b]])
+         for a, b in zip(so3_matrices(), spin2_matrices())])
+
+
+def compatible_metric(H, J, h):
+    """H with the metric h + J^T h J, for which the complex structure J is
+    orthogonal; J is not checked."""
+    return with_metric(H, h + J.T @ h @ J, H.name + "+compatible")
+
+
+def basis_form(n, legs):
+    """The unit form e^{l_1} ^ ... ^ e^{l_k} on R^n by its legs, signed by
+    `perm_sign` for unsorted legs and 0 if a leg repeats."""
+    vec = np.zeros(comb(n, len(legs)))
+    pos, sign = _signed_index(n, legs)
+    vec[pos] = sign
+    return Form(n, len(legs), vec)
 
 
 def random_form(n, k, rng):

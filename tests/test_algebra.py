@@ -7,7 +7,6 @@ import pytest
 
 from nilkilling import (
     AdaptedFrame,
-    Form,
     MetricLieAlgebra,
     adapted_frame,
     complex_heisenberg,
@@ -27,7 +26,13 @@ from nilkilling import algebra, catalog
 from nilkilling.algebra import connection, rotate_constants
 from nilkilling.errors import InvalidAlgebra
 
-from helpers import change_user_basis, koszul_nabla, random_spd_metric, with_metric
+from helpers import (
+    basis_form,
+    change_user_basis,
+    koszul_nabla,
+    random_spd_metric,
+    with_metric,
+)
 
 CATALOG = [
     heisenberg(1),
@@ -404,7 +409,7 @@ def test_nabla_matrix_refuses_a_vector_of_the_wrong_shape():
     L = heisenberg(1)
     F = adapted_frame(L)
     with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(2,\)"):
-        nabla_form(L, F, np.ones(2), Form.basis(3, 2, (0, 1)))
+        nabla_form(L, F, np.ones(2), basis_form(3, (0, 1)))
     with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(4,\)"):
         levi_civita(F, np.ones(4), np.ones(3))
     with pytest.raises(ValueError, match=r"vector must have shape \(3,\), got \(2,\)"):

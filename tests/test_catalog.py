@@ -1,4 +1,4 @@
-"""Catalog constructors, the representation construction, classification lists."""
+"""Catalog constructors, classification lists, the exact Killing dimensions."""
 import tracemalloc
 
 import numpy as np
@@ -14,7 +14,6 @@ from nilkilling import (
     direct_sum,
     euclidean,
     free_two_step_3,
-    from_representation,
     heisenberg,
     j_trace_form,
     killing_dimensions,
@@ -24,14 +23,14 @@ from nilkilling import (
 )
 
 from helpers import (
+    exact_killing_dimension,
+    exact_killing_operator,
     exact_null_vector,
     frame_form_to_user,
+    from_representation,
     integer_commutant_system,
-    integer_killing_operator,
     rank_mod_p,
-    so3_bracket,
     so3_matrices,
-    spin2_matrices,
 )
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -108,7 +107,7 @@ def test_direct_sum_and_euclidean():
 
 
 def test_from_representation_so3_gives_free_two_step():
-    L = from_representation(so3_bracket(), so3_matrices(), np.eye(3))
+    L = from_representation(so3_matrices())
     assert validate(L).ok
     F = adapted_frame(L)
     for t, rho in enumerate(so3_matrices()):
@@ -120,7 +119,7 @@ def test_from_representation_so3_gives_free_two_step():
 
 
 def test_from_representation_rotation_gives_h3():
-    L = from_representation(np.zeros((1, 1, 1)), [ROT], np.eye(1))
+    L = from_representation([ROT])
     assert np.allclose(L.structure_constants,
                        heisenberg(1).structure_constants)
     assert np.allclose(L.gram, np.eye(3))
@@ -129,52 +128,11 @@ def test_from_representation_rotation_gives_h3():
 def test_from_representation_two_rotations_gives_h3_h3():
     rho1 = np.zeros((4, 4)); rho1[:2, :2] = ROT
     rho2 = np.zeros((4, 4)); rho2[2:, 2:] = ROT
-    L = from_representation(np.zeros((2, 2, 2)), [rho1, rho2], np.eye(2))
+    L = from_representation([rho1, rho2])
     dec = decompose(L)
     assert dec.d == 0
     assert sorted(f.dim for f in dec.factors) == [3, 3]
     assert killing_dimensions(L)[:2] == (0, 2)
-
-
-def test_from_representation_rejects_non_skew():
-    with pytest.raises(ValueError):
-        from_representation(np.zeros((1, 1, 1)), [np.eye(2)], np.eye(1))
-
-
-def test_from_representation_rejects_non_homomorphism():
-    # the negated matrices satisfy [rho_s, rho_t] = -rho([s, t]): residual 2
-    with pytest.raises(ValueError, match="not a representation"):
-        from_representation(so3_bracket(), [-r for r in so3_matrices()],
-                            np.eye(3))
-
-
-@pytest.mark.parametrize("s", [1e-200, 1e200])
-def test_from_representation_rejects_non_homomorphism_at_extreme_scales(s):
-    # the same residual at a common scale s of rho and the bracket, where
-    # the commutators would underflow to 0 or overflow unless unit-scaled
-    with pytest.raises(ValueError, match="not a representation"):
-        from_representation(s * so3_bracket(), [-s * r for r in so3_matrices()],
-                            np.eye(3))
-
-
-def test_from_representation_rejects_transposed_spin2():
-    # rho^T = -rho represents the opposite bracket on so(3)
-    with pytest.raises(ValueError, match="rho is not a representation"):
-        from_representation(so3_bracket(), [r.T for r in spin2_matrices()],
-                            np.eye(3))
-
-
-def test_from_representation_rejects_trivial_subrep():
-    rho1 = np.zeros((4, 4)); rho1[:2, :2] = ROT
-    rho2 = np.zeros((4, 4)); rho2[:2, :2] = 2.0 * ROT
-    with pytest.raises(ValueError, match="representation matrices share a kernel"):
-        from_representation(np.zeros((2, 2, 2)), [rho1, rho2], np.eye(2))
-
-
-def test_from_representation_rejects_non_invariant_metric():
-    with pytest.raises(ValueError, match="inner product on z is not ad-invariant"):
-        from_representation(so3_bracket(), so3_matrices(),
-                            np.diag([1.0, 2.0, 3.0]))
 
 
 def test_classification_lists_shape():
@@ -314,22 +272,60 @@ def test_complex_heisenberg_refuses_a_non_finite_lambda(lam):
 @pytest.mark.parametrize("name", catalog.catalog_names())
 def test_catalog_killing_dimension_certified_exactly(name, k):
     # every catalog entry at its defaults has the identity metric and
-    # integer brackets, so 2(k+1) times the Killing operator is an integer
-    # matrix M.  Its nullity over the rationals is at most C(n,k) - rank_p
-    # and at least the number of independent exact integer null vectors;
-    # the structured forms, scaled to integers, are such vectors, so where
-    # the two counts meet the dimension is certified with no float decision
+    # integer brackets, so `exact_killing_operator` is an integer multiple M
+    # of the Killing operator.  Its nullity over the rationals is at most
+    # the exact dimension, C(n,k) - rank_p, and at least the number of
+    # independent exact integer null vectors; the structured forms, scaled
+    # to integers, are such vectors, so where the two counts meet the
+    # dimension is certified with no float decision
     L = catalog.build(name)
-    op = integer_killing_operator(L, k)
+    op = exact_killing_operator(L, k)
     dec = decompose(L)
     forms = structured_killing(dec, k).basis
     vectors = np.array([exact_null_vector(frame_form_to_user(dec.frame, w))
                         for w in forms], dtype=np.int64).reshape(len(forms), op.shape[1])
     assert not np.any(op @ vectors.T)
     assert rank_mod_p(vectors) == len(forms)
-    assert op.shape[1] - rank_mod_p(op) == len(forms)
+    assert exact_killing_dimension(L, k, len(forms)) == len(forms)
     assert killing_nullspace_brute(L, adapted_frame(L), k).dim == len(forms)
 
+
+def _unimodular(n, rng):
+    """A seeded integer matrix of determinant 1, with its integer inverse."""
+    low = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n, dtype=int)
+    up = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n, dtype=int)
+    p = low @ up
+    inv = np.round(np.linalg.inv(p)).astype(int)
+    assert np.array_equal(p @ inv, np.eye(n, dtype=int))
+    return p, inv
+
+
+@pytest.mark.parametrize("name", [name for name in catalog.catalog_names()
+                                  if catalog.build(name).dim >= 3])
+def test_exact_dimension_referees_both_solvers(name):
+    # in the basis with columns P, a unimodular integer matrix, the brackets
+    # stay integers, and the Gram matrix P^T M P is dense: isometric to the
+    # catalog entry for its own metric M, and another metric for a random
+    # integer SPD M.  Every input is exact, and no float inverse enters (as
+    # in `change_user_basis`), so the exact dimension referees the
+    # structured and brute solvers at each of 3 seeded basis changes
+    L = catalog.build(name)
+    n = L.dim
+    plain = killing_dimensions(L)[:2]
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        p, inv = _unimodular(n, rng)
+        c = np.einsum("ia,jb,ijk,ck->abc", p, p, L.structure_constants, inv)
+        a = rng.integers(-2, 3, size=(n, n))
+        for metric in (L.gram, a.T @ a + np.eye(n)):
+            M = MetricLieAlgebra(n, list(L.basis_names), c, p.T @ metric @ p)
+            structured = killing_dimensions(M)[:2]
+            if metric is L.gram:
+                assert structured == plain
+            F = adapted_frame(M)
+            for k, dim in zip((2, 3), structured):
+                assert exact_killing_dimension(M, k, dim) == dim, (k, metric)
+                assert killing_nullspace_brute(M, F, k).dim == dim, (k, metric)
 
 # two sums of identical factors beyond the catalog
 FACTOR_COUNT_SUMS = {

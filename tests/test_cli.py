@@ -12,6 +12,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from nilkilling import (
     MetricLieAlgebra,
+    adapted_frame,
     catalog,
     classification_lists,
     cli,
@@ -19,6 +20,7 @@ from nilkilling import (
     direct_sum,
     euclidean,
     heisenberg,
+    killing,
     structure,
 )
 from nilkilling.catalog import catalog_names
@@ -31,7 +33,7 @@ from nilkilling.errors import (
     WorkingSetTooLarge,
 )
 
-from helpers import change_user_basis
+from helpers import change_user_basis, quaternionic_heisenberg, with_metric
 from make_answer_matrix import GOLDEN, run_matrix
 
 
@@ -312,6 +314,40 @@ def test_numerical_ambiguity_exits_4(tmp_path, capsys):
     out = run_cli(capsys, "analyze", str(path))
     assert out.returncode == 4
 
+
+def test_full_rank_in_the_gap_band_exits_4(tmp_path, capsys):
+    # qH with one Gram entry scaled by 1 + 1e-8: the brute's smallest
+    # singular value at k = 3 is about 2.6e-9, above the threshold 1e-9 but
+    # within the gap band of the 0 below a full rank, so dim K3 = 0 (the
+    # structured side says 1) is refused, not answered
+    gram = np.eye(7)
+    gram[0, 0] += 1e-8
+    L = with_metric(quaternionic_heisenberg(), gram)
+    with pytest.raises(NumericalRankFailure, match="discarded 0.000e"):
+        killing.killing_nullspace_brute(L, adapted_frame(L), 3)
+    path = tmp_path / "qh.json"
+    L.save(path)
+    out = run_cli(capsys, "killing", str(path), "--method", "brute", "--degree", "3")
+    assert out.returncode == 4
+    assert "ambiguous singular value gap" in out.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bracket, gram", [(1e-300, 1e100), (1e200, 1e-300)])
+@pytest.mark.parametrize("argv", [["analyze"],
+                                  ["killing", "--method", "brute", "--degree", "2"]])
+def test_frame_constants_outside_the_double_range_exit_3(tmp_path, capsys,
+                                                         bracket, gram, argv):
+    # h3's frame constants scale like bracket / sqrt(gram), here 1e-350 and
+    # 1e350, outside the double range though each input is inside it; all
+    # zero, they would give R^3's answer (dim K2 = 3)
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [[0, 1, 2, bracket]],
+                                "metric": {"gram": (gram * np.eye(3)).tolist()}}))
+    out = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert out.returncode == cli.EXIT_INVALID
+    assert out.stdout == ""
+    assert out.stderr == "frame constants leave the double-precision range\n"
 
 def test_tol_near_the_gap_factor_cannot_decide(capsys):
     # kept and dropped singular values must lie GAP_FACTOR * tol * max(s_max, 1)

@@ -34,6 +34,7 @@ from nilkilling.errors import WorkingSetTooLarge
 from nilkilling.linalg import DEFAULT_TOL, span_distance
 
 from helpers import (
+    basis_form,
     brute_reference,
     change_user_basis,
     contract_reference,
@@ -57,7 +58,7 @@ def e(n, i):
 def test_residual_h3_volume_is_killing():
     L = heisenberg(1)
     F = adapted_frame(L)
-    vol = Form.basis(3, 3, (0, 1, 2))
+    vol = basis_form(3, (0, 1, 2))
     assert killing_residual(F, vol) < 1e-12
 
 
@@ -72,7 +73,7 @@ def test_residual_abelian_forms_are_killing():
     L = euclidean(4)
     F = adapted_frame(L)
     for k in (1, 2, 3):
-        w = Form.basis(4, k, tuple(range(k)))
+        w = basis_form(4, tuple(range(k)))
         assert killing_residual(F, w) < 1e-14
 
 
@@ -108,7 +109,7 @@ def test_brute_basis_passes_residual():
 def test_killgen_zero_on_killing_form():
     L = heisenberg(1)
     F = adapted_frame(L)
-    vol = Form.basis(3, 3, (0, 1, 2))
+    vol = basis_form(3, (0, 1, 2))
     table = killgen_residuals(F, vol)
     assert max(table.values()) < 1e-12
 
@@ -117,7 +118,7 @@ def test_killgen_flags_alpha1_component():
     # a 3-form with one v-leg and two z-legs violates the third family at l=0
     L = complex_heisenberg(1.0)
     F = adapted_frame(L)
-    w = Form.basis(6, 3, (0, 4, 5))
+    w = basis_form(6, (0, 4, 5))
     table = killgen_residuals(F, w)
     assert table[("pp3", 0)] > 1e-3
 
@@ -126,7 +127,7 @@ def test_killgen_flags_bad_two_form():
     # alpha2 rotating only the (e1, e2) plane does not anticommute with j(z)
     L = complex_heisenberg(1.0)
     F = adapted_frame(L)
-    w = Form.basis(6, 2, (0, 1))
+    w = basis_form(6, (0, 1))
     table = killgen_residuals(F, w)
     assert table[("pp3", 1)] > 1e-3
 
@@ -146,7 +147,7 @@ def test_killgen_reads_every_pair_of_frame_vectors():
     # P(x, x), P(z, z) and P(x, z) all vanish
     L = heisenberg(2)
     F = adapted_frame(L)
-    w = Form.basis(5, 3, (0, 1, 4))
+    w = basis_form(5, (0, 1, 4))
     assert killing_residual(F, w) == pytest.approx(0.25)
     assert max(killgen_residuals(F, w).values()) > 1e-3
 
@@ -242,11 +243,11 @@ def test_is_parallel():
 
     h3 = heisenberg(1)
     F3 = adapted_frame(h3)
-    assert is_parallel(F3, Form.basis(3, 3, (0, 1, 2)))
+    assert is_parallel(F3, basis_form(3, (0, 1, 2)))
 
     flat = euclidean(3)
     Ff = adapted_frame(flat)
-    assert is_parallel(Ff, Form.basis(3, 2, (0, 1)))
+    assert is_parallel(Ff, basis_form(3, (0, 1)))
 
 
 @pytest.mark.parametrize("check", [
@@ -312,7 +313,7 @@ def test_brute_reads_one_connection_and_no_per_form_differential(monkeypatch):
             del made[:]
         return got
 
-    omega = Form.basis(5, 3, (0, 1, 4))
+    omega = basis_form(5, (0, 1, 4))
     counts()
     killing_nullspace_brute(L, F, 3)
     # d of every basis form is one scatter, and each of the 5 connection

@@ -86,6 +86,11 @@ def test_svd_rank_reads_singular_values():
     assert _svd_rank(np.array([1e-12, 1e-13]), DEFAULT_TOL) == 0
     with pytest.raises(NumericalRankFailure, match="ambiguous singular value gap"):
         _svd_rank(np.array([1.0, 2 * DEFAULT_TOL, 0.5 * DEFAULT_TOL]), DEFAULT_TOL)
+    # a full rank is judged against 0 below it: its smallest value must
+    # clear the gap too, and one that does not is refused
+    assert _svd_rank(np.array([1.0, 20 * DEFAULT_TOL]), DEFAULT_TOL) == 2
+    with pytest.raises(NumericalRankFailure, match="discarded 0.000e"):
+        _svd_rank(np.array([1.0, 2 * DEFAULT_TOL]), DEFAULT_TOL)
 
 
 def test_one_svd_call_in_the_package():

@@ -6,8 +6,14 @@ only as `linalg.DEFAULT_TOL` and as the two display cut-offs of `Form`
 scope or of `DEFAULT_TOL`.  A `max(1.0, ...)` floor, which makes a
 threshold absolute for small data, may appear only in `linalg._svd_rank`,
 whose callers pass unit-scaled data.
+
+Every threshold site is listed: a comparison, product or quotient that
+reads `tol` (a name or an attribute), `DEFAULT_TOL` or `GAP_FACTOR`,
+counted once where such expressions nest, by file and enclosing function.
+A new site fails `test_threshold_sites_are_listed` until it is listed.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nilkilling
@@ -17,6 +23,24 @@ SRC = Path(nilkilling.__file__).parent
 LITERAL_SITES = {("linalg.py", "DEFAULT_TOL"), ("forms.py", "__repr__"),
                  ("forms.py", "to_json")}
 FLOOR_SITES = {("linalg.py", "_svd_rank")}
+
+THRESHOLD_NAMES = {"tol", "DEFAULT_TOL", "GAP_FACTOR"}
+THRESHOLD_SITES = {
+    ("algebra.py", "validate"): 5,
+    ("algebra.py", "_canonical_span_basis"): 2,
+    ("cli.py", "_run"): 1,               # the --tol range of the parser
+    ("cli.py", "cmd_killing"): 1,        # the span check of --method both
+    ("forms.py", "terms"): 1,            # a display cut-off
+    ("forms.py", "_skew_map"): 1,
+    ("killing.py", "_normalize"): 1,
+    ("killing.py", "killing_residual"): 1,
+    ("killing.py", "is_parallel"): 1,
+    ("linalg.py", "_svd_rank"): 2,
+    ("structure.py", "_cluster"): 1,
+    ("structure.py", "find_complex_structure"): 2,
+    ("structure.py", "naturally_reductive_type"): 2,
+    ("structure.py", "decompose"): 1,
+}
 
 
 def _sites(tree):
@@ -72,3 +96,40 @@ def test_one_tolerance_policy():
     for path in sorted(SRC.glob("*.py")):
         found += violations(path.name, path.read_text())
     assert found == []
+
+
+def _reads_threshold(node):
+    return any((isinstance(n, ast.Name) and n.id in THRESHOLD_NAMES)
+               or (isinstance(n, ast.Attribute) and n.attr == "tol")
+               for n in ast.walk(node))
+
+
+def threshold_sites(filename, source):
+    """Counter of (filename, site) over the outermost comparisons, products
+    and quotients that read a threshold."""
+    found, inside = Counter(), set()
+    for site, node in _sites(ast.parse(source)):
+        if id(node) in inside:
+            continue
+        if ((isinstance(node, ast.Compare)
+             or (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))))
+                and _reads_threshold(node)):
+            found[(filename, site)] += 1
+            inside.update(map(id, ast.walk(node)))
+    return found
+
+
+def test_checker_counts_threshold_sites():
+    source = ("def f(a, s, args):\n"
+              "    gap = GAP_FACTOR * tol * s\n"
+              "    return a > gap or a < 10 * args.tol or a * 2 > s\n"
+              "def g(a):\n"
+              "    return a - DEFAULT_TOL\n")
+    assert threshold_sites("m.py", source) == Counter({("m.py", "f"): 2})
+
+
+def test_threshold_sites_are_listed():
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        found += threshold_sites(path.name, path.read_text())
+    assert found == Counter(THRESHOLD_SITES)
