@@ -339,14 +339,14 @@ def exact_killing_operator(L, k, p=CERTIFICATE_PRIMES[0]):
     return np.where(op > p // 2, op - p, op)
 
 
-def exact_killing_dimension(L, k, expected=None):
+def exact_killing_dimension(L, k, expected):
     """Dimension of the Killing k-forms of L, C(n, k) minus the rank of
     `exact_killing_operator` mod a prime.  That rank can only fall below
     the rank over the rationals, so a dimension other than `expected` is
     taken again mod a second prime, whose answer is returned."""
     for p in CERTIFICATE_PRIMES:
         dim = comb(L.dim, k) - rank_mod_p(exact_killing_operator(L, k, p), p)
-        if expected is None or dim == expected:
+        if dim == expected:
             break
     return dim
 
