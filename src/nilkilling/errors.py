@@ -11,7 +11,7 @@ class InvalidAlgebra(NilkillingError, ValueError):
 
 
 class NumericalRankFailure(NilkillingError):
-    """A rank decision could not be made: the singular value gap is too small."""
+    """A rank or zero decision could not be made: its gap is too small."""
 
 
 class DecompositionAmbiguous(NilkillingError):

@@ -30,7 +30,7 @@ from .forms import (
     skew_extend,
     transform,
 )
-from .linalg import DEFAULT_TOL, _unit_scaled, nullspace
+from .linalg import DEFAULT_TOL, _is_zero, _sign_fixed, _unit_scaled, nullspace
 from .structure import Decomposition, decompose
 
 
@@ -56,18 +56,14 @@ class KillingSpace:
 
 
 def _normalize(form: Form) -> Form:
-    """`form` at unit norm, its first clear coefficient positive.  The norm
+    """`form` at unit norm, signed by `linalg._sign_fixed`.  The norm
     is read off the coefficients divided by the power of two above their
     largest: exact, and free of overflow and underflow."""
     peak = np.abs(form.vec).max(initial=0.0)
     if peak == 0.0:
         return form
     unit = np.ldexp(form.vec, -np.frexp(peak)[1])
-    out = Form(form.n, form.degree, unit * (1.0 / np.linalg.norm(unit)))
-    lead = out.vec[np.abs(out.vec) > DEFAULT_TOL / 10]
-    if lead.size and lead[0] < 0:
-        out = -out
-    return out
+    return Form(form.n, form.degree, _sign_fixed(unit * (1.0 / np.linalg.norm(unit))))
 
 
 def _nablas(F: AdaptedFrame, omega: Form):
@@ -189,7 +185,8 @@ def is_parallel(F: AdaptedFrame, omega: Form) -> bool:
     """True iff the covariant derivative vanishes in every frame direction."""
     nablas = np.array([nab.vec for nab in _nablas(F, omega)])
     worst = np.linalg.norm(nablas, axis=1).max()
-    return bool(worst <= DEFAULT_TOL * np.abs(F.constants).max() * omega.norm())
+    return _is_zero(worst, np.abs(F.constants).max() * omega.norm(), DEFAULT_TOL,
+                    "covariant derivative")
 
 
 def _form_from_tensor(tensor) -> Form:

@@ -4,9 +4,9 @@ Every rank/nullity decision in the package goes through these routines so
 that the gap-ambiguity policy is applied uniformly.  The scale rule: rank
 decisions take unit-scaled data (`_unit_scaled` constants); every other
 zero test compares against tol times the largest entry of its own inputs,
-all-zero input being the exact case; one quadratic in its data divides
-the data by its largest entry first, so no threshold is squared.  So no
-answer changes under a homothety or an isometry.
+all-zero input being the exact case, the structural ones by `_is_zero`;
+one quadratic in its data divides it by its largest entry first, so no
+threshold is squared.  So no answer changes under a homothety or an isometry.
 """
 import numpy as np
 
@@ -38,6 +38,23 @@ def _svd_rank(s, tol):
             % (s[rank - 1], below)
         )
     return rank
+
+
+def _is_zero(value, scale, tol, stage):
+    """The rank rule for one value: zero at most tol * scale, non-zero from
+    GAP_FACTOR times that, and NumericalRankFailure naming `stage` between."""
+    low, high = tol * scale, GAP_FACTOR * tol * scale
+    if not (value <= low or value >= high):
+        raise NumericalRankFailure("%s: %.3e between zero (%.3e) and non-zero (%.3e)"
+                                   % (stage, value, low, high))
+    return bool(value <= low)
+
+
+def _sign_fixed(a):
+    """`-a` if its first entry above DEFAULT_TOL times the largest is < 0, else `a`."""
+    flat = np.ravel(a)
+    lead = flat[np.abs(flat) > DEFAULT_TOL * np.abs(flat).max(initial=0.0)]
+    return -a if lead.size and lead[0] < 0 else a
 
 
 def _unit_scaled(a):

@@ -1,15 +1,15 @@
 """Decomposition of metric 2-step nilpotent algebras and factor analysis.
 
 Splits an algebra into an abelian block plus irreducible orthogonal ideals,
-detects bi-invariant orthogonal complex structures, tests the algebraic
-criterion for natural reductivity, and evaluates the two dimension
-formulas for Killing 2- and 3-forms.
+detects bi-invariant orthogonal complex structures, tests Gordon's criterion
+for natural reductivity, each check by `linalg._is_zero` on one residual,
+and evaluates the two dimension formulas for Killing 2- and 3-forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, sqrt
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,8 @@ from .algebra import (
     rotate_constants,
 )
 from .errors import DecompositionAmbiguous, InternalInvariantViolation
-from .linalg import DEFAULT_TOL, GAP_FACTOR, _unit_scaled, nullspace
+from .linalg import (DEFAULT_TOL, GAP_FACTOR, _is_zero, _sign_fixed,
+                     _unit_scaled, nullspace)
 
 
 @dataclass(frozen=True)
@@ -154,46 +155,46 @@ def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):
     d2 = d @ d
     p = d.shape[0]
     lam = float(np.trace(d2)) / p
-    if np.abs(d2 - lam * np.eye(p)).max() > 100 * tol * np.abs(d2).max():
+    if not _is_zero(np.abs(d2 - lam * np.eye(p)).max(), np.abs(d2).max(), tol,
+                    "scalar square of the bi-invariant skew map"):
         raise InternalInvariantViolation(
             "square of bi-invariant skew map is not scalar; factor not irreducible"
         )
     if lam >= 0:
         raise InternalInvariantViolation("scalar square is not negative")
-    j = d / np.sqrt(-lam)
-    # deterministic sign: first non-zero entry positive (J is orthogonal)
-    flat = j.ravel()
-    lead = flat[np.abs(flat) > 10 * tol]
-    if lead.size and lead[0] < 0:
-        j = -j
-    return j
+    return _sign_fixed(d / np.sqrt(-lam))
 
 
 def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
     """Compact bracket on z when the factor is of naturally reductive type.
 
-    Checks that the skew maps attached to z close under commutators and
-    that the induced bracket on z has skew adjoint maps; returns the m^3
-    bracket table or None.  Both checks read the unit-scaled j-maps, as
-    the commutators are quadratic in them; the bracket is scaled back.
+    Gordon's criterion: [J_s, J_t] = sum_u b_stu J_u for the j-maps, with b
+    totally antisymmetric.  The candidate b, the alternating part of the
+    least-squares solution, is decided by `_is_zero` on its defect over
+    |(b_{s<t<u}, 1)| and the largest unit-scaled entry, as the rank rule
+    would read the linear system there.  Returns b scaled back, or None.
     """
     m, mats = F.nz, F.j_matrices
     if m == 0:
         return None
     scale = np.abs(mats).max(initial=0.0)
-    mats = _unit_scaled(mats)
+    mats = mats / scale if scale else mats      # unit-scaled by the peak just read
     a = mats.reshape(m, -1).T
     # every commutator [J_s, J_t], solved for in the span of the J_u at once
     prod = mats[:, None] @ mats[None]
     targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
     coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
-    residual = a @ coef - targets
-    if np.sqrt((residual * residual).sum(axis=0)).max() > 100 * tol:
+    c = coef.reshape(m, m, m)       # [u, s, t] = b_stu, a layout b shares
+    c = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
+    # the largest of the three rotations is exactly cyclic, so b exactly alternating
+    c = np.maximum(np.maximum(c, c.transpose(1, 2, 0)), c.transpose(2, 0, 1))
+    b = (c - c.transpose(1, 0, 2)) / 6
+    defect = (a @ b.reshape(m, -1) - targets).ravel()
+    peak = max(np.abs(a).max(initial=0.0), np.abs(targets).max(initial=0.0))
+    size = sqrt(np.vdot(b, b) / 6 + 1.0) * peak    # |(b_{s<t<u}, 1)| times the peak
+    if not _is_zero(sqrt(defect @ defect), size, tol, "naturally reductive defect"):
         return None
-    cb = coef.T.reshape(m, m, m)
-    if np.abs(cb + cb.transpose(0, 2, 1)).max() > 100 * tol:
-        return None
-    return scale * cb
+    return scale * b
 
 
 def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
@@ -260,7 +261,7 @@ def decompose(L: MetricLieAlgebra, tol=DEFAULT_TOL) -> Decomposition:
     for start, end in zip(bounds, bounds[1:]):   # keep only the cross-block entries
         cross[start:end, start:end, start:end] = 0.0
     worst = cross.max()
-    if worst > 100 * tol * scale:
+    if not _is_zero(worst, scale, tol, "cross-block brackets"):
         raise DecompositionAmbiguous("cross-block bracket residual %.2e" % worst)
     factors = []
     for (cols, nv), start, end in zip(blocks, bounds[1:], bounds[2:]):

@@ -22,9 +22,10 @@ and takes its rank modulo a prime, with no float decision; the
 factor-count certificate does the same for the graded symmetric
 commutant system, read off the raw brackets.  The test inputs built here
 check nothing: the representation ladder (Im H on H, spin-2 and spin-1 +
-spin-2 of so(3)) by `from_representation`, the metric that makes a
-complex structure orthogonal by `compatible_metric`, and a unit form by
-its legs by `basis_form`.
+spin-2 of so(3), and so(N) on R^N, the free 2-step algebras) by
+`from_representation`, the metric that makes a complex structure
+orthogonal by `compatible_metric`, and a unit form by its legs by
+`basis_form`.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +34,7 @@ from math import comb
 
 import numpy as np
 
-from nilkilling import Form, MetricLieAlgebra
+from nilkilling import Form, MetricLieAlgebra, free_two_step_3, heisenberg
 from nilkilling.killing import _normalize
 from nilkilling.linalg import nullspace
 
@@ -504,6 +505,27 @@ def spin1_spin2_algebra():
     return from_representation(
         [np.block([[a, np.zeros((3, 5))], [np.zeros((5, 3)), b]])
          for a, b in zip(so3_matrices(), spin2_matrices())])
+
+
+def free_two_step(generators):
+    """The free 2-step algebra on `generators` generators, so(N) acting on
+    R^N (n = N + N(N-1)/2); N = 3 is n32 up to isometry."""
+    eye = np.eye(generators)
+    return from_representation([np.outer(eye[b], eye[a]) - np.outer(eye[a], eye[b])
+                                for a, b in combinations(range(generators), 2)])
+
+
+def naturally_reductive_ladder():
+    """n32, h5, qH, spin-2, spin-1 + spin-2 and the free 2-step algebras on
+    4-6 generators, irreducible and naturally reductive, each followed by
+    an isometric copy in a seeded random orthonormal basis."""
+    rng = np.random.default_rng(5)
+    for L in (free_two_step_3(), heisenberg(2), quaternionic_heisenberg(),
+              spin2_algebra(), spin1_spin2_algebra(),
+              *(free_two_step(g) for g in (4, 5, 6))):
+        q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
+        yield L
+        yield change_user_basis(L, q)
 
 
 def compatible_metric(H, J, h):

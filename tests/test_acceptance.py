@@ -17,7 +17,6 @@ from nilkilling import (
     killing_residual,
     lie_diff,
     nabla_form,
-    naturally_reductive_type,
     skew_extend,
     structured_killing,
     wedge,
@@ -28,6 +27,7 @@ from helpers import (
     beta_coefficients,
     change_user_basis,
     kill2_residual,
+    naturally_reductive_ladder,
     random_form,
     random_skew,
     random_spd_metric,
@@ -151,27 +151,23 @@ def test_criterion_4_complex_structure_pipeline():
 
 def test_criterion_5_naturally_reductive_pipeline():
     def body():
-        L = free_two_step_3()
-        F = adapted_frame(L)
-        cb = naturally_reductive_type(F)
-        assert cb is not None
-        ads = [cb[s].T for s in range(3)]
-        kf = np.array([[np.trace(ads[s] @ ads[t]) for t in range(3)]
-                       for s in range(3)])
-        assert np.linalg.eigvalsh(kf).max() < 0.0
-        space = structured_killing(decompose(L), 3)
-        assert space.dim == 1
-        assert killing_residual(F, space.basis[0]) <= 1e-9
-        # j(gamma(z, z')) = 2 * lambda * [j(z), j(z')] with lambda = 1
-        for s in range(3):
-            for t in range(3):
-                lhs = sum(2.0 * cb[s, t, u] * F.j_matrices[u]
-                          for u in range(3))
-                rhs = 2.0 * (F.j_matrices[s] @ F.j_matrices[t]
-                             - F.j_matrices[t] @ F.j_matrices[s])
-                assert np.abs(lhs - rhs).max() <= 1e-9
+        for L in naturally_reductive_ladder():
+            dec = decompose(L)
+            (factor,) = dec.factors
+            mats, cb = factor.frame.j_matrices, factor.compact_bracket
+            assert cb is not None, L.name
+            # Gordon's bracket on z: exactly totally antisymmetric, and
+            # [j(z_s), j(z_t)] = j(b(z_s, z_t)) to round-off of the j-maps squared
+            assert np.array_equal(cb, -cb.transpose(1, 0, 2)), L.name
+            assert np.array_equal(cb, cb.transpose(1, 2, 0)), L.name
+            comm = mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+            defect = np.tensordot(cb, mats, axes=(2, 0)) - comm
+            assert np.abs(defect).max() <= 1e-12 * np.abs(mats).max() ** 2, L.name
+            space = structured_killing(dec, 3)
+            assert space.dim == 1, L.name
+            assert killing_residual(dec.frame, space.basis[0]) <= 1e-9, L.name
 
-    _run(5, "naturally reductive structure of the free 2-step algebra", body)
+    _run(5, "naturally reductive structure of the so(3) and so(N) ladders", body)
 
 
 def test_criterion_6_mutual_exclusion():

@@ -332,6 +332,28 @@ def test_full_rank_in_the_gap_band_exits_4(tmp_path, capsys):
     assert "ambiguous singular value gap" in out.stderr
 
 
+@pytest.mark.parametrize("eps, analyze_exit, brute_dim", [(1e-7, 0, 0), (2e-9, 4, 1)])
+def test_naturally_reductive_decision_agrees_with_the_brute_or_exits_4(
+        tmp_path, capsys, eps, analyze_exit, brute_dim):
+    # qH with one Gram entry scaled by 1 + eps is not naturally reductive.
+    # At 1e-7 `analyze` once answered dim K3 = 1 at exit 0 where the brute
+    # finds 0; at 2e-9 the brute still finds 1 and only the structured
+    # decision lies in its band, so `analyze` refuses and names it
+    gram = np.eye(7)
+    gram[0, 0] *= 1 + eps
+    path = tmp_path / "qh.json"
+    with_metric(quaternionic_heisenberg(), gram).save(path)
+    brute = run_cli(capsys, "killing", str(path), "--method", "brute",
+                    "--degree", "3", "--json")
+    assert (brute.returncode, json.loads(brute.stdout)["dim"]) == (0, brute_dim)
+    out = run_cli(capsys, "analyze", str(path), "--json")
+    assert out.returncode == analyze_exit
+    if analyze_exit:
+        assert "naturally reductive defect" in out.stderr
+    else:
+        assert json.loads(out.stdout)["dimK3"] == brute_dim
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bracket, gram", [(1e-300, 1e100), (1e200, 1e-300)])
 @pytest.mark.parametrize("argv", [["analyze"],

@@ -30,7 +30,8 @@ from nilkilling import (
     wedge,
 )
 from nilkilling import algebra, cli, forms, killing
-from nilkilling.errors import WorkingSetTooLarge
+from nilkilling.errors import (DecompositionAmbiguous, NumericalRankFailure,
+                               WorkingSetTooLarge)
 from nilkilling.linalg import DEFAULT_TOL, span_distance
 
 from helpers import (
@@ -534,6 +535,38 @@ def test_representation_ladder_brute_matches_structured(build, n):
             qa, _ = np.linalg.qr(brute.matrix())
             qb, _ = np.linalg.qr(structured.matrix())
             assert span_distance(qa, qb) < 1e-9
+
+
+def _near_degenerate_metrics():
+    """(name, entry, eps, algebra): Gram entries 0, nv and n - 1 of seven
+    irreducible and reducible algebras, each scaled by 1 + eps for ten eps
+    from 1e-9 to 1e-6, where the solvers' decisions sit near their bands."""
+    bases = {name: catalog.build(name)
+             for name in ("n32", "R2+n32", "h5", "h3C", "R+h3C")}
+    bases.update(qH=quaternionic_heisenberg(), spin2=spin2_algebra())
+    for name, L in bases.items():
+        for i in sorted({0, adapted_frame(L).nv, L.dim - 1}):
+            for eps in np.logspace(-9, -6, 10):
+                gram = L.gram.copy()
+                gram[i, i] *= 1 + eps
+                yield name, i, eps, with_metric(L, gram)
+
+
+def test_structured_and_brute_agree_or_refuse_near_degenerate_metrics():
+    # a structured decision (natural reductivity, the complex structure, the
+    # split) and the brute's rank decision may each refuse near its band,
+    # but never answer two different dimensions
+    silent = []
+    for name, i, eps, L in _near_degenerate_metrics():
+        for k in (2, 3):
+            try:
+                structured = structured_killing(decompose(L), k).dim
+                brute = killing_nullspace_brute(L, adapted_frame(L), k).dim
+            except (NumericalRankFailure, DecompositionAmbiguous):
+                continue
+            if structured != brute:
+                silent.append((name, i, float(eps), k, structured, brute))
+    assert silent == []
 
 
 def _orthonormality_error(space):

@@ -1,4 +1,5 @@
-"""The SVD rank policy shared by nullspace and column_space."""
+"""The SVD rank policy shared by nullspace and column_space, and the same
+rule on one value (`_is_zero`) with the one sign rule."""
 import ast
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from nilkilling.errors import NumericalRankFailure
 from nilkilling.linalg import (
     DEFAULT_TOL,
     GAP_FACTOR,
+    _is_zero,
     _row_and_null_space,
+    _sign_fixed,
     _svd_rank,
     column_space,
     nullspace,
@@ -91,6 +94,26 @@ def test_svd_rank_reads_singular_values():
     assert _svd_rank(np.array([1.0, 20 * DEFAULT_TOL]), DEFAULT_TOL) == 2
     with pytest.raises(NumericalRankFailure, match="discarded 0.000e"):
         _svd_rank(np.array([1.0, 2 * DEFAULT_TOL]), DEFAULT_TOL)
+
+
+def test_is_zero_is_the_rank_rule_on_one_value():
+    # zero at most tol * scale, non-zero from GAP_FACTOR times that, and
+    # refused in between, NaN included, naming the stage
+    scale = 1e-6
+    assert _is_zero(0.0, 0.0, DEFAULT_TOL, "s") is True
+    assert _is_zero(DEFAULT_TOL * scale, scale, DEFAULT_TOL, "s") is True
+    assert _is_zero(GAP_FACTOR * DEFAULT_TOL * scale, scale, DEFAULT_TOL, "s") is False
+    for value in (2 * DEFAULT_TOL * scale, np.nan):
+        with pytest.raises(NumericalRankFailure, match="^cross-block: "):
+            _is_zero(value, scale, DEFAULT_TOL, "cross-block")
+
+
+def test_sign_fixed_makes_the_first_clear_entry_positive():
+    # an entry at round-off of the largest is not clear and does not decide
+    a = np.array([[-1e-12, -0.5], [0.25, 1.0]])
+    assert np.array_equal(_sign_fixed(a), -a)
+    assert np.array_equal(_sign_fixed(-a), -a)
+    assert np.array_equal(_sign_fixed(np.zeros(3)), np.zeros(3))
 
 
 def test_one_svd_call_in_the_package():

@@ -29,6 +29,7 @@ from helpers import (
     commutant_system_reference,
     compatible_metric,
     full_intertwiners,
+    naturally_reductive_ladder,
     random_spd_metric,
     random_two_step,
     with_metric,
@@ -370,14 +371,17 @@ def test_naturally_reductive_h3():
 
 
 def test_naturally_reductive_free_two_step_is_so3():
-    L = free_two_step_3()
-    cb = naturally_reductive_type(adapted_frame(L))
-    assert cb is not None
-    # Killing form of the compact bracket must be negative definite (so(3))
-    ads = [cb[s].T for s in range(3)]
-    kf = np.array([[np.trace(ads[s] @ ads[t]) for t in range(3)]
-                   for s in range(3)])
-    assert np.linalg.eigvalsh(kf).max() < -1e-6
+    # the compact bracket of n32 is so(3), and that of each semisimple case
+    # of the ladder (all but h5, whose centre is a line) compact semisimple:
+    # its Killing form is negative definite
+    for L in naturally_reductive_ladder():
+        F = adapted_frame(L)
+        cb = naturally_reductive_type(F)
+        assert cb is not None, L.name
+        if F.nz > 1:
+            ads = [cb[s].T for s in range(F.nz)]
+            kf = np.array([[np.trace(a @ b) for b in ads] for a in ads])
+            assert np.linalg.eigvalsh(kf).max() < -1e-6 * np.abs(cb).max() ** 2, L.name
 
 
 def test_naturally_reductive_complex_heisenberg_fails():

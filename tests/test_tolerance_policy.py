@@ -32,14 +32,11 @@ THRESHOLD_SITES = {
     ("cli.py", "cmd_killing"): 1,        # the span check of --method both
     ("forms.py", "terms"): 1,            # a display cut-off
     ("forms.py", "_skew_map"): 1,
-    ("killing.py", "_normalize"): 1,
     ("killing.py", "killing_residual"): 1,
-    ("killing.py", "is_parallel"): 1,
     ("linalg.py", "_svd_rank"): 2,
+    ("linalg.py", "_is_zero"): 2,        # the two edges of the refusal band
+    ("linalg.py", "_sign_fixed"): 1,
     ("structure.py", "_cluster"): 1,
-    ("structure.py", "find_complex_structure"): 2,
-    ("structure.py", "naturally_reductive_type"): 2,
-    ("structure.py", "decompose"): 1,
 }
 
 
