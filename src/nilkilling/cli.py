@@ -173,7 +173,7 @@ def cmd_killing(args):
 
     _emit(rec, args.json, lines)
     if brute is not None and structured is not None:
-        # written so that a NaN residual fails it
+        # one-sided, not the rank rule, so that a NaN residual is a mismatch (exit 5)
         if brute.dim != structured.dim or not rec["span_residual"] <= 10 * args.tol:
             raise CliError(
                 EXIT_MISMATCH,

@@ -1,12 +1,15 @@
 """Dense linear algebra helpers: rank decisions via singular values.
 
-Every rank/nullity decision in the package goes through these routines so
-that the gap-ambiguity policy is applied uniformly.  The scale rule: rank
-decisions take unit-scaled data (`_unit_scaled` constants); every other
-zero test compares against tol times the largest entry of its own inputs,
-all-zero input being the exact case, the structural ones by `_is_zero`;
-one quadratic in its data divides it by its largest entry first, so no
-threshold is squared.  So no answer changes under a homothety or an isometry.
+Every rank and zero decision in the package reads one rule, `_rank`:
+values above tol * scale are retained, and the decision is refused unless
+the retained and discarded values are GAP_FACTOR * tol * scale apart.
+The SVD rank of `_row_and_null_space` applies it to singular values, and
+`_is_zero` to one structural residual.  The scale rule: rank decisions
+take unit-scaled data (`_unit_scaled` constants); every other zero test
+compares against tol times the largest entry of its own inputs, all-zero
+input being the exact case; one quadratic in its data divides it by its
+largest entry first, so no threshold is squared.  So no answer changes
+under a homothety or an isometry.
 """
 import numpy as np
 
@@ -19,35 +22,27 @@ DEFAULT_TOL = 1e-9
 GAP_FACTOR = 10.0
 
 
-def _svd_rank(s, tol):
-    """Numerical rank of the descending singular values `s` of a non-zero matrix.
+def _rank(s, scale, tol, stage):
+    """Number of the descending values `s` retained above tol * scale.
 
-    Values above tol * max(s_max, 1) count towards the rank; the decision
-    is refused with NumericalRankFailure unless the retained and discarded
-    values are separated by GAP_FACTOR times that scale, the value below a
-    full rank counting as 0.  Callers pass the values of unit-scaled data,
-    so the floor 1, the package's only unit scale, keeps pure round-off
-    (the Killing operator of a top-degree form) at rank 0.
+    The decision is refused with NumericalRankFailure naming `stage`
+    unless the smallest retained value and the largest discarded one are
+    GAP_FACTOR * tol * scale apart, the value below a full rank counting
+    as 0; a NaN is retained and refused.
     """
-    scale = max(s[0], 1.0)
-    rank = int(np.count_nonzero(s > tol * scale))
+    low, high = tol * scale, GAP_FACTOR * tol * scale
+    rank = int(np.count_nonzero(~(s <= low)))
     below = s[rank] if rank < s.size else 0.0
-    if rank and s[rank - 1] - below < GAP_FACTOR * tol * scale:
-        raise NumericalRankFailure(
-            "ambiguous singular value gap: retained %.3e vs discarded %.3e"
-            % (s[rank - 1], below)
-        )
+    if rank and not s[rank - 1] - below >= high:
+        raise NumericalRankFailure("%s: retained %.3e vs discarded %.3e"
+                                   % (stage, s[rank - 1], below))
     return rank
 
 
 def _is_zero(value, scale, tol, stage):
-    """The rank rule for one value: zero at most tol * scale, non-zero from
+    """The rank rule on one value: zero at most tol * scale, non-zero from
     GAP_FACTOR times that, and NumericalRankFailure naming `stage` between."""
-    low, high = tol * scale, GAP_FACTOR * tol * scale
-    if not (value <= low or value >= high):
-        raise NumericalRankFailure("%s: %.3e between zero (%.3e) and non-zero (%.3e)"
-                                   % (stage, value, low, high))
-    return bool(value <= low)
+    return not _rank(np.array([value]), scale, tol, stage)
 
 
 def _sign_fixed(a):
@@ -66,8 +61,8 @@ def _unit_scaled(a):
 def nullspace(a, tol=DEFAULT_TOL):
     """Orthonormal basis (columns) of the nullspace of `a`.
 
-    `a` is unit-scaled (see `_svd_rank`).  Raises NumericalRankFailure
-    when the decision is ambiguous.
+    `a` is unit-scaled (see `_row_and_null_space`).  Raises
+    NumericalRankFailure when the decision is ambiguous.
     """
     return _row_and_null_space(a, tol)[1]
 
@@ -81,7 +76,10 @@ def _row_and_null_space(a, tol=DEFAULT_TOL):
         return np.zeros((a.shape[1], 0)), np.eye(a.shape[1])
     # a wide matrix has more null directions than singular values
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = _svd_rank(s, tol)
+    # callers pass unit-scaled data, so the floor 1, the package's only
+    # unit scale, keeps pure round-off (the Killing operator of a
+    # top-degree form) at rank 0
+    rank = _rank(s, max(s[0], 1.0), tol, "ambiguous singular value gap")
     return vt[:rank].T, vt[rank:].T
 
 

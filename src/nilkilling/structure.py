@@ -131,6 +131,7 @@ def _cluster(eigvals, tol, scale):
     the values were read from, not of their restriction, so values at
     round-off level stay one cluster."""
     order = np.argsort(eigvals)
+    # one-sided: a merge in the band is split later or refused by decompose's count check
     gap = GAP_FACTOR * tol * scale
     return np.split(order, np.flatnonzero(np.diff(eigvals[order]) > gap) + 1)
 
@@ -154,14 +155,12 @@ def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):
     d = sols[0]
     d2 = d @ d
     p = d.shape[0]
-    lam = float(np.trace(d2)) / p
+    lam = float(np.trace(d2)) / p     # -|d|^2 / p = -1 / p: d is a unit skew matrix
     if not _is_zero(np.abs(d2 - lam * np.eye(p)).max(), np.abs(d2).max(), tol,
                     "scalar square of the bi-invariant skew map"):
         raise InternalInvariantViolation(
             "square of bi-invariant skew map is not scalar; factor not irreducible"
         )
-    if lam >= 0:
-        raise InternalInvariantViolation("scalar square is not negative")
     return _sign_fixed(d / np.sqrt(-lam))
 
 

@@ -457,20 +457,41 @@ def _killgen_reference(F, omega):
             for l in range(omega.degree) for name, ps in families.items()}
 
 
+def _near_threshold_cases(F, dec, k, rng):
+    """(omega + delta eta, False, times) for each non-parallel structured
+    Killing k-form omega, a random unit k-form eta and times = 2 and 4,
+    with delta setting the residual to times DEFAULT_TOL * max|c| * |omega|:
+    above that threshold, and the polarized residual at most twice it."""
+    peak, cases = np.abs(F.constants).max(), []
+    for omega in structured_killing(dec, k).basis:
+        if max(koszul_covariant(F, x, omega).norm() for x in np.eye(F.n)) < 1e-3 * peak:
+            continue
+        eta = random_form(F.n, k, rng)
+        eta = Form(F.n, k, eta.vec / eta.norm())
+        for times in (2, 4):
+            delta = times * DEFAULT_TOL * peak * omega.norm() / killing_residual(F, eta)
+            cases.append((omega + delta * eta, False, times))
+    return cases
+
+
 @pytest.mark.parametrize("name", list(PARITY_CASES))
 def test_killing_checks_match_the_per_pair_polarized_reference(name):
-    # random forms of degree 1-4 and, where the abelian block has room,
-    # pullbacks of forms on it, which are parallel; every residual is
-    # bilinear in the constants and omega, which sets the relative scale
+    # random forms of degree 1-4, where the abelian block has room
+    # pullbacks of forms on it, which are parallel, and structured Killing
+    # forms just off the threshold; every residual is bilinear in the
+    # constants and omega, which sets the relative scale
     L = PARITY_CASES[name]
     dec = decompose(L)
     F = dec.frame
-    rng = np.random.default_rng(31)
+    rng, near_rng = np.random.default_rng(31), np.random.default_rng(37)
+    near = 0
     for k in (1, 2, 3, 4):
-        cases = [(random_form(F.n, k, rng), False)]
+        cases = [(random_form(F.n, k, rng), False, None)]
         if k <= dec.d:
-            cases.append((transform(random_form(dec.d, k, rng), dec.abelian.T), True))
-        for w, parallel in cases:
+            cases.append((transform(random_form(dec.d, k, rng), dec.abelian.T), True, None))
+        if k in (2, 3):
+            cases += _near_threshold_cases(F, dec, k, near_rng)
+        for w, parallel, times in cases:
             scale = np.abs(F.constants).max() * w.norm()
             table, ref = killgen_residuals(F, w), _killgen_reference(F, w)
             assert list(table) == list(ref)
@@ -480,8 +501,14 @@ def test_killing_checks_match_the_per_pair_polarized_reference(name):
             defect = max((nab - (1.0 / (k + 1)) * contract_reference(a, d_w)).norm()
                          for a, nab in enumerate(nablas))
             assert abs(killing_residual(F, w) - defect) <= 1e-12 * scale, k
+            if times is not None:
+                near += 1
+                assert abs(defect - times * DEFAULT_TOL * scale) <= 1e-3 * DEFAULT_TOL * scale
             worst = max(nab.norm() for nab in nablas)
             assert is_parallel(F, w) == parallel == (worst <= DEFAULT_TOL * scale), k
+    # the n32 and h5 3-forms and the h3C 2-form; under a random metric the
+    # sums are irreducible with none, and the h3 volume form is parallel
+    assert near == {"n32+h5": 4, "h3C(lam=1)+h3": 2}.get(name, 0)
 
 
 def test_structured_forms_have_even_v_legs():

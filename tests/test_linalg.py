@@ -1,5 +1,5 @@
-"""The SVD rank policy shared by nullspace and column_space, and the same
-rule on one value (`_is_zero`) with the one sign rule."""
+"""The one rank rule (`_rank`) on the singular values of nullspace and
+column_space and on one value (`_is_zero`), with the one sign rule."""
 import ast
 from pathlib import Path
 
@@ -12,9 +12,9 @@ from nilkilling.linalg import (
     DEFAULT_TOL,
     GAP_FACTOR,
     _is_zero,
+    _rank,
     _row_and_null_space,
     _sign_fixed,
-    _svd_rank,
     column_space,
     nullspace,
     projection_residual,
@@ -83,29 +83,65 @@ def test_straddling_singular_values_refused(space, shape):
         space(q_left @ np.diag(sv) @ q_right.T)
 
 
+SVD_STAGE = "ambiguous singular value gap"
+
+# a scale at which tol * scale underflows to 0 and GAP_FACTOR * tol * scale
+# is the second subnormal, so the band is (0, 1e-323) and its edges exact
+TINY = 1e-315
+assert DEFAULT_TOL * TINY == 0.0 < GAP_FACTOR * DEFAULT_TOL * TINY == 2 * 5e-324
+
+
+def svd_rank(s):
+    """The rule as `_row_and_null_space` applies it to singular values."""
+    s = np.array(s)
+    return _rank(s, max(s[0], 1.0), DEFAULT_TOL, SVD_STAGE)
+
+
 def test_svd_rank_reads_singular_values():
-    assert _svd_rank(np.array([2.0, 1.0, 1e-12]), DEFAULT_TOL) == 2
+    assert svd_rank([2.0, 1.0, 1e-12]) == 2
     # the floor 1 keeps round-off of unit-scaled data at rank 0
-    assert _svd_rank(np.array([1e-12, 1e-13]), DEFAULT_TOL) == 0
+    assert svd_rank([1e-12, 1e-13]) == 0
+    assert nullspace(np.diag([1e-12, 1e-13])).shape == (2, 2)
     with pytest.raises(NumericalRankFailure, match="ambiguous singular value gap"):
-        _svd_rank(np.array([1.0, 2 * DEFAULT_TOL, 0.5 * DEFAULT_TOL]), DEFAULT_TOL)
+        svd_rank([1.0, 2 * DEFAULT_TOL, 0.5 * DEFAULT_TOL])
     # a full rank is judged against 0 below it: its smallest value must
     # clear the gap too, and one that does not is refused
-    assert _svd_rank(np.array([1.0, 20 * DEFAULT_TOL]), DEFAULT_TOL) == 2
+    assert svd_rank([1.0, 20 * DEFAULT_TOL]) == 2
     with pytest.raises(NumericalRankFailure, match="discarded 0.000e"):
-        _svd_rank(np.array([1.0, 2 * DEFAULT_TOL]), DEFAULT_TOL)
+        svd_rank([1.0, 2 * DEFAULT_TOL])
+    # at the exact edges: 0 is discarded, 1e-323 clears the gap to 0 and
+    # to a discarded 0, and 5e-324 is retained but does not
+    high = GAP_FACTOR * DEFAULT_TOL * TINY
+    assert _rank(np.array([0.0, 0.0]), TINY, DEFAULT_TOL, SVD_STAGE) == 0
+    assert _rank(np.array([2 * high, high]), TINY, DEFAULT_TOL, SVD_STAGE) == 2
+    assert _rank(np.array([high, 0.0]), TINY, DEFAULT_TOL, SVD_STAGE) == 1
+    for s in ([high, 5e-324], [1.0, 5e-324, 0.0]):
+        with pytest.raises(NumericalRankFailure, match="retained 4.941e-324 vs discarded 0"):
+            _rank(np.array(s), TINY, DEFAULT_TOL, SVD_STAGE)
+
+
+def one_value(value, scale, stage="s"):
+    """`_is_zero` on `value`, checked to be `_rank` on the one-value array."""
+    zero = _is_zero(value, scale, DEFAULT_TOL, stage)
+    assert _rank(np.array([value]), scale, DEFAULT_TOL, stage) == (0 if zero else 1)
+    return zero
 
 
 def test_is_zero_is_the_rank_rule_on_one_value():
     # zero at most tol * scale, non-zero from GAP_FACTOR times that, and
     # refused in between, NaN included, naming the stage
     scale = 1e-6
-    assert _is_zero(0.0, 0.0, DEFAULT_TOL, "s") is True
-    assert _is_zero(DEFAULT_TOL * scale, scale, DEFAULT_TOL, "s") is True
-    assert _is_zero(GAP_FACTOR * DEFAULT_TOL * scale, scale, DEFAULT_TOL, "s") is False
-    for value in (2 * DEFAULT_TOL * scale, np.nan):
+    assert one_value(0.0, 0.0) is True
+    assert one_value(DEFAULT_TOL * scale, scale) is True
+    assert one_value(GAP_FACTOR * DEFAULT_TOL * scale, scale) is False
+    # the same edges where tol * scale is 0 and GAP_FACTOR * tol * scale is not
+    assert one_value(0.0, TINY) is True
+    assert one_value(GAP_FACTOR * DEFAULT_TOL * TINY, TINY) is False
+    for value, sc in ((2 * DEFAULT_TOL * scale, scale), (np.nan, scale), (5e-324, TINY)):
         with pytest.raises(NumericalRankFailure, match="^cross-block: "):
-            _is_zero(value, scale, DEFAULT_TOL, "cross-block")
+            _is_zero(value, sc, DEFAULT_TOL, "cross-block")
+        with pytest.raises(NumericalRankFailure, match="^cross-block: "):
+            _rank(np.array([value]), sc, DEFAULT_TOL, "cross-block")
 
 
 def test_sign_fixed_makes_the_first_clear_entry_positive():

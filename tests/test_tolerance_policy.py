@@ -4,8 +4,8 @@ Walks the package source with `ast`.  A float literal below 1e-3 may appear
 only as `linalg.DEFAULT_TOL` and as the two display cut-offs of `Form`
 (`__repr__`, `to_json`); every other tolerance is a multiple of a `tol` in
 scope or of `DEFAULT_TOL`.  A `max(1.0, ...)` floor, which makes a
-threshold absolute for small data, may appear only in `linalg._svd_rank`,
-whose callers pass unit-scaled data.
+threshold absolute for small data, may appear only in
+`linalg._row_and_null_space`, whose callers pass unit-scaled data.
 
 Every threshold site is listed: a comparison, product or quotient that
 reads `tol` (a name or an attribute), `DEFAULT_TOL` or `GAP_FACTOR`,
@@ -22,7 +22,7 @@ SRC = Path(nilkilling.__file__).parent
 
 LITERAL_SITES = {("linalg.py", "DEFAULT_TOL"), ("forms.py", "__repr__"),
                  ("forms.py", "to_json")}
-FLOOR_SITES = {("linalg.py", "_svd_rank")}
+FLOOR_SITES = {("linalg.py", "_row_and_null_space")}
 
 THRESHOLD_NAMES = {"tol", "DEFAULT_TOL", "GAP_FACTOR"}
 THRESHOLD_SITES = {
@@ -32,9 +32,7 @@ THRESHOLD_SITES = {
     ("cli.py", "cmd_killing"): 1,        # the span check of --method both
     ("forms.py", "terms"): 1,            # a display cut-off
     ("forms.py", "_skew_map"): 1,
-    ("killing.py", "killing_residual"): 1,
-    ("linalg.py", "_svd_rank"): 2,
-    ("linalg.py", "_is_zero"): 2,        # the two edges of the refusal band
+    ("linalg.py", "_rank"): 2,           # the two edges of the refusal band
     ("linalg.py", "_sign_fixed"): 1,
     ("structure.py", "_cluster"): 1,
 }
