@@ -143,8 +143,12 @@ def find_complex_structure(F: AdaptedFrame, tol=DEFAULT_TOL):
     solution must square to a negative multiple of the identity, which is
     rescaled to the complex structure.  Returns None when the space is 0.
     D preserves the centre z, so it is block-diagonal on v + z and only
-    the (v,v) -> z equations are solved.
+    the (v,v) -> z equations are solved.  A line z = R z_1 needs no solve:
+    its 1x1 skew block is 0, so the equations read J_1 D = 0 on v, and J_1
+    is invertible on v, which meets no centre; hence D = 0.
     """
+    if F.nz == 1:
+        return None
     sols = _solve_intertwiners(F.constants, F.nv, tol, symmetric=False)
     if not sols:
         return None
@@ -172,22 +176,31 @@ def naturally_reductive_type(F: AdaptedFrame, tol=DEFAULT_TOL):
     least-squares solution, is decided by `_is_zero` on its defect over
     |(b_{s<t<u}, 1)| and the largest unit-scaled entry, as the rank rule
     would read the linear system there.  Returns b scaled back, or None.
+    No alternating b lives on fewer than three indices: a line z (m = 1)
+    is naturally reductive with b = 0, as [J_1, J_1] = 0, and for a plane
+    (m = 2) b = 0 and only the defect [J_1, J_2] is decided, with no
+    least-squares solve.
     """
     m, mats = F.nz, F.j_matrices
     if m == 0:
         return None
+    if m == 1:
+        return np.zeros((1, 1, 1))
     scale = np.abs(mats).max(initial=0.0)
     mats = mats / scale if scale else mats      # unit-scaled by the peak just read
     a = mats.reshape(m, -1).T
     # every commutator [J_s, J_t], solved for in the span of the J_u at once
     prod = mats[:, None] @ mats[None]
     targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
-    coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
-    c = coef.reshape(m, m, m)       # [u, s, t] = b_stu, a layout b shares
-    c = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
-    # the largest of the three rotations is exactly cyclic, so b exactly alternating
-    c = np.maximum(np.maximum(c, c.transpose(1, 2, 0)), c.transpose(2, 0, 1))
-    b = (c - c.transpose(1, 0, 2)) / 6
+    if m == 2:
+        b = np.zeros((2, 2, 2))
+    else:
+        coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
+        c = coef.reshape(m, m, m)       # [u, s, t] = b_stu, a layout b shares
+        c = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
+        # the largest of the three rotations is exactly cyclic, so b exactly alternating
+        c = np.maximum(np.maximum(c, c.transpose(1, 2, 0)), c.transpose(2, 0, 1))
+        b = (c - c.transpose(1, 0, 2)) / 6
     defect = (a @ b.reshape(m, -1) - targets).ravel()
     peak = max(np.abs(a).max(initial=0.0), np.abs(targets).max(initial=0.0))
     size = sqrt(np.vdot(b, b) / 6 + 1.0) * peak    # |(b_{s<t<u}, 1)| times the peak

@@ -14,7 +14,9 @@ assembles the full stacked Killing operator from `koszul_nabla` and
 `perm_sign` alone and takes its nullspace.  Those references share only
 the rank policy of `nullspace` with the library, and the brute reference
 also the `itertools.combinations` order of the basis tuples and the
-oracle's `_normalize` sign rule, no exterior-algebra kernel.  The exact
+oracle's `_normalize` sign rule, no exterior-algebra kernel.  Gordon's
+criterion is kept on its general least-squares path, which the library
+skips where a centre of dimension 1 or 2 forces the compact bracket 0.  The exact
 Killing dimension, the one exact oracle, writes the polarized Killing
 operator in the user basis through Christoffel symbols that are rational
 in the brackets and the Gram matrix, both read as exact dyadic rationals,
@@ -23,20 +25,21 @@ factor-count certificate does the same for the graded symmetric
 commutant system, read off the raw brackets.  The test inputs built here
 check nothing: the representation ladder (Im H on H, spin-2 and spin-1 +
 spin-2 of so(3), and so(N) on R^N, the free 2-step algebras) by
-`from_representation`, the metric that makes a complex structure
+`from_representation`, three planes over a commuting 2-dimensional
+centre by `commuting_planes`, the metric that makes a complex structure
 orthogonal by `compatible_metric`, and a unit form by its legs by
 `basis_form`.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
 from nilkilling import Form, MetricLieAlgebra, free_two_step_3, heisenberg
 from nilkilling.killing import _normalize
-from nilkilling.linalg import nullspace
+from nilkilling.linalg import _is_zero, nullspace
 
 
 def koszul_nabla(F, x, y):
@@ -526,6 +529,48 @@ def naturally_reductive_ladder():
         q, _ = np.linalg.qr(rng.normal(size=(L.dim, L.dim)))
         yield L
         yield change_user_basis(L, q)
+
+
+def commuting_planes():
+    """Three planes of v over a 2-dimensional centre (n = 8, identity
+    metric): [e_2i, e_2i+1] = w_i1 z_1 + w_i2 z_2 for w = (1, 0), (0, 1),
+    (1, 1).  The j-maps commute, so it is naturally reductive with compact
+    bracket 0; kept out of `naturally_reductive_ladder`, whose factors
+    with dim z >= 2 have a non-zero compact bracket."""
+    c = np.zeros((8, 8, 8))
+    for i, w in enumerate(((1, 0), (0, 1), (1, 1))):
+        c[2 * i, 2 * i + 1, 6:] = w
+        c[2 * i + 1, 2 * i, 6:] = np.negative(w)
+    names = [f"e{i + 1}" for i in range(6)] + ["z1", "z2"]
+    return MetricLieAlgebra(8, names, c, np.eye(8), name="commuting-planes")
+
+
+def naturally_reductive_reference(F, tol):
+    """Gordon's criterion on the general path, for any dim z = m: the
+    alternating part b of the least-squares solution of
+    [J_s, J_t] = sum_u b_stu J_u, decided by `_is_zero` on its defect over
+    |(b_{s<t<u}, 1)| and the largest unit-scaled entry.  Returns b scaled
+    back, or None; `structure.naturally_reductive_type` skips the solve
+    where m <= 2 forces b = 0."""
+    m, mats = F.nz, F.j_matrices
+    if m == 0:
+        return None
+    scale = np.abs(mats).max(initial=0.0)
+    mats = mats / scale if scale else mats
+    a = mats.reshape(m, -1).T
+    prod = mats[:, None] @ mats[None]
+    targets = (prod - prod.transpose(1, 0, 2, 3)).reshape(m * m, -1).T
+    coef, *_ = np.linalg.lstsq(a, targets, rcond=None)
+    c = coef.reshape(m, m, m)
+    c = c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)
+    c = np.maximum(np.maximum(c, c.transpose(1, 2, 0)), c.transpose(2, 0, 1))
+    b = (c - c.transpose(1, 0, 2)) / 6
+    defect = (a @ b.reshape(m, -1) - targets).ravel()
+    peak = max(np.abs(a).max(initial=0.0), np.abs(targets).max(initial=0.0))
+    size = sqrt(np.vdot(b, b) / 6 + 1.0) * peak
+    if not _is_zero(sqrt(defect @ defect), size, tol, "naturally reductive defect"):
+        return None
+    return scale * b
 
 
 def compatible_metric(H, J, h):

@@ -23,6 +23,7 @@ from nilkilling import (
 )
 
 from helpers import (
+    commuting_planes,
     exact_killing_dimension,
     exact_killing_operator,
     exact_null_vector,
@@ -300,8 +301,13 @@ def _unimodular(n, rng):
     return p, inv
 
 
+# beyond the catalog: the one naturally reductive factor with a plane centre
+REFEREE_EXTRAS = {"commuting-planes": commuting_planes}
+
+
 @pytest.mark.parametrize("name", [name for name in catalog.catalog_names()
-                                  if catalog.build(name).dim >= 3])
+                                  if catalog.build(name).dim >= 3]
+                         + list(REFEREE_EXTRAS))
 def test_exact_dimension_referees_both_solvers(name):
     # in the basis with columns P, a unimodular integer matrix, the brackets
     # stay integers, and the Gram matrix P^T M P is dense: isometric to the
@@ -309,7 +315,7 @@ def test_exact_dimension_referees_both_solvers(name):
     # integer SPD M.  Every input is exact, and no float inverse enters (as
     # in `change_user_basis`), so the exact dimension referees the
     # structured and brute solvers at each of 3 seeded basis changes
-    L = catalog.build(name)
+    L = REFEREE_EXTRAS[name]() if name in REFEREE_EXTRAS else catalog.build(name)
     n = L.dim
     plain = killing_dimensions(L)[:2]
     rng = np.random.default_rng(14)

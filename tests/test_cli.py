@@ -33,7 +33,8 @@ from nilkilling.errors import (
     WorkingSetTooLarge,
 )
 
-from helpers import change_user_basis, quaternionic_heisenberg, with_metric
+from helpers import (change_user_basis, commuting_planes, quaternionic_heisenberg,
+                     with_metric)
 from make_answer_matrix import GOLDEN, run_matrix
 
 
@@ -352,6 +353,55 @@ def test_naturally_reductive_decision_agrees_with_the_brute_or_exits_4(
         assert "naturally reductive defect" in out.stderr
     else:
         assert json.loads(out.stdout)["dimK3"] == brute_dim
+
+
+def _near_degenerate_answers(capsys, path):
+    """Exit codes of `analyze --json` and `killing --method structured|brute
+    --degree 2|3` on `path`, and the dimensions answered at exit 0 by degree."""
+    codes, dims = [], {2: set(), 3: set()}
+    out = run_cli(capsys, "analyze", str(path), "--json")
+    codes.append(out.returncode)
+    if not out.returncode:
+        report = json.loads(out.stdout)
+        dims[2].add(report["dimK2"])
+        dims[3].add(report["dimK3"])
+    for method in ("structured", "brute"):
+        for k in (2, 3):
+            out = run_cli(capsys, "killing", str(path), "--method", method,
+                          "--degree", str(k), "--json")
+            codes.append(out.returncode)
+            if not out.returncode:
+                dims[k].add(json.loads(out.stdout)["dim"])
+    return codes, dims
+
+
+@pytest.mark.parametrize("name", ["h5", "R+h3C", "qH"])
+def test_commands_agree_or_exit_4_near_degenerate_metrics(tmp_path, capsys, name):
+    # one factor whose centre is a line (h5), a plane (R+h3C) or 3-dimensional
+    # (qH), with one Gram entry scaled by 1 + eps where the structured and
+    # brute decisions sit near their bands: each command may refuse, but
+    # no two answer different dimensions
+    L = quaternionic_heisenberg() if name == "qH" else catalog.build(name)
+    path = tmp_path / "near.json"
+    for i in (1, L.dim - 1):
+        for eps in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6):
+            gram = L.gram.copy()
+            gram[i, i] *= 1 + eps
+            with_metric(L, gram).save(path)
+            codes, dims = _near_degenerate_answers(capsys, path)
+            assert set(codes) <= {0, cli.EXIT_NUMERICAL}, (i, eps, codes)
+            assert all(len(d) <= 1 for d in dims.values()), (i, eps, dims)
+
+
+def test_commuting_planes_agree_under_both_methods(tmp_path, capsys):
+    # a naturally reductive factor with a 2-dimensional centre: the
+    # structured and brute Killing 3-forms span the same line
+    path = tmp_path / "planes.json"
+    commuting_planes().save(path)
+    out = run_cli(capsys, "killing", str(path), "--method", "both", "--degree", "3",
+                  "--json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["dim"] == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

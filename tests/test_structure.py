@@ -22,14 +22,17 @@ from nilkilling import (
 )
 from nilkilling import structure
 from nilkilling.catalog import build, catalog_names
+from nilkilling.errors import NilkillingError
 from nilkilling.linalg import DEFAULT_TOL, _unit_scaled, nullspace, span_distance
 
 from helpers import (
     change_user_basis,
     commutant_system_reference,
+    commuting_planes,
     compatible_metric,
     full_intertwiners,
     naturally_reductive_ladder,
+    naturally_reductive_reference,
     random_spd_metric,
     random_two_step,
     with_metric,
@@ -409,6 +412,98 @@ def test_naturally_reductive_needs_a_skew_compact_bracket(gram, reductive):
     assert (factor.naturally_reductive, factor.has_complex_structure) == (reductive, False)
     brute = [killing_nullspace_brute(L, F, k).dim for k in (2, 3)]
     assert brute == list(killing_dimensions(L)[:2]) == [0, int(reductive)]
+
+
+def _general_path_frames():
+    """The frame and every factor frame `decompose` gives for the catalog,
+    the naturally reductive ladder, and seeded random algebras whose centre
+    is a line or a plane, under random metrics."""
+    rng = np.random.default_rng(39)
+    algebras = [build(name) for name in catalog_names()]
+    algebras += naturally_reductive_ladder()
+    for nz in (1, 2):
+        for nv in range(2, 8):
+            L = random_two_step(nv, nz, rng)
+            algebras.append(with_metric(L, random_spd_metric(L.dim, rng)))
+    for L in algebras:
+        dec = decompose(L)
+        yield dec.frame
+        yield from (f.frame for f in dec.factors)
+
+
+def _outcome(solve, *args):
+    """What `solve` returns, or the type and message of what it raises."""
+    try:
+        return solve(*args)
+    except NilkillingError as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b     # both None, or one exception
+
+
+def test_factor_tests_match_the_general_path():
+    # a centre of dimension m <= 2 answers without the general solves; the
+    # answers and refusals must be exactly those of Gordon's least-squares
+    # criterion and of the skew commutant solve
+    seen = set()
+    for F in _general_path_frames():
+        seen.add(min(F.nz, 3))
+        ours = _outcome(naturally_reductive_type, F, DEFAULT_TOL)
+        assert _same(ours, _outcome(naturally_reductive_reference, F, DEFAULT_TOL))
+        sols = _outcome(structure._solve_intertwiners, F.constants, F.nv,
+                        DEFAULT_TOL, False)
+        J = _outcome(find_complex_structure, F, DEFAULT_TOL)
+        if not isinstance(sols, list):
+            assert _same(J, sols)
+        elif not sols:
+            assert J is None
+        elif isinstance(J, np.ndarray):   # else refused by the checks after the solve
+            d = sols[0]
+            general = d / np.sqrt(-np.trace(d @ d) / d.shape[0])
+            assert np.array_equal(np.abs(J), np.abs(general))
+        else:
+            assert isinstance(J, tuple)
+    assert seen == {1, 2, 3}
+
+
+def test_a_line_or_plane_centre_needs_no_least_squares(monkeypatch):
+    # R^2 + h7: the factor's centre is a line, so its complex structure and
+    # compact bracket are forced, and only the symmetric commutant is
+    # solved; the plane centre of h3C needs the skew solve but no lstsq
+    lstsq, solves = [], []
+
+    def counted(calls, original):
+        def call(*args, **kw):
+            calls.append(kw)
+            return original(*args, **kw)
+        return call
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted(lstsq, np.linalg.lstsq))
+    monkeypatch.setattr(structure, "_solve_intertwiners",
+                        counted(solves, structure._solve_intertwiners))
+    dec = decompose(direct_sum([euclidean(2), heisenberg(3)]))
+    assert dec.killing_dimensions()[:2] == (1, 1)
+    assert (lstsq, solves) == ([], [{"symmetric": True}])
+    assert decompose(complex_heisenberg()).killing_dimensions()[:2] == (1, 0)
+    assert lstsq == []
+
+
+def test_commuting_planes_is_naturally_reductive_with_a_plane_centre():
+    # the one factor input whose centre is a plane and whose answer is yes:
+    # the j-maps commute, so the compact bracket is 0
+    L = commuting_planes()
+    dec = decompose(L)
+    (factor,) = dec.factors
+    assert (dec.d, factor.frame.nv, factor.frame.nz) == (0, 6, 2)
+    assert (factor.naturally_reductive, factor.has_complex_structure) == (True, False)
+    assert np.array_equal(factor.compact_bracket, np.zeros((2, 2, 2)))
+    brute = [killing_nullspace_brute(L, dec.frame, k).dim for k in (2, 3)]
+    structured = [structured_killing(dec, k).dim for k in (2, 3)]
+    assert brute == structured == [0, 1]
 
 
 def test_killing_dimensions_examples():

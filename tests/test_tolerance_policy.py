@@ -11,6 +11,11 @@ Every threshold site is listed: a comparison, product or quotient that
 reads `tol` (a name or an attribute), `DEFAULT_TOL` or `GAP_FACTOR`,
 counted once where such expressions nest, by file and enclosing function.
 A new site fails `test_threshold_sites_are_listed` until it is listed.
+
+Every dense factorization or solve is listed too: each `np.linalg.<name>`
+the package reads, called or not, other than `norm` and `LinAlgError`, by
+file, enclosing function and name.
+A new one fails `test_lapack_calls_are_listed` until it is listed.
 """
 import ast
 from collections import Counter
@@ -35,6 +40,19 @@ THRESHOLD_SITES = {
     ("linalg.py", "_rank"): 2,           # the two edges of the refusal band
     ("linalg.py", "_sign_fixed"): 1,
     ("structure.py", "_cluster"): 1,
+}
+
+# np.linalg.<name> by file, enclosing function and name
+LAPACK_CALLS = {
+    ("algebra.py", "validate", "eigvalsh"): 1,
+    ("algebra.py", "adapted_frame", "cholesky"): 1,
+    ("algebra.py", "adapted_frame", "qr"): 1,
+    ("algebra.py", "adapted_frame", "solve"): 1,
+    ("forms.py", "transform", "det"): 1,
+    ("killing.py", "killing_nullspace_brute", "qr"): 1,
+    ("linalg.py", "_row_and_null_space", "svd"): 1,       # the package's one SVD
+    ("structure.py", "naturally_reductive_type", "lstsq"): 1,   # dim z >= 3 only
+    ("structure.py", "decompose", "eigh"): 2,
 }
 
 
@@ -128,3 +146,47 @@ def test_threshold_sites_are_listed():
     for path in sorted(SRC.glob("*.py")):
         found += threshold_sites(path.name, path.read_text())
     assert found == Counter(THRESHOLD_SITES)
+
+
+def lapack_calls(filename, source):
+    """Counter of (filename, site, name) over the `np.linalg.<name>` (or
+    `numpy.linalg.<name>`) the source reads, called or not, but `norm` and
+    `LinAlgError`; an import from numpy.linalg or scipy counts under its
+    module name, so no factorization enters unlisted."""
+    found = Counter()
+    for site, node in _sites(ast.parse(source)):
+        if (isinstance(node, ast.Attribute)
+                and node.attr not in ("norm", "LinAlgError")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            found[(filename, site, node.attr)] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                       else [alias.name for alias in node.names])
+            for module in modules:
+                if module.startswith(("numpy.linalg", "scipy")):
+                    found[(filename, site, module)] += 1
+    return found
+
+
+def test_checker_counts_lapack_calls():
+    source = ("import scipy.linalg\n"
+              "def f(a):\n"
+              "    q, r = np.linalg.qr(a)\n"
+              "    return np.linalg.norm(a), numpy.linalg.svd(q), np.linalg.qr(r)\n"
+              "def g(a):\n"
+              "    solve = np.linalg.lstsq\n"
+              "    err = np.linalg.LinAlgError\n"
+              "    return np.eye(2), a.linalg.svd()\n")
+    assert lapack_calls("m.py", source) == Counter({
+        ("m.py", None, "scipy.linalg"): 1, ("m.py", "f", "qr"): 2,
+        ("m.py", "f", "svd"): 1, ("m.py", "g", "lstsq"): 1})
+
+
+def test_lapack_calls_are_listed():
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        found += lapack_calls(path.name, path.read_text())
+    assert found == Counter(LAPACK_CALLS)
